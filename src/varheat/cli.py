@@ -72,9 +72,10 @@ def cmd_solve(cfg: RunConfig) -> int:
     rows = []
     svg_series = []
     max_err = {}
+    # One contour and one Phi batch serve every requested time.
+    batch = solve_grid(c, tt, q0, xs, cfg.solve_times, spec, all_orders=True)
     for t in cfg.solve_times:
-        res = solve_grid(c, tt, q0, xs, [t], spec, contour=cfg.contour(t),
-                         all_orders=True)[t]
+        res = batch[float(t)]
         for n in sorted(res):
             samples = res[n]
             for s in samples:

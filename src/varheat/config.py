@@ -13,7 +13,6 @@ validated against the owning module's ranges when the objects are built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,6 @@ from scipy.interpolate import PchipInterpolator
 from .coefficients import make_conductivity
 from .errors import ConfigError
 from .simplex import SeriesSpec
-from .transform import Contour
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text", "named_profile"]
 
@@ -55,11 +53,6 @@ class RunConfig:
     series_N: int = 2
     series_quad_order: int = 32
     series_tol: float = 1e-10
-    contour_shape: str = "angled_rays"
-    contour_r: float = 0.5
-    contour_delta: float = math.pi / 8.0
-    contour_kmax: float = 0.0         # 0 = auto from t
-    contour_density: int = 40
     solve_x_points: int = 101
     solve_times: list = field(default_factory=lambda: [0.25, 1.0, 4.0])
     eigs_count: int = 4
@@ -86,17 +79,6 @@ class RunConfig:
             return make_conductivity("tabulated", table=self.sigma_table)
         return make_conductivity(self.sigma_kind)
 
-    def contour(self, t: float) -> Contour:
-        from .errors import DomainError
-
-        kmax = self.contour_kmax if self.contour_kmax > 0 else max(8.0, 6.0 / math.sqrt(t))
-        try:
-            return Contour(shape=self.contour_shape, r=self.contour_r,
-                           delta=self.contour_delta, kmax=kmax,
-                           nodes_per_unit=self.contour_density)
-        except DomainError as exc:
-            raise ConfigError(f"contour: {exc}") from exc
-
     def profile(self):
         return named_profile(self.profile_kind, self.profile_table)
 
@@ -113,11 +95,6 @@ _SCHEMA = {
     "series.N": ("series_N", int, None),
     "series.quad_order": ("series_quad_order", int, None),
     "series.tol": ("series_tol", float, None),
-    "contour.shape": ("contour_shape", lambda s: s, ("angled_rays", "boundary_omega")),
-    "contour.r": ("contour_r", float, None),
-    "contour.delta": ("contour_delta", float, None),
-    "contour.kmax": ("contour_kmax", float, None),
-    "contour.density": ("contour_density", int, None),
     "solve.x_points": ("solve_x_points", int, None),
     "solve.times": ("solve_times", _parse_float_list, None),
     "eigs.count": ("eigs_count", int, None),
@@ -181,10 +158,6 @@ def _validate(cfg: RunConfig):
         raise ConfigError("eigs.count must be >= 1")
     if not cfg.eigfuns_modes or any(m < 1 for m in cfg.eigfuns_modes):
         raise ConfigError("eigfuns.modes must be positive mode indices")
-    if cfg.contour_r <= 0:
-        raise ConfigError("contour.r must be positive")
-    if cfg.contour_density < 1:
-        raise ConfigError("contour.density must be >= 1")
 
 
 def named_profile(kind: str, table: str = ""):

@@ -23,7 +23,7 @@ class MalformedTable(VarheatError, ValueError):
 
 
 class ToleranceNotReached(VarheatError):
-    """Adaptive refinement hit its cap before meeting the tolerance."""
+    """A refinement or quadrature error estimate misses its tolerance."""
 
 
 class OrderTooHigh(VarheatError, ValueError):
@@ -47,7 +47,7 @@ class DenominatorNearZero(VarheatError):
 
 
 class TailTooLarge(VarheatError):
-    """The contour truncation radius is insufficient for the given time."""
+    """The contour ends too early to bound the truncation error at some time."""
 
 
 class SingularPartition(VarheatError, ValueError):

@@ -43,7 +43,6 @@ from .errors import DomainError, OrderTooHigh, ShiftTooSmall
 __all__ = [
     "ORDER_CAP",
     "SeriesSpec",
-    "SimplexTerm",
     "simplex_integral",
     "regularized_simplex_integral",
     "series_sum",
@@ -82,21 +81,22 @@ class SeriesSpec:
             raise DomainError("tol must be positive")
 
 
-@dataclass(frozen=True)
-class SimplexTerm:
-    """One evaluated series term; real for real k, odd in k."""
-
-    n: int
-    interval: tuple
-    k: complex
-    value: complex
-
-
 @lru_cache(maxsize=32)
 def _unit_gauss(order):
     """Gauss-Legendre nodes/weights mapped to [0, 1], cached per order."""
     x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _panel_gauss(edges, order):
+    """Composite Gauss-Legendre: ``order`` nodes on each panel between edges.
+
+    Returns (points, weights), each of shape (len(edges) - 1, order).
+    """
+    x01, w01 = _unit_gauss(order)
+    width = np.diff(edges)
+    pts = edges[:-1, None] + width[:, None] * x01[None, :]
+    return pts, width[:, None] * w01[None, :]
 
 
 def _phase_const(tt, a, b, n):
@@ -253,12 +253,9 @@ def abs_log_derivative_integral(c: Conductivity, a: float, b: float, panels: int
     _check_interval(a, b)
     if b == a:
         return 0.0
-    edges = np.linspace(a, b, panels + 1)
-    x01, w01 = _unit_gauss(order)
-    lo, hi = edges[:-1], edges[1:]
-    pts = lo[:, None] + (hi - lo)[:, None] * x01[None, :]
+    pts, wts = _panel_gauss(np.linspace(a, b, panels + 1), order)
     vals = np.abs(log_derivative(c, pts.ravel())).reshape(pts.shape)
-    return float(np.sum((hi - lo)[:, None] * w01[None, :] * vals))
+    return float(np.sum(wts * vals))
 
 
 def term_bound(c: Conductivity, tt: TravelTimeMap, n: int, a: float, b: float, k) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .coefficients import Conductivity, TravelTimeMap
 from .errors import DomainError, NoConvergence, RootMissed
-from .simplex import SeriesSpec, _unit_gauss, build_term_tables
+from .simplex import SeriesSpec, _panel_gauss, build_term_tables
 from .transform import delta_values
 
 __all__ = ["EigenPair", "Eigenfunction", "find_eigenvalues", "eigenfunction"]
@@ -155,10 +155,8 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
 
     # L^2 norm by composite Gauss quadrature resolving the m-th mode.
     panels = max(32, 8 * pair.m)
-    x01, w01 = _unit_gauss(12)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    pts = (edges[:-1, None] + np.diff(edges)[:, None] * x01[None, :]).ravel()
-    wts = (np.diff(edges)[:, None] * w01[None, :]).ravel()
+    pts, wts = _panel_gauss(np.linspace(0.0, 1.0, panels + 1), 12)
+    pts, wts = pts.ravel(), wts.ravel()
     raw = _raw_series(c, tt, pts, kappa, spec)
     norm_sq = float(wts @ raw**2)
     if norm_sq <= 0.0:

@@ -9,13 +9,26 @@ product of the (0, min(x,y)) and (max(x,y), 1) series, and
 Phi(k,x) = int_0^1 Psi(k,x,y) q0(y) / sqrt(sigma(x) sigma(y)) dy.
 
 Numerically both numerator and denominator are multiplied by
-exp(i k tau(1)) so that each decays in the upper half plane, and the contour
-Gamma is a pair of rays at arguments delta and pi - delta joined by an arc
-of radius r over the origin; along those rays Re(k^2) > 0, so the factor
-exp(-k^2 t) damps the integrand.  The contour is traversed from the upper
-left ray inward, over the arc, and outward along the right ray; with a node
-set symmetric under k -> -conj(k) the raw integral is purely imaginary for
-real data, which is monitored through ``imag_residual``.
+exp(i k tau(1)) so that each decays in the upper half plane.  The contour
+Gamma is the hyperbola
+
+    k(u) = s (sinh u + i tan(delta) cosh u),   u real,
+
+traversed from the upper left asymptote (argument pi - delta) to the upper
+right one (argument delta), with Im k >= s tan(delta) > 0 keeping it off the
+real zeros of Delta.  Under z = -k^2 it is the z-plane hyperbola of
+Weideman & Trefethen, "Parabolic and hyperbolic contours for computing the
+Bromwich integral", Math. Comp. 76 (2007), with alpha = pi/2 - 2 delta and
+mu = s^2 / (2 cos^2 delta).  The integrand is analytic in the strip
+|Im u| < min(delta, pi/4 - delta) (the real zeros of Delta lie on
+Im u = -delta; exp(-k^2 t) stops decaying on Im u = pi/4 - delta), so the
+trapezoid rule in u converges geometrically in 1/h (Trefethen & Weideman,
+"The exponentially convergent trapezoidal rule", SIAM Rev. 56 (2014)), and
+exp(-k^2 t) decays doubly exponentially in u, so the sum is truncated at
+|u| <= end.  One contour serves a whole batch of times: its end point comes
+from the smallest time and its step and scale s from the largest.  The
+nodes are symmetric under k -> -conj(k), so the raw integral is purely
+imaginary for real data, which is monitored through ``imag_residual``.
 
 Truncation of the series at n <= N gives the computable approximation; all
 operations accept the truncation via :class:`~varheat.simplex.SeriesSpec`.
@@ -29,10 +42,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import Conductivity, TravelTimeMap
-from .errors import DenominatorNearZero, DomainError, TailTooLarge
+from .errors import (
+    DenominatorNearZero,
+    DomainError,
+    TailTooLarge,
+    ToleranceNotReached,
+)
 from .simplex import (
     SeriesSpec,
-    _unit_gauss,
+    _panel_gauss,
     build_term_tables,
     series_sum,
     simplex_integral,
@@ -41,7 +59,6 @@ from .simplex import (
 __all__ = [
     "Contour",
     "SolutionSample",
-    "default_contour",
     "delta_fn",
     "regularized_delta_fn",
     "delta_values",
@@ -52,66 +69,92 @@ __all__ = [
     "solve_grid",
 ]
 
+DEFAULT_TAIL_TOL = 1e-8
+# Asymptote angle; pi/8 maximizes the strip half-width min(delta, pi/4 - delta).
+_DELTA = math.pi / 8.0
+# Largest contour scale: the vertex sits at Im k = s tan(delta) ~ 0.5.
+_S_MAX = 1.2
+# Upper bound on mu * t_max, the growth exp(mu t) of the integrand on the
+# far edge of the analyticity strip (Weideman & Trefethen's mu ~ 1/t scaling).
+_MU_T_MAX = 2.0
+
 
 @dataclass(frozen=True)
 class Contour:
-    """Integration path for the inverse transform.
+    """Hyperbola k(u) = s (sinh u + i tan(delta) cosh u), trapezoid rule in u.
 
-    ``angled_rays`` runs along arguments delta and pi - delta (0 < delta <
-    pi/4), joined by an arc of radius r through the upper half plane; the
-    sector boundary ``boundary_omega`` is the delta = pi/4 limit, where
-    exp(-k^2 t) no longer decays (kept for reference, not for production
-    use).  Nodes come in mirror pairs under k -> -conj(k) so that real data
-    produce real solutions up to roundoff.
+    The hyperbolic contour of Weideman & Trefethen (Math. Comp. 76, 2007)
+    mapped to the k-plane, sampled by the exponentially convergent trapezoid
+    rule (Trefethen & Weideman, SIAM Rev. 56, 2014).  Nodes sit at
+    u_j = j * step for |j| <= M, where M is the smallest even integer with
+    M * step >= end; an even M makes the even-j nodes the same rule at step
+    2 * step, which :func:`solve_grid` uses to estimate the discretisation
+    error.  Nodes and weights are mirror symmetric under
+    u -> -u, i.e. k -> -conj(k), so real data produce real solutions up to
+    roundoff.  :meth:`for_times` sizes a contour for a batch of times.
     """
 
-    shape: str = "angled_rays"
-    r: float = 0.5
-    delta: float = math.pi / 8.0
-    kmax: float = 8.0
-    nodes_per_unit: int = 40
+    step: float
+    end: float
+    s: float = _S_MAX
+    delta: float = _DELTA
 
     def __post_init__(self):
-        if self.shape not in ("angled_rays", "boundary_omega"):
-            raise DomainError(f"unknown contour shape {self.shape!r}")
-        if not 0.0 < self.r < self.kmax:
-            raise DomainError("need 0 < r < kmax")
-        if self.shape == "angled_rays" and not 0.0 < self.delta < math.pi / 4.0:
-            raise DomainError("angled_rays needs 0 < delta < pi/4")
-        if self.nodes_per_unit < 1:
-            raise DomainError("nodes_per_unit must be >= 1")
+        if not (self.step > 0.0 and self.end > 0.0):
+            raise DomainError("contour needs step > 0 and end > 0")
+        if not self.s > 0.0:
+            raise DomainError("contour scale s must be positive")
+        if not 0.0 < self.delta < math.pi / 4.0:
+            raise DomainError("contour needs 0 < delta < pi/4")
 
     @property
-    def ray_angle(self) -> float:
-        return math.pi / 4.0 if self.shape == "boundary_omega" else self.delta
+    def half_count(self) -> int:
+        """M: the nodes are u_j = j * step for j = -M..M (M even)."""
+        return 2 * math.ceil(self.end / (2.0 * self.step))
+
+    @property
+    def strip(self) -> float:
+        """Half-width of the strip |Im u| < d where the integrand is analytic."""
+        return min(self.delta, math.pi / 4.0 - self.delta)
 
     def nodes(self):
         """Directed nodes and weights (k_j, w_j) with sum_j f(k_j) w_j ~ int f dk."""
-        delta = self.ray_angle
-        x01, w01 = _unit_gauss(12)
-
-        def composite(lo, hi, per_unit):
-            n_panels = max(1, math.ceil((hi - lo) * per_unit / 12.0))
-            edges = np.linspace(lo, hi, n_panels + 1)
-            width = edges[1:] - edges[:-1]
-            pts = edges[:-1, None] + width[:, None] * x01[None, :]
-            wts = width[:, None] * w01[None, :]
-            return pts.ravel(), wts.ravel()
-
-        s, ws = composite(self.r, self.kmax, self.nodes_per_unit)
-        theta, wt = composite(delta, math.pi - delta, self.r * self.nodes_per_unit)
-
-        right_k = s * np.exp(1j * delta)
-        right_w = np.exp(1j * delta) * ws
-        # Left ray traversed inward = reversed orientation of its s-grid.
-        left_k = -np.conj(right_k)
-        left_w = np.conj(right_w)
-        arc_k = self.r * np.exp(1j * theta)
-        arc_w = -1j * self.r * np.exp(1j * theta) * wt
-
-        k = np.concatenate([left_k[::-1], arc_k[::-1], right_k])
-        w = np.concatenate([left_w[::-1], arc_w[::-1], right_w])
+        u = self.step * np.arange(-self.half_count, self.half_count + 1)
+        tan_d = math.tan(self.delta)
+        k = self.s * (np.sinh(u) + 1j * tan_d * np.cosh(u))
+        w = self.step * self.s * (np.cosh(u) + 1j * tan_d * np.sinh(u))
         return k, w
+
+    @classmethod
+    def for_times(cls, ts, tol: float = DEFAULT_TAIL_TOL) -> "Contour":
+        """Contour resolving every time in ``ts`` to about ``tol`` absolute.
+
+        With mu = s^2 / (2 cos^2 delta) and d the strip half-width, the
+        trapezoid error is about (1 + exp(mu t_max)) exp(-2 pi d / h) and the
+        truncation error about exp(-t_min Re k(end)^2), where
+        Re k(u)^2 = mu (cos(2 delta) cosh(2u) - 1).  The scale s shrinks as
+        1/sqrt(t_max) once mu t_max would exceed a fixed bound, so the step
+        stays fixed and the end point grows only as log(t_max / t_min).  The
+        bounds are estimates that assume |q0| = O(1), so each is aimed a
+        decade below its half of ``tol``; :func:`solve_grid` checks the
+        result a posteriori.
+        """
+        ts = [float(t) for t in np.atleast_1d(ts)]
+        if not ts or min(ts) <= 0.0:
+            raise DomainError("contour sizing needs times t > 0")
+        if not tol > 0.0:
+            raise DomainError("contour sizing needs tol > 0")
+        t_min, t_max = min(ts), max(ts)
+        cos2 = math.cos(_DELTA) ** 2
+        s = min(_S_MAX, math.sqrt(2.0 * cos2 * _MU_T_MAX / t_max))
+        mu = s * s / (2.0 * cos2)
+        log_budget = math.log(20.0 / tol)
+        # the strip half-width is _DELTA itself
+        step = 2.0 * math.pi * _DELTA / (
+            log_budget + math.log1p(math.exp(mu * t_max)))
+        end = 0.5 * math.acosh(
+            (log_budget / (mu * t_min) + 1.0) / math.cos(2.0 * _DELTA))
+        return cls(step=step, end=end, s=s)
 
 
 @dataclass(frozen=True)
@@ -123,11 +166,6 @@ class SolutionSample:
     value: float
     truncation_N: int
     imag_residual: float
-
-
-def default_contour(t: float, shape: str = "angled_rays") -> Contour:
-    """Contour sized for time t: kmax = max(8, 6/sqrt(t)) tames the tail."""
-    return Contour(shape=shape, kmax=max(8.0, 6.0 / math.sqrt(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +277,15 @@ def phi_fn(c: Conductivity, tt: TravelTimeMap, k, x: float, q0, spec: SeriesSpec
 
     def one_side(lo, hi, series_a, series_b):
         # integrand factor sum S(series interval depending on y) * q0 / sqrt(sigma)
-        if hi <= lo:
-            return 0j
-        n_panels = max(2, math.ceil((hi - lo) * per_unit / 12.0))
-        edges = np.linspace(lo, hi, n_panels + 1)
-        x01, w01 = _unit_gauss(12)
-        pts = edges[:-1, None] + np.diff(edges)[:, None] * x01[None, :]
-        wts = (np.diff(edges)[:, None] * w01[None, :]).ravel()
-        pts = pts.ravel()
-        dens = q0(pts) / np.sqrt(c.sigma(pts))
+        pts, wts = _segment_weights(c, q0, lo, hi, per_unit)
         acc = 0j
-        for y, wq, d in zip(pts, wts, dens):
+        for y, wq in zip(pts, wts):
             if regularized:
                 sval = regularized_series_sum(c, tt, *series_a(y), kc, spec,
                                               shift=series_b(y))
             else:
                 sval = series_sum(c, tt, *series_a(y), kc, spec)
-            acc += wq * d * sval
+            acc += wq * sval
         return acc
 
     if regularized:
@@ -307,11 +337,9 @@ def _segment_weights(c, q0, lo, hi, per_unit):
     """Gauss nodes and q0/sqrt(sigma)-weighted quadrature weights on [lo, hi]."""
     if hi - lo <= 1e-14:
         return np.empty(0), np.empty(0)
-    x01, w01 = _unit_gauss(12)
     n_panels = max(2, math.ceil((hi - lo) * per_unit / 12.0))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    pts = (edges[:-1, None] + np.diff(edges)[:, None] * x01[None, :]).ravel()
-    wts = (np.diff(edges)[:, None] * w01[None, :]).ravel()
+    pts, wts = _panel_gauss(np.linspace(lo, hi, n_panels + 1), 12)
+    pts, wts = pts.ravel(), wts.ravel()
     return pts, wts * q0(pts) / np.sqrt(c.sigma(pts))
 
 
@@ -324,7 +352,8 @@ def _phi_batch(c, tt, q0, ks, xs, spec, kmax):
     The y-integral is evaluated through a Chebyshev-Lobatto grid in y: the
     simplex series over (0, y) and (y, 1) are smooth in y, so their values on
     the grid interpolate to any quadrature node, which turns the whole double
-    sweep into small matrix products reused by every x.
+    sweep into small matrix products reused by every x.  ``kmax``, the
+    largest |k| on the contour, sizes the y-grid and the y-quadrature.
     """
     total = tt.total
     X = len(xs)
@@ -371,18 +400,56 @@ def _phi_batch(c, tt, q0, ks, xs, spec, kmax):
     return phi
 
 
-def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
-               contour: Contour | None = None, tail_tol: float = 1e-8,
-               denominator_floor: float = 1e-12, all_orders: bool = False):
-    """Evaluate q_N on a grid of x values for each t; returns {t: [samples]}.
+def _check_quadrature(cont, integrand, weighted, ts, tol):
+    """Raise unless the truncation and trapezoid error estimates meet ``tol``.
 
-    Contour data (characteristic function, kernel tables) are shared across
-    all x for a given t, which is the production path for solution grids.
-    With ``all_orders=True`` the result is {t: {n: [samples]}} for every
-    truncation n <= N at no extra cost (the series is summed cumulatively).
-    Raises :class:`DenominatorNearZero` if the contour passes too close to a
-    zero of the regularized characteristic function, :class:`TailTooLarge`
-    if the truncation radius cannot control the tail at this t.
+    ``integrand`` is Phi/Delta at the nodes, shape (X, K); ``weighted``
+    holds w_j exp(-k_j^2 t), shape (K, T).  Truncation: past the last node
+    |u| = U, Re k(u)^2 grows at least at the rate
+    s^2 (1 - tan^2 delta) sinh(2U), so the omitted part of each end is at
+    most |f(U)| / (t * rate) in u.
+    Discretisation: the even-index nodes are the same rule at step 2h, and
+    halving the step squares the error factor exp(-2 pi d / h) (d the strip
+    half-width), so |q_h - q_2h| exp(-pi d / h) estimates the error of q_h.
+    """
+    ends = [0, -1]
+    f_end = np.abs(integrand[:, ends, None] * weighted[ends][None]).sum(axis=1) / cont.step
+    end_u = cont.half_count * cont.step
+    rate = cont.s**2 * (1.0 - math.tan(cont.delta) ** 2) * math.sinh(2.0 * end_u)
+    tail = f_end.max(axis=0) / (math.pi * ts * rate)
+    worst = int(np.argmax(tail))
+    if tail[worst] > tol:
+        raise TailTooLarge(
+            f"truncation bound {tail[worst]:.2e} at t={ts[worst]:g} exceeds "
+            f"{tol:.2e}; extend the contour end (or loosen tail_tol)"
+        )
+    halved = integrand[:, ::2] @ (2.0 * weighted[::2])
+    gap = np.abs(integrand @ weighted - halved).max(axis=0) / math.pi
+    disc = gap * math.exp(-math.pi * cont.strip / cont.step)
+    worst = int(np.argmax(disc))
+    if disc[worst] > tol:
+        raise ToleranceNotReached(
+            f"trapezoid error estimate {disc[worst]:.2e} at t={ts[worst]:g} "
+            f"exceeds {tol:.2e}; refine the contour step (or loosen tail_tol)"
+        )
+
+
+def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
+               contour: Contour | None = None, tail_tol: float = DEFAULT_TAIL_TOL,
+               denominator_floor: float = 1e-12, all_orders: bool = False):
+    """Evaluate q_N on a grid of x values for a batch of times; {t: [samples]}.
+
+    One contour serves the whole batch: unless ``contour`` is given,
+    :meth:`Contour.for_times` sizes it from the smallest and largest t and
+    ``tail_tol``.  The characteristic function, the Phi batch over all x and
+    the denominator check are computed once, and all times come out of one
+    (X, K) @ (K, T) product.  With ``all_orders=True`` the result is
+    {t: {n: [samples]}} for every truncation n <= N at no extra cost (the
+    series is summed cumulatively).  Raises :class:`DenominatorNearZero` if
+    the contour passes too close to a zero of the regularized characteristic
+    function, :class:`TailTooLarge` if the truncation bound at the last node
+    exceeds ``tail_tol`` at some t, and :class:`ToleranceNotReached` if the
+    trapezoid error estimate does.
     """
     xs = [float(x) for x in np.atleast_1d(xs)]
     ts = [float(t) for t in np.atleast_1d(ts)]
@@ -391,59 +458,42 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
     if any(x < 0.0 or x > 1.0 for x in xs):
         raise DomainError("solve requires x in [0, 1]")
     N = spec.truncation_N
-    out = {}
+    cont = contour if contour is not None else Contour.for_times(ts, tail_tol)
+    ks, ws = cont.nodes()
     delta_tabs = build_term_tables(c, tt, 0.0, 1.0, spec)
-    for t in ts:
-        cont = contour if contour is not None else default_contour(t)
-        ks, ws = cont.nodes()
-        regD = np.cumsum(
-            np.stack([tab.eval_regularized(ks, tt.total)[0] for tab in delta_tabs]),
-            axis=0,
-        )  # (N+1, K)
-        dscale = np.abs(regD[N])
-        floor = denominator_floor * max(1.0, float(dscale.max()))
-        if float(dscale.min()) < floor:
-            raise DenominatorNearZero(
-                "contour passes within the floor of a characteristic zero; "
-                "enlarge r or adjust delta"
-            )
-        phi = _phi_batch(c, tt, q0, ks, xs, spec, cont.kmax)  # (N+1, X, K)
-        decay = np.exp(-(ks**2) * t) * ws
+    regD = np.cumsum(
+        np.stack([tab.eval_regularized(ks, tt.total)[0] for tab in delta_tabs]),
+        axis=0,
+    )  # (N+1, K)
+    dscale = np.abs(regD[N])
+    floor = denominator_floor * max(1.0, float(dscale.max()))
+    if float(dscale.min()) < floor:
+        raise DenominatorNearZero(
+            "contour passes within the floor of a characteristic zero; "
+            "raise its vertex s tan(delta)"
+        )
+    phi = _phi_batch(c, tt, q0, ks, xs, spec, float(np.abs(ks).max()))  # (N+1, X, K)
+    integrand = phi / regD[:, None, :]
+    t_arr = np.array(ts)
+    weighted = np.exp(-np.multiply.outer(ks**2, t_arr)) * ws[:, None]  # (K, T)
+    _check_quadrature(cont, integrand[N], weighted, t_arr, tail_tol)
 
-        per_order = {}
-        orders = range(N + 1) if all_orders else (N,)
-        for n in orders:
-            integrand = phi[n] / regD[n][None, :]
-            raw = integrand @ decay  # (X,)
-            if n == N:
-                # Tail control: envelope decay rate along the truncated rays.
-                delta_ang = cont.ray_angle
-                end_mag = float(np.max(np.abs(integrand[:, [0, -1]] *
-                                              np.exp(-(ks[[0, -1]] ** 2) * t))))
-                rate = 2.0 * cont.kmax * t * max(math.cos(2 * delta_ang),
-                                                 math.sin(2 * delta_ang))
-                tail_est = 2.0 * end_mag / (math.pi * rate)
-                if tail_est > tail_tol:
-                    raise TailTooLarge(
-                        f"tail estimate {tail_est:.2e} exceeds {tail_tol:.2e}; "
-                        "increase kmax (or loosen tail_tol)"
-                    )
-            samples = []
-            for i, x in enumerate(xs):
-                if x == 0.0 or x == 1.0:
-                    samples.append(SolutionSample(x, t, 0.0, n, 0.0))
-                    continue
-                val = raw[i] / (1j * math.pi)
-                samples.append(SolutionSample(x, t, float(val.real), n,
-                                              float(abs(val.imag))))
-            per_order[n] = samples
-        out[t] = per_order if all_orders else per_order[N]
-    return out
+    orders = range(N + 1) if all_orders else (N,)
+    out = {t: {} for t in ts}
+    for n in orders:
+        vals = integrand[n] @ weighted / (1j * math.pi)  # (X, T)
+        for j, t in enumerate(ts):
+            out[t][n] = [
+                SolutionSample(x, t, 0.0, n, 0.0) if x in (0.0, 1.0)
+                else SolutionSample(x, t, float(v.real), n, float(abs(v.imag)))
+                for x, v in zip(xs, vals[:, j])
+            ]
+    return out if all_orders else {t: per_order[N] for t, per_order in out.items()}
 
 
 def solve(c: Conductivity, tt: TravelTimeMap, q0, x: float, t: float,
           spec: SeriesSpec, contour: Contour | None = None,
-          tail_tol: float = 1e-8) -> SolutionSample:
+          tail_tol: float = DEFAULT_TAIL_TOL) -> SolutionSample:
     """Evaluate the truncated solution q_N at one point (x, t)."""
     res = solve_grid(c, tt, q0, [x], [t], spec, contour=contour, tail_tol=tail_tol)
     return res[float(t)][0]

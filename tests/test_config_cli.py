@@ -185,13 +185,13 @@ def test_cli_exit_code_2_on_bad_contour(tmp_path, capsys):
 
 
 def test_cli_exit_code_1_on_numerical_failure(tmp_path, capsys):
-    # truncation radius far too small for the requested time
+    # series order above the simplex cap raises OrderTooHigh in the solve
     cfg = _write_cfg(tmp_path, """
 sigma.kind = parabolic24
 profile.kind = quadratic
 solve.x_points = 5
 solve.times = 0.05
-contour.kmax = 1.2
+series.N = 7
 """)
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "x.csv")])
     assert rc == 1

@@ -1,15 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from varheat import SeriesSpec
-from varheat.errors import DenominatorNearZero, DomainError, TailTooLarge
+from varheat import SeriesSpec, build_travel_time, make_conductivity
+from varheat.errors import (
+    DenominatorNearZero,
+    DomainError,
+    TailTooLarge,
+    ToleranceNotReached,
+)
 from varheat.oracles import fourier_solution
 from varheat.simplex import term_bound
 from varheat.transform import (
     Contour,
-    default_contour,
     delta_fn,
     delta_values,
     phi_fn,
@@ -140,21 +147,34 @@ def test_phi_regularized_consistency(parabolic, spec2):
 
 
 def test_contour_validation():
+    for bad in ({"step": 0.0, "end": 3.0}, {"step": 0.1, "end": 0.0},
+                {"step": 0.1, "end": 3.0, "s": 0.0},
+                {"step": 0.1, "end": 3.0, "delta": math.pi / 4.0}):
+        with pytest.raises(DomainError):
+            Contour(**bad)
     with pytest.raises(DomainError):
-        Contour(r=0.0)
+        Contour.for_times([0.0, 1.0])
     with pytest.raises(DomainError):
-        Contour(delta=1.0)  # >= pi/4
-    with pytest.raises(DomainError):
-        Contour(shape="circle")
-    cont = default_contour(0.25)
-    assert cont.kmax == pytest.approx(12.0)
+        Contour.for_times([1.0], tol=0.0)
+    # the end point follows the smallest time, the scale the largest
+    alone = Contour.for_times([1.0])
+    assert Contour.for_times([0.05, 1.0]).end > alone.end
+    assert Contour.for_times([1.0, 20.0]).s < alone.s
+    assert Contour.for_times([1.0], tol=1e-12).step < alone.step
+    # the heat-solve batch needs one contour of well under 128 nodes
+    assert 2 * Contour.for_times([0.25, 1.0, 4.0]).half_count + 1 <= 128
 
 
 def test_contour_mirror_symmetry():
-    ks, ws = Contour(kmax=6.0).nodes()
-    mirrored = -np.conj(ks)
-    # the node multiset is symmetric under k -> -conj(k)
-    assert np.allclose(np.sort_complex(ks), np.sort_complex(mirrored))
+    cont = Contour(step=0.3, end=2.0, s=1.1)
+    ks, ws = cont.nodes()
+    assert cont.half_count % 2 == 0 and ks.size == 2 * cont.half_count + 1
+    # u -> -u maps k -> -conj(k) and dk/du -> conj(dk/du)
+    assert np.allclose(ks[::-1], -np.conj(ks), rtol=0.0, atol=1e-14)
+    assert np.allclose(ws[::-1], np.conj(ws), rtol=0.0, atol=1e-14)
+    # the vertex is the lowest point and keeps off the real axis
+    assert ks.imag.min() == pytest.approx(cont.s * math.tan(cont.delta), rel=1e-14)
+    assert np.all(np.diff(ks.real) > 0.0)
 
 
 def test_solve_constant_sigma_exact(const1, spec2):
@@ -212,10 +232,11 @@ def test_solve_batched_matches_pointwise_phi(parabolic, spec2):
     from varheat.transform import _phi_batch
 
     c, tt = parabolic
-    cont = default_contour(1.0)
-    ks, _ = cont.nodes()
-    probe = ks[::97]
-    phi = _phi_batch(c, tt, quadratic, probe, [0.35, 0.8], spec2, cont.kmax)
+    ks, _ = Contour.for_times([1.0]).nodes()
+    # nine nodes spanning the whole contour, both ends included
+    probe = ks[np.round(np.linspace(0, ks.size - 1, 9)).astype(int)]
+    phi = _phi_batch(c, tt, quadratic, probe, [0.35, 0.8], spec2,
+                     float(np.abs(ks).max()))
     for i, x in enumerate((0.35, 0.8)):
         for j, k in enumerate(probe):
             direct = phi_fn(c, tt, k, x, quadratic, spec2, regularized=True)
@@ -231,26 +252,53 @@ def test_solve_input_validation(parabolic, spec2):
 
 
 def test_denominator_floor_triggers(parabolic, spec2):
+    # s tan(delta) -> 0 puts the vertex on the zero of Delta at k = 0
     c, tt = parabolic
-    tiny_arc = Contour(r=1e-13, kmax=8.0)
+    flat = Contour(step=0.1, end=3.0, s=1e-13)
     with pytest.raises(DenominatorNearZero):
-        solve(c, tt, quadratic, 0.5, 1.0, spec2, contour=tiny_arc)
+        solve(c, tt, quadratic, 0.5, 1.0, spec2, contour=flat)
 
 
 def test_tail_guard_triggers(parabolic, spec2):
     c, tt = parabolic
-    short = Contour(kmax=1.2)
+    short = Contour(step=0.1, end=1.0)
     with pytest.raises(TailTooLarge):
         solve(c, tt, quadratic, 0.5, 0.05, spec2, contour=short)
 
 
-def test_boundary_omega_contour_is_marginal(const1, spec2):
-    # On the sector boundary exp(-k^2 t) stops decaying; the tail guard
-    # must refuse the default tolerance but a loose one gives a rough value.
-    c, tt = const1
-    omega = Contour(shape="boundary_omega", kmax=40.0)
-    with pytest.raises(TailTooLarge):
-        solve(c, tt, sine, 0.5, 1.0, spec2, contour=omega)
-    s = solve(c, tt, sine, 0.5, 1.0, spec2, contour=omega, tail_tol=1.0)
-    exact = math.exp(-math.pi**2) * math.sin(math.pi * 0.5)
-    assert s.value == pytest.approx(exact, abs=5e-2)
+def test_step_guard_triggers(parabolic, spec2):
+    # a step sized for small times misses the growth on the far edge of the
+    # strip at t = 20; the step-halving estimate refuses it
+    c, tt = parabolic
+    coarse = Contour(step=7.4 / 63, end=3.7)
+    with pytest.raises(ToleranceNotReached):
+        solve(c, tt, quadratic, 0.3, 20.0, spec2, contour=coarse)
+
+
+@pytest.mark.parametrize("profile", ["parabolic", "rational"])
+def test_wide_time_batch_matches_refined_single_solves(profile, request, spec2):
+    # One contour serves t from 0.05 to 20: every batched value equals the
+    # same time solved alone on a contour with twice the nodes.
+    c, tt = request.getfixturevalue(profile)
+    xs, ts = [0.3, 0.5], [0.05, 0.5, 5.0, 20.0]
+    batch = solve_grid(c, tt, quadratic, xs, ts, spec2)
+    for t in ts:
+        alone = Contour.for_times([t])
+        fine = dataclasses.replace(alone, step=alone.step / 2.0)
+        ref = solve_grid(c, tt, quadratic, xs, [t], spec2, contour=fine)[t]
+        for got, want in zip(batch[t], ref):
+            assert abs(got.value - want.value) <= 1e-9, (t, got.x)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(sigma=st.floats(0.5, 2.0),
+       ts=st.lists(st.floats(0.02, 20.0), min_size=1, max_size=4))
+def test_constant_sigma_batches_match_fourier(sigma, ts):
+    c = make_conductivity("constant", c=sigma)
+    tt = build_travel_time(c)
+    xs = [0.2, 0.5, 0.9]
+    res = solve_grid(c, tt, quadratic, xs, ts, SeriesSpec(truncation_N=1))
+    for t, samples in res.items():
+        ref = fourier_solution(sigma, quadratic, np.array(xs), t, 400)
+        for s, want in zip(samples, ref):
+            assert s.value == pytest.approx(want, abs=1e-8), (sigma, t, s.x)
