@@ -10,7 +10,7 @@ Four families, none of which share code with the production path:
   costs only O(N * max_switches), which is what makes the large-N
   convergence studies feasible;
 * a conservative Crank-Nicolson discretization of the PDE itself;
-* a symmetric tridiagonal eigensolver (Sturm-sequence bisection with
+* a symmetric tridiagonal eigensolver (LAPACK ``stebz`` bisection with
   Richardson extrapolation across two grids) for the spectrum;
 * the classical Fourier sine series for constant conductivity.
 
@@ -408,6 +408,20 @@ def interface_solution(part: InterfacePartition, q0, j: int, t: float,
     return float((-acc / math.pi).real)
 
 
+def _fd_operator(c: Conductivity, nx: int):
+    """Conservative second-order (sigma^2 q_x)_x on the nx - 1 interior nodes.
+
+    sigma^2 is sampled at the cell faces x_{i+1/2}; the Dirichlet rows are
+    removed.  Returns the (diag, off) bands of the symmetric tridiagonal
+    matrix, off holding the equal upper and lower bands.
+    """
+    h = 1.0 / nx
+    faces = c.sigma_sq(np.linspace(0.0, 1.0, nx + 1)[:-1] + 0.5 * h)
+    diag = -(faces[1:] + faces[:-1]) / h**2
+    off = faces[1:-1] / h**2
+    return diag, off
+
+
 def crank_nicolson(c: Conductivity, q0, t_final: float, nx: int, nt: int):
     """Conservative Crank-Nicolson solution of q_t = (sigma^2 q_x)_x.
 
@@ -419,105 +433,61 @@ def crank_nicolson(c: Conductivity, q0, t_final: float, nx: int, nt: int):
         raise DomainError("need nx, nt >= 8")
     if t_final <= 0.0:
         raise DomainError("t_final must be positive")
-    h = 1.0 / nx
     dt = t_final / nt
     x = np.linspace(0.0, 1.0, nx + 1)
-    faces = c.sigma_sq(x[:-1] + 0.5 * h)  # sigma^2 at x_{i+1/2}, i = 0..nx-1
     q = np.asarray(q0(x), dtype=float).copy()
     q[0] = q[-1] = 0.0
-
-    # interior operator L q = [f_i (q_{i+1}-q_i) - f_{i-1} (q_i - q_{i-1})]/h^2
-    fi = faces[1:]    # face right of node i, i = 1..nx-1
-    fim = faces[:-1]  # face left of node i
-    lower = fim / h**2
-    upper = fi / h**2
-    diag = -(fi + fim) / h**2
+    diag, off = _fd_operator(c, nx)
 
     ab = np.zeros((3, nx - 1))
-    ab[0, 1:] = -0.5 * dt * upper[:-1]
+    ab[0, 1:] = -0.5 * dt * off
     ab[1, :] = 1.0 - 0.5 * dt * diag
-    ab[2, :-1] = -0.5 * dt * lower[1:]
+    ab[2, :-1] = -0.5 * dt * off
     from scipy.linalg import solve_banded
 
     for _ in range(nt):
         interior = q[1:-1]
         rhs = interior + 0.5 * dt * (
             diag * interior
-            + np.concatenate([upper[:-1] * interior[1:], [0.0]])
-            + np.concatenate([[0.0], lower[1:] * interior[:-1]])
+            + np.concatenate([off * interior[1:], [0.0]])
+            + np.concatenate([[0.0], off * interior[:-1]])
         )
         q[1:-1] = solve_banded((1, 1), ab, rhs)
     return x, q
 
 
-def _sturm_count(diag, off_sq, x, pivmin):
-    """Number of eigenvalues of the tridiagonal matrix strictly below x."""
-    count = 0
-    t = diag[0] - x
-    if t < 0.0:
-        count += 1
-    for i in range(1, diag.size):
-        if abs(t) < pivmin:
-            t = -pivmin
-        t = diag[i] - x - off_sq[i - 1] / t
-        if t < 0.0:
-            count += 1
-    return count
+def _tridiag_eigs_top(c: Conductivity, count: int, nx: int) -> np.ndarray:
+    """Largest `count` eigenvalues of the FD operator on an nx grid, largest first."""
+    from scipy.linalg import eigh_tridiagonal
 
-
-def _tridiag_eigs_top(c: Conductivity, count: int, nx: int):
-    """Largest `count` eigenvalues of the FD operator on an nx grid."""
-    h = 1.0 / nx
-    xi = np.linspace(h, 1.0 - h, nx - 1)
-    faces = c.sigma_sq(np.linspace(0.5 * h, 1.0 - 0.5 * h, nx))
-    diag = -(faces[1:] + faces[:-1]) / h**2
-    off = faces[1:-1] / h**2
-    off_sq = off**2
+    diag, off = _fd_operator(c, nx)
     M = diag.size
-    radius = np.zeros(M)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lo_all = float(np.min(diag - radius))
-    pivmin = 1e-14 * float(np.max(np.abs(diag)))
-    out = []
-    for m in range(1, count + 1):
-        target = M - m + 1  # want count_less to reach this at the root
-        lo, hi = lo_all, 0.0
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if _sturm_count(diag, off_sq, mid, pivmin) >= target:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-                break
-        out.append(0.5 * (lo + hi))
-    return out
+    vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                            select_range=(M - count, M - 1))
+    return vals[::-1]
 
 
 def fd_eigenvalues(c: Conductivity, count: int, nx: int) -> list:
-    """Reference eigenvalues via Sturm bisection, Richardson-extrapolated.
+    """Reference eigenvalues by LAPACK ``stebz`` bisection, Richardson-extrapolated.
 
     The symmetric second-order discretization carries an O(h^2) eigenvalue
-    error; combining grids nx and 2 nx cancels the leading term.
+    error; combining grids nx and 2 nx cancels the leading term.  The coarse
+    grid has only nx - 1 eigenvalues, so ``count`` may not exceed that.
     """
     if nx < 64:
         raise DomainError("need nx >= 64")
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    if not 1 <= count <= nx - 1:
+        raise DomainError("need 1 <= count <= nx - 1")
     coarse = _tridiag_eigs_top(c, count, nx)
     fine = _tridiag_eigs_top(c, count, 2 * nx)
-    return [(4.0 * f - co) / 3.0 for f, co in zip(fine, coarse)]
+    return ((4.0 * fine - coarse) / 3.0).tolist()
 
 
 def fd_eigenvector(c: Conductivity, lam: float, nx: int):
     """Grid eigenvector for an eigenvalue estimate, by inverse iteration."""
     from scipy.linalg import solve_banded
 
-    h = 1.0 / nx
-    faces = c.sigma_sq(np.linspace(0.5 * h, 1.0 - 0.5 * h, nx))
-    diag = -(faces[1:] + faces[:-1]) / h**2
-    off = faces[1:-1] / h**2
+    diag, off = _fd_operator(c, nx)
     shift = lam * (1.0 + 1e-8) + 1e-10
     ab = np.zeros((3, nx - 1))
     ab[0, 1:] = off

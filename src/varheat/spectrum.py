@@ -27,7 +27,9 @@ import numpy as np
 from .coefficients import Conductivity, TravelTimeMap
 from .errors import DomainError, NoConvergence, RootMissed
 from .simplex import SeriesSpec, _panel_gauss, build_term_tables
-from .transform import delta_values
+# delta_values is not called here; it stays bound as spectrum.delta_values,
+# a name the benchmark tracer rebinds and its tests check.
+from .transform import _delta_from_tables, delta_values  # noqa: F401
 
 __all__ = ["EigenPair", "Eigenfunction", "find_eigenvalues", "eigenfunction"]
 
@@ -55,10 +57,6 @@ class Eigenfunction:
         return self.evaluator(x)
 
 
-def _delta_scalar(c, tt, k, spec):
-    return float(delta_values(c, tt, np.array([k]), spec)[0])
-
-
 def find_eigenvalues(c: Conductivity, tt: TravelTimeMap, spec: SeriesSpec,
                      count: int) -> list[EigenPair]:
     """First ``count`` positive roots of Delta_N, bracketed then polished.
@@ -74,7 +72,13 @@ def find_eigenvalues(c: Conductivity, tt: TravelTimeMap, spec: SeriesSpec,
     # Generous ceiling: roots sit near m*pi/tau(1).
     ceiling = (count + 3) * math.pi / total
     grid = np.arange(step * 0.25, ceiling, step)
-    vals = delta_values(c, tt, grid, spec)
+    # One table build serves the scan and every bisection and Newton step.
+    tables = build_term_tables(c, tt, 0.0, 1.0, spec)
+
+    def delta(k):
+        return float(_delta_from_tables(tables, np.array([k]))[0])
+
+    vals = _delta_from_tables(tables, grid)
 
     signs = np.sign(vals)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
@@ -91,7 +95,7 @@ def find_eigenvalues(c: Conductivity, tt: TravelTimeMap, spec: SeriesSpec,
             if hi - lo <= 1e-8:
                 break
             mid = 0.5 * (lo + hi)
-            fmid = _delta_scalar(c, tt, mid, spec)
+            fmid = delta(mid)
             if fmid == 0.0:
                 lo = hi = mid
                 break
@@ -103,16 +107,15 @@ def find_eigenvalues(c: Conductivity, tt: TravelTimeMap, spec: SeriesSpec,
             raise NoConvergence(f"bisection stalled for mode {m}")
 
         kappa = 0.5 * (lo + hi)
-        f = _delta_scalar(c, tt, kappa, spec)
+        f = delta(kappa)
         h = 1e-6 * max(1.0, kappa)
         for _ in range(12):
-            df = (_delta_scalar(c, tt, kappa + h, spec)
-                  - _delta_scalar(c, tt, kappa - h, spec)) / (2.0 * h)
+            df = (delta(kappa + h) - delta(kappa - h)) / (2.0 * h)
             if df == 0.0:
                 break
             step_n = f / df
             kappa_new = kappa - step_n
-            f_new = _delta_scalar(c, tt, kappa_new, spec)
+            f_new = delta(kappa_new)
             if abs(f_new) >= abs(f) or abs(step_n) < 1e-16 * kappa:
                 if abs(f_new) < abs(f):
                     kappa, f = kappa_new, f_new

@@ -191,8 +191,12 @@ def regularized_delta_fn(c: Conductivity, tt: TravelTimeMap, k, spec: SeriesSpec
 
 def delta_values(c: Conductivity, tt: TravelTimeMap, ks, spec: SeriesSpec) -> np.ndarray:
     """Vectorized Delta_N over an array of wavenumbers (real arrays stay real)."""
+    return _delta_from_tables(build_term_tables(c, tt, 0.0, 1.0, spec), ks)
+
+
+def _delta_from_tables(tables, ks) -> np.ndarray:
+    """Delta_N over ``ks`` from the (0, 1) term tables of :func:`build_term_tables`."""
     ks = np.asarray(ks)
-    tables = build_term_tables(c, tt, 0.0, 1.0, spec)
     if np.isrealobj(ks):
         total = np.zeros(ks.size, dtype=float)
         for tab in tables:

@@ -26,15 +26,10 @@ from varheat.oracles import (
 from varheat.simplex import simplex_integral, term_bound
 from varheat.spectrum import eigenfunction, find_eigenvalues
 from varheat.transform import delta_values, solve_grid
+from varheat.verify import CHEBFUN_VALUES as CHEBFUN
+from varheat.verify import TABLE1_VALUES as TABLE1
 
 from conftest import quadratic, sine
-
-TABLE1 = {
-    0: (-1.0856, -4.3423, -9.7702, -17.3692),
-    1: (-0.9917, -4.2474, -9.6749, -17.2737),
-    2: (-1.0006, -4.2542, -9.6814, -17.2801),
-}
-CHEBFUN = (-1.0000, -4.2540, -9.6812, -17.2800)
 
 
 def _report(name, ok, detail):

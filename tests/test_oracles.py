@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
 
 from varheat import SeriesSpec, make_conductivity
 from varheat.errors import DomainError, SingularPartition, TooManyTerms
@@ -23,10 +22,9 @@ from varheat.oracles import (
     uniform_partition,
 )
 from varheat.transform import delta_values, phi_fn
+from varheat.verify import CHEBFUN_VALUES as CHEBFUN
 
 from conftest import quadratic, sine
-
-CHEBFUN = (-1.0000, -4.2540, -9.6812, -17.2800)
 
 
 def _random_partition(rng, n_cells):
@@ -300,19 +298,27 @@ def test_fd_eigenvalues_parabolic_reference(parabolic):
 
 
 def test_fd_eigenvalues_match_lapack(parabolic):
-    # same tridiagonal matrix through an independent LAPACK path
+    # same tridiagonal matrix, assembled densely, through an independent
+    # LAPACK driver (reduction plus divide-and-conquer, not stebz bisection)
     c, _ = parabolic
     nx = 256
     h = 1.0 / nx
     faces = c.sigma_sq(np.linspace(0.5 * h, 1.0 - 0.5 * h, nx))
     diag = -(faces[1:] + faces[:-1]) / h**2
     off = faces[1:-1] / h**2
-    lap = eigh_tridiagonal(diag, off, eigvals_only=True,
-                           select="i", select_range=(nx - 5, nx - 2))[::-1]
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    ref = np.linalg.eigvalsh(dense)[::-1][:30]
     from varheat.oracles import _tridiag_eigs_top
 
-    mine = _tridiag_eigs_top(c, 4, nx)
-    assert np.max(np.abs(np.asarray(mine) - lap)) < 1e-8
+    mine = _tridiag_eigs_top(c, 30, nx)
+    assert np.max(np.abs(np.asarray(mine) - ref)) < 1e-8
+
+
+def test_fd_eigenvalues_count_limited_by_coarse_grid(parabolic):
+    # the coarse grid has only nx - 1 eigenvalues
+    assert len(fd_eigenvalues(parabolic[0], 63, 64)) == 63
+    with pytest.raises(DomainError):
+        fd_eigenvalues(parabolic[0], 66, 64)
 
 
 def test_fd_eigenvalues_rational_stability(rational):

@@ -9,14 +9,7 @@ from varheat.oracles import fd_eigenvalues
 from varheat.simplex import simplex_integral
 from varheat.spectrum import eigenfunction, find_eigenvalues
 from varheat.transform import delta_values
-
-# Published eigenvalues for the parabolic benchmark coefficient, four modes
-# per truncation depth of the characteristic function.
-TABLE = {
-    0: (-1.0856, -4.3423, -9.7702, -17.3692),
-    1: (-0.9917, -4.2474, -9.6749, -17.2737),
-    2: (-1.0006, -4.2542, -9.6814, -17.2801),
-}
+from varheat.verify import TABLE1_VALUES as TABLE
 
 
 def test_constant_sigma_eigenvalues(const1):
@@ -40,6 +33,22 @@ def test_residuals_are_tiny(parabolic, spec2):
     c, tt = parabolic
     for p in find_eigenvalues(c, tt, spec2, 4):
         assert p.residual <= 1e-12
+
+
+def test_find_eigenvalues_builds_term_tables_once(parabolic, spec2, monkeypatch):
+    from varheat import spectrum
+
+    calls = []
+    plain = spectrum.build_term_tables
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "build_term_tables", counting)
+    monkeypatch.setattr("varheat.transform.build_term_tables", counting)
+    assert len(spectrum.find_eigenvalues(*parabolic, spec2, 30)) == 30
+    assert len(calls) == 1
 
 
 def test_count_validation(parabolic, spec2):
