@@ -27,6 +27,10 @@ Two kernels share the tuples:
                 exceeds magnitude 1 per sample (up to the mu product).
 
 Cost grows as quad_order**n; orders above ORDER_CAP are refused.
+
+For real k and the lower limit 0, ``_prefix_series`` gives every term
+S_n(0, y; k) for all upper limits y at once, in n cumulative integrations on
+composite Gauss panels, at a cost linear in n (the eigenfunction path).
 """
 
 from __future__ import annotations
@@ -97,6 +101,72 @@ def _panel_gauss(edges, order):
     width = np.diff(edges)
     pts = edges[:-1, None] + width[:, None] * x01[None, :]
     return pts, width[:, None] * w01[None, :]
+
+
+# Gauss nodes per panel of the prefix recursion.
+_PREFIX_ORDER = 12
+
+
+@lru_cache(maxsize=8)
+def _unit_cumulative(order):
+    """Spectral integration on [0, 1] at the Gauss nodes, cached per order.
+
+    (Q @ f)[i] is the integral from 0 to x_i of the degree order-1
+    polynomial that interpolates f at the nodes x_j.
+    """
+    x01, _ = _unit_gauss(order)
+    t = 2.0 * x01 - 1.0
+    legendre = np.polynomial.legendre
+    # antider[i, j] = int_{-1}^{t_i} P_j; vander[i, j] = P_j(t_i).
+    antider = legendre.legval(t, legendre.legint(np.eye(order), lbnd=-1.0)).T
+    vander = legendre.legvander(t, order - 1)
+    return 0.5 * np.linalg.solve(vander.T, antider.T).T
+
+
+def _prefix_series(c, tt, edges, k, N):
+    """Terms S_0..S_N(0, y; k) for real k by prefix recursion on Gauss panels.
+
+    With A linear in tau(y_p), sin(kA) = Im e^{ikA} factors over the
+    simplex variables:
+
+        S_n(0, y; k) = 2**-n Im[e^{ik(-1)**n tau(y)} F_n(y)],   F_0 = 1,
+        F_p(y) = int_0^y mu(s) e^{2ik(-1)**(p+1) tau(s)} F_{p-1}(s) ds,
+
+    so each order costs one cumulative integration.  On each panel between
+    consecutive ``edges`` (increasing, from 0 to at most 1) F_p comes from
+    the spectral integration matrix at the Gauss nodes; a cumulative sum of
+    the panel integrals carries it across panels, so values at the edges
+    carry no interpolation error.
+
+    Returns (pts, wts, at_nodes, at_edges): the panel nodes and weights,
+    shape (P, _PREFIX_ORDER), and the terms, shapes (N + 1, P, _PREFIX_ORDER)
+    and (N + 1, P + 1).
+    """
+    edges = np.asarray(edges, dtype=float)
+    if not (edges[0] == 0.0 and edges[-1] <= 1.0):
+        raise DomainError(
+            f"series points must lie in [0, 1], got [{edges[0]:g}, {edges[-1]:g}]"
+        )
+    k = float(k)
+    pts, wts = _panel_gauss(edges, _PREFIX_ORDER)
+    cumulative = _unit_cumulative(_PREFIX_ORDER)
+    width = np.diff(edges)[:, None]
+    tau_pts = tt.tau(pts)
+    tau_edges = tt.tau(edges)
+    up = log_derivative(c, pts) * np.exp(2j * k * tau_pts)
+    F_pts = np.ones(pts.shape, dtype=complex)
+    F_edges = np.ones(edges.shape, dtype=complex)
+    at_nodes = np.empty((N + 1,) + pts.shape)
+    at_edges = np.empty((N + 1,) + edges.shape)
+    for n in range(N + 1):
+        if n > 0:
+            g = (up if n % 2 else up.conj()) * F_pts
+            F_edges = np.concatenate(([0.0], np.cumsum(np.sum(wts * g, axis=1))))
+            F_pts = F_edges[:-1, None] + width * (g @ cumulative.T)
+        sign = (-1.0) ** n
+        at_nodes[n] = 0.5**n * (np.exp(1j * sign * k * tau_pts) * F_pts).imag
+        at_edges[n] = 0.5**n * (np.exp(1j * sign * k * tau_edges) * F_edges).imag
+    return pts, wts, at_nodes, at_edges
 
 
 def _phase_const(tt, a, b, n):

@@ -13,7 +13,11 @@ Eigenfunctions are evaluated from the explicit series
     X_m(x) = sigma(x)^(-1/2) * sum_{n<=N} S_n(0, x; kappa_m),
 
 normalized to unit L^2 norm with positive slope at x = 0.  Every term of
-the series is evaluated at the mode's own root kappa_m.
+the series is evaluated at the mode's own root kappa_m, for all x at once by
+the prefix recursion ``simplex._prefix_series`` on composite 12-node Gauss
+panels (max(32, 8m) panels for mode m, the requested x merged into the
+panel edges).  Eigenfunction accuracy is set by that panel grid, not by
+``quad_order``, which only the root finder uses.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .coefficients import Conductivity, TravelTimeMap
 from .errors import DomainError, NoConvergence, RootMissed
-from .simplex import SeriesSpec, _panel_gauss, build_term_tables
+from .simplex import SeriesSpec, _prefix_series, build_term_tables
 # delta_values is not called here; it stays bound as spectrum.delta_values,
 # a name the benchmark tracer rebinds and its tests check.
 from .transform import _delta_from_tables, delta_values  # noqa: F401
@@ -130,51 +134,43 @@ def find_eigenvalues(c: Conductivity, tt: TravelTimeMap, spec: SeriesSpec,
     return pairs
 
 
-def _raw_series(c, tt, xs, kappa, spec):
-    """sigma^{-1/2} sum_{n<=N} S_n(0, x; kappa) on an array of x."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    tables = build_term_tables(c, tt, 0.0, xs, spec)
-    acc = np.zeros(xs.size)
-    for tab in tables:
-        if not tab.weights.any():
-            acc += np.sin(kappa * tab.const)
-            continue
-        P = tab.const[:, None] + tab.phases
-        acc += np.einsum("mj,mj->m", tab.weights, np.sin(kappa * P))
-    return acc / np.sqrt(c.sigma(xs))
-
-
 def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
                   spec: SeriesSpec) -> Eigenfunction:
     """Normalized eigenfunction for a root produced with the same spec.
 
-    X(0) = 0 exactly by construction; X(1) equals Delta_N(kappa_m) up to the
-    sigma factor, i.e. the root residual.  Unit L^2 norm, sign fixed by a
-    positive slope at the left boundary.
+    X(0) = 0 exactly by construction.  X(1) equals Delta_N(kappa_m) /
+    sqrt(sigma(1)) evaluated accurately, so it vanishes only up to the error
+    of the root, which ``find_eigenvalues`` takes from the quad_order
+    quadrature (|X(1)| up to 6.7e-4 for modes 1-8 of a 33-node tabulated
+    profile at quad_order = 32).  Unit L^2 norm, sign fixed by a positive
+    slope at the left boundary.  The evaluator raises :class:`DomainError`
+    for x outside [0, 1].
     """
     if pair.truncation_N != spec.truncation_N:
         raise DomainError("pair was produced with a different truncation")
     kappa = pair.kappa
-
-    # L^2 norm by composite Gauss quadrature resolving the m-th mode.
-    panels = max(32, 8 * pair.m)
-    pts, wts = _panel_gauss(np.linspace(0.0, 1.0, panels + 1), 12)
-    pts, wts = pts.ravel(), wts.ravel()
-    raw = _raw_series(c, tt, pts, kappa, spec)
-    norm_sq = float(wts @ raw**2)
-    if norm_sq <= 0.0:
-        raise NoConvergence("eigenfunction has zero norm")
-    scale = 1.0 / math.sqrt(norm_sq)
+    N = spec.truncation_N
+    # Panels resolving the m-th mode; every evaluation refines this grid.
+    grid = np.linspace(0.0, 1.0, max(32, 8 * pair.m) + 1)
 
     # Positive slope at 0: probe inside the first quarter oscillation.
     probe = min(0.25, 0.5 * c.sigma_min / kappa)
-    if float(_raw_series(c, tt, np.array([probe]), kappa, spec)[0]) < 0.0:
+    edges = np.union1d(grid, [probe])
+    pts, wts, at_nodes, at_edges = _prefix_series(c, tt, edges, kappa, N)
+    raw = at_nodes.sum(axis=0) / np.sqrt(c.sigma(pts))
+    norm_sq = float(np.sum(wts * raw**2))
+    if norm_sq <= 0.0:
+        raise NoConvergence("eigenfunction has zero norm")
+    scale = 1.0 / math.sqrt(norm_sq)
+    if at_edges.sum(axis=0)[np.searchsorted(edges, probe)] < 0.0:
         scale = -scale
 
     def evaluator(x, _scale=scale):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        vals = _scale * _raw_series(c, tt, np.atleast_1d(x), kappa, spec)
-        return float(vals[0]) if scalar else vals
+        flat = x.ravel()
+        edges = np.union1d(grid, flat)
+        series = _prefix_series(c, tt, edges, kappa, N)[3].sum(axis=0)
+        vals = _scale * series[np.searchsorted(edges, flat)] / np.sqrt(c.sigma(flat))
+        return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
 
     return Eigenfunction(pair=pair, evaluator=evaluator, normalization=abs(scale))

@@ -1,7 +1,8 @@
 """Benchmark verification suites behind the ``varheat verify`` command.
 
 Each suite runs a published or independently computable check and reports
-measured-vs-expected per assertion:
+measured-vs-expected per assertion.  Every suite takes the ``verify.seed``;
+only ``determinant`` draws random input from it:
 
 * ``table1``      -- the first four eigenvalues at truncations N = 0, 1, 2;
 * ``figure2``     -- the exact-solution benchmark: grid errors shrink as N
@@ -56,7 +57,7 @@ class CheckResult:
         return f"[{flag}] {self.name}: measured {self.measured:.6g} ({self.expected})"
 
 
-def verify_table1() -> list:
+def verify_table1(seed: int) -> list:
     c = make_conductivity("parabolic24")
     tt = build_travel_time(c)
     out = []
@@ -73,7 +74,7 @@ def verify_table1() -> list:
     return out
 
 
-def verify_figure2() -> list:
+def verify_figure2(seed: int) -> list:
     c = make_conductivity("parabolic24")
     tt = build_travel_time(c)
     spec = SeriesSpec(truncation_N=2)
@@ -98,7 +99,7 @@ def verify_figure2() -> list:
     return out
 
 
-def verify_determinant(seed: int = 1234, cases: int = 200) -> list:
+def verify_determinant(seed: int, cases: int = 200) -> list:
     rng = np.random.default_rng(seed)
     worst = 0.0
     tested = 0
@@ -121,7 +122,7 @@ def verify_determinant(seed: int = 1234, cases: int = 200) -> list:
                         worst <= DET_TOL, worst, f"<= {DET_TOL}")]
 
 
-def verify_convergence() -> list:
+def verify_convergence(seed: int) -> list:
     c = make_conductivity("parabolic24")
     tt = build_travel_time(c)
     spec = SeriesSpec(truncation_N=3)
@@ -153,12 +154,7 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 1234) -> list:
     if name == "all":
-        results = []
-        for key in ("table1", "figure2", "determinant", "convergence"):
-            results.extend(run_suite(key, seed=seed))
-        return results
+        return [result for suite in SUITES.values() for result in suite(seed)]
     if name not in SUITES:
         raise KeyError(name)
-    if name == "determinant":
-        return verify_determinant(seed=seed)
-    return SUITES[name]()
+    return SUITES[name](seed)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from varheat import SeriesSpec
+from varheat import SeriesSpec, make_conductivity, build_travel_time
 from varheat.errors import DomainError, OrderTooHigh, ShiftTooSmall
 from varheat.simplex import (
+    _prefix_series,
     abs_log_derivative_integral,
     build_term_tables,
     regularized_series_sum,
@@ -14,6 +15,7 @@ from varheat.simplex import (
     simplex_integral,
     term_bound,
 )
+from varheat.spectrum import find_eigenvalues
 
 from conftest import PARABOLIC_TAU_TOTAL
 
@@ -191,3 +193,41 @@ def test_term_tables_match_scalar_path(parabolic, spec2):
             ref = regularized_simplex_integral(c, tt, tab.n, a[m], b[m],
                                                1.0 + 1.0j, spec2, float(shifts[m]))
             assert abs(vals[m, 0] - ref) < 1e-13
+
+
+PREFIX_XS = np.array([0.1, 0.37, 0.5, 0.93, 1.0])
+
+
+def _prefix_terms_at(c, tt, panels, k, N, xs=PREFIX_XS):
+    edges = np.union1d(np.linspace(0.0, 1.0, panels + 1), xs)
+    at_edges = _prefix_series(c, tt, edges, k, N)[3]
+    return at_edges[:, np.searchsorted(edges, xs)]
+
+
+@pytest.mark.parametrize("profile", ["parabolic", "rational"])
+def test_prefix_recursion_matches_scalar_path(profile, spec2, request):
+    # Where the tuples converge (smooth profiles, quad_order = 64) the
+    # recursion reproduces every order with its sign and 2^-n scale.
+    c, tt = request.getfixturevalue(profile)
+    spec64 = SeriesSpec(truncation_N=3, quad_order=64)
+    pairs = find_eigenvalues(c, tt, spec2, 8)
+    for k in (pairs[0].kappa, pairs[3].kappa, pairs[7].kappa):
+        terms = _prefix_terms_at(c, tt, 64, k, 3)
+        for n in range(4):
+            ref = [simplex_integral(c, tt, n, 0.0, float(x), k, spec64).real
+                   for x in PREFIX_XS]
+            assert np.max(np.abs(terms[n] - ref)) < 1e-9
+
+
+def test_prefix_recursion_converged_on_pchip_profile():
+    # 33 table nodes put the PCHIP knots on the 32-panel edges, where the
+    # panel rule is spectrally accurate.
+    x = np.linspace(0.0, 1.0, 33)
+    c = make_conductivity("tabulated", x=x,
+                          sigma_sq=0.1 * np.exp(0.2 * np.sin(np.pi * x + 0.7)
+                                                - 0.1 * np.sin(3.0 * np.pi * x)))
+    tt = build_travel_time(c)
+    for k in (2.0, 25.0):
+        coarse = _prefix_terms_at(c, tt, 32, k, 3)
+        fine = _prefix_terms_at(c, tt, 256, k, 3)
+        assert np.max(np.abs(coarse - fine)) < 1e-10

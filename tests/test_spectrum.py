@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from varheat import SeriesSpec
+from varheat import SeriesSpec, build_travel_time, make_conductivity
 from varheat.errors import DomainError
 from varheat.oracles import fd_eigenvalues
 from varheat.simplex import simplex_integral
@@ -77,6 +79,38 @@ def test_constant_eigenfunctions_are_sines(const1, spec2):
         ef = eigenfunction(c, tt, p, spec2)
         ref = math.sqrt(2.0) * np.sin(p.m * math.pi * xs)
         assert np.max(np.abs(ef(xs) - ref)) < 1e-8
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(sigma=st.floats(0.2, 3.0), m=st.integers(1, 6))
+def test_constant_sigma_eigenfunctions_are_exact_sines(sigma, m):
+    c = make_conductivity("constant", c=sigma)
+    tt = build_travel_time(c)
+    spec = SeriesSpec(truncation_N=2)
+    pair = find_eigenvalues(c, tt, spec, m)[m - 1]
+    xs = np.linspace(0.0, 1.0, 101)
+    ref = math.sqrt(2.0) * np.sin(m * math.pi * xs)
+    assert np.max(np.abs(eigenfunction(c, tt, pair, spec)(xs) - ref)) < 1e-8
+
+
+def test_eigenfunctions_build_no_term_tables(parabolic, spec2, monkeypatch):
+    from varheat import simplex, spectrum
+
+    c, tt = parabolic
+    pairs = find_eigenvalues(c, tt, spec2, 4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenfunction built term tables")
+
+    monkeypatch.setattr(spectrum, "build_term_tables", refuse)
+    monkeypatch.setattr(simplex, "build_term_tables", refuse)
+    xs = np.linspace(0.0, 1.0, 101)
+    for p in pairs:
+        ef = eigenfunction(c, tt, p, spec2)
+        assert np.all(np.isfinite(ef(xs)))
+    for bad in (np.array([1.2]), -0.1, np.nan):
+        with pytest.raises(DomainError):
+            ef(bad)
 
 
 def test_eigenfunction_boundary_norm_slope(parabolic, spec2):
