@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -150,6 +151,18 @@ def _validate_positive(sigma_fn, kind):
     return smin
 
 
+def _check_table(x, s2, where):
+    """Validate (x, sigma^2) samples of a ``tabulated`` profile."""
+    if x.shape != s2.shape or x.ndim != 1 or x.size < 4:
+        raise MalformedTable(f"{where}: need >= 4 (x, sigma^2) samples of equal length")
+    if np.any(np.diff(x) <= 0.0):
+        raise MalformedTable(f"{where}: abscissae not strictly increasing")
+    if abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12:
+        raise MalformedTable(f"{where}: x must cover [0, 1] (got [{x[0]}, {x[-1]}])")
+    if np.any(s2 <= 0.0):
+        raise NonPositiveConductivity(f"{where}: sigma^2 <= 0 in table")
+
+
 def load_sigma_table(path):
     """Read a two-column CSV of (x, sigma^2) samples.
 
@@ -160,15 +173,10 @@ def load_sigma_table(path):
         data = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise MalformedTable(f"{path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
-        raise MalformedTable(f"{path}: need >= 4 rows of 'x,sigma^2'")
+    if data.shape[1] != 2:
+        raise MalformedTable(f"{path}: need two columns 'x,sigma^2'")
     x, s2 = data[:, 0], data[:, 1]
-    if np.any(np.diff(x) <= 0.0):
-        raise MalformedTable(f"{path}: abscissae not strictly increasing")
-    if abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12:
-        raise MalformedTable(f"{path}: x must cover [0, 1] (got [{x[0]}, {x[-1]}])")
-    if np.any(s2 <= 0.0):
-        raise NonPositiveConductivity(f"{path}: sigma^2 <= 0 in table")
+    _check_table(x, s2, path)
     return x, s2
 
 
@@ -189,6 +197,7 @@ def make_conductivity(kind, **params) -> Conductivity:
         ``table`` = path to a CSV of (x, sigma^2), or ``x``/``sigma_sq``
         arrays directly.  Interpolated with a shape-preserving (PCHIP)
         cubic; sigma' is the analytic derivative of the interpolant.
+        ``params["knots"]`` holds the abscissae, where sigma'' jumps.
     """
     if kind == "constant":
         c = float(params.pop("c", 1.0))
@@ -242,14 +251,7 @@ def make_conductivity(kind, **params) -> Conductivity:
         else:
             x = np.asarray(params.pop("x"), dtype=float)
             s2 = np.asarray(params.pop("sigma_sq"), dtype=float)
-            if x.shape != s2.shape or x.ndim != 1 or x.size < 4:
-                raise MalformedTable("tabulated: x and sigma_sq must be equal-length 1-D")
-            if np.any(np.diff(x) <= 0.0):
-                raise MalformedTable("tabulated: abscissae not strictly increasing")
-            if abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12:
-                raise MalformedTable("tabulated: x must cover [0, 1]")
-            if np.any(s2 <= 0.0):
-                raise NonPositiveConductivity("tabulated: sigma^2 <= 0 in table")
+            _check_table(x, s2, "tabulated")
         if params:
             raise DomainError(f"tabulated: unknown params {sorted(params)}")
         interp = PchipInterpolator(x, s2, extrapolate=False)
@@ -264,7 +266,9 @@ def make_conductivity(kind, **params) -> Conductivity:
             return dinterp(xq) / (2.0 * np.sqrt(interp(xq)))
 
         smin = _validate_positive(sigma, kind)
-        return Conductivity("tabulated", sigma, dsigma, smin, {"nodes": int(x.size)})
+        knots = np.array(x)
+        knots.flags.writeable = False
+        return Conductivity("tabulated", sigma, dsigma, smin, {"knots": knots})
 
     raise DomainError(f"unknown conductivity kind {kind!r}; expected one of {KINDS}")
 
@@ -275,16 +279,28 @@ def log_derivative(c: Conductivity, x):
     return c.dsigma(x) / c.sigma(x)
 
 
-def _panel_integrals(c, edges, order=10):
-    """Gauss-Legendre integral of 1/sigma over each [edges[i], edges[i+1]]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = 1.0 / c.sigma(pts.ravel())
-    vals = vals.reshape(pts.shape)
-    return half * (vals @ weights)
+@lru_cache(maxsize=32)
+def _unit_gauss(order):
+    """Gauss-Legendre nodes/weights mapped to [0, 1], cached per order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _panel_gauss(edges, order):
+    """Composite Gauss-Legendre: ``order`` nodes on each panel between edges.
+
+    Returns (points, weights), each of shape (len(edges) - 1, order).
+    """
+    x01, w01 = _unit_gauss(order)
+    width = np.diff(edges)
+    pts = edges[:-1, None] + width[:, None] * x01[None, :]
+    return pts, width[:, None] * w01[None, :]
+
+
+def _panel_integrals(c, edges):
+    """10-node Gauss-Legendre integral of 1/sigma over each panel between edges."""
+    pts, wts = _panel_gauss(edges, 10)
+    return np.sum(wts / c.sigma(pts), axis=1)
 
 
 def build_travel_time(c: Conductivity, tol: float = 1e-10, max_level: int = 14) -> TravelTimeMap:

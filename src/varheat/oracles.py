@@ -26,14 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import Conductivity
+from .coefficients import Conductivity, _panel_gauss
 from .errors import (
     DenominatorNearZero,
     DomainError,
     SingularPartition,
     TooManyTerms,
 )
-from .simplex import _panel_gauss
 from .transform import Contour
 
 __all__ = [
@@ -208,17 +207,12 @@ def assemble_system(part: InterfacePartition, k, q0) -> GlobalRelationSystem:
     return GlobalRelationSystem(k=kc, matrix=A, rhs=Y, labels=labels)
 
 
-def _slogdet(mat):
-    sign, logdet = np.linalg.slogdet(mat)
-    return sign, logdet
-
-
 def dn_det(part: InterfacePartition, k, q0=None) -> complex:
     """(i/2) det A(k) * prod_p 1/Lambda_p^+ straight from the matrix."""
     if q0 is None:
         q0 = lambda y: np.zeros_like(y)
     system = assemble_system(part, k, q0)
-    sign, logdet = _slogdet(system.matrix)
+    sign, logdet = np.linalg.slogdet(system.matrix)
     lam = lambda_factors(part)
     logscale = float(np.sum(np.log(np.abs(lam.plus)))) if lam.plus.size else 0.0
     sgnscale = float(np.prod(np.sign(lam.plus))) if lam.plus.size else 1.0
@@ -308,7 +302,7 @@ def en_det(part: InterfacePartition, k, j: int, q0) -> complex:
     system = assemble_system(part, k, q0)
     Aj = system.matrix.copy()
     Aj[:, j - 1] = system.rhs
-    sign, logdet = _slogdet(Aj)
+    sign, logdet = np.linalg.slogdet(Aj)
     lam = lambda_factors(part)
     logscale = float(np.sum(np.log(np.abs(lam.plus))))
     sgnscale = float(np.prod(np.sign(lam.plus)))
@@ -395,13 +389,13 @@ def interface_solution(part: InterfacePartition, q0, j: int, t: float,
     acc = 0j
     for kc, wc in zip(ks, ws):
         system = assemble_system(part, kc, q0)
-        sign_a, log_a = _slogdet(system.matrix)
+        sign_a, log_a = np.linalg.slogdet(system.matrix)
         if sign_a == 0.0:
             raise DenominatorNearZero("det A vanished on the contour")
         Aj = system.matrix
         col = Aj[:, j - 1].copy()
         Aj[:, j - 1] = system.rhs
-        sign_j, log_j = _slogdet(Aj)
+        sign_j, log_j = np.linalg.slogdet(Aj)
         Aj[:, j - 1] = col
         ratio = (sign_j / sign_a) * np.exp(log_j - log_a)
         acc += wc * ratio * np.exp(-(kc**2) * t)

@@ -41,7 +41,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coefficients import Conductivity, TravelTimeMap, log_derivative
+from .coefficients import (
+    Conductivity,
+    TravelTimeMap,
+    _panel_gauss,
+    _unit_gauss,
+    log_derivative,
+)
 from .errors import DomainError, OrderTooHigh, ShiftTooSmall
 
 __all__ = [
@@ -85,26 +91,11 @@ class SeriesSpec:
             raise DomainError("tol must be positive")
 
 
-@lru_cache(maxsize=32)
-def _unit_gauss(order):
-    """Gauss-Legendre nodes/weights mapped to [0, 1], cached per order."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _panel_gauss(edges, order):
-    """Composite Gauss-Legendre: ``order`` nodes on each panel between edges.
-
-    Returns (points, weights), each of shape (len(edges) - 1, order).
-    """
-    x01, w01 = _unit_gauss(order)
-    width = np.diff(edges)
-    pts = edges[:-1, None] + width[:, None] * x01[None, :]
-    return pts, width[:, None] * w01[None, :]
-
-
 # Gauss nodes per panel of the prefix recursion.
 _PREFIX_ORDER = 12
+# Composite Gauss rule of abs_log_derivative_integral: panels x nodes.
+_ABS_MU_PANELS = 64
+_ABS_MU_ORDER = 12
 
 
 @lru_cache(maxsize=8)
@@ -317,13 +308,12 @@ def regularized_series_sum(c: Conductivity, tt: TravelTimeMap, a: float, b: floa
     )
 
 
-def abs_log_derivative_integral(c: Conductivity, a: float, b: float, panels: int = 64,
-                                order: int = 12) -> float:
+def abs_log_derivative_integral(c: Conductivity, a: float, b: float) -> float:
     """int_a^b |sigma'/sigma| by composite Gauss-Legendre quadrature."""
     _check_interval(a, b)
     if b == a:
         return 0.0
-    pts, wts = _panel_gauss(np.linspace(a, b, panels + 1), order)
+    pts, wts = _panel_gauss(np.linspace(a, b, _ABS_MU_PANELS + 1), _ABS_MU_ORDER)
     vals = np.abs(log_derivative(c, pts.ravel())).reshape(pts.shape)
     return float(np.sum(wts * vals))
 

@@ -5,8 +5,8 @@ eigenvalues lambda_m = -kappa_m^2 where the kappa_m are the positive real
 zeros of the characteristic function Delta (restricted to its truncation
 Delta_N here).  Delta_N is odd and oscillates with quasi-period
 pi / tau(1), so a bracketing scan with step <= pi/(4 tau(1)) cannot skip a
-zero; each bracket is bisected and then polished by Newton steps with a
-numerically differenced derivative.
+zero; each bracket is then solved to machine precision by Brent's method
+(``scipy.optimize.brentq``).
 
 Eigenfunctions are evaluated from the explicit series
 
@@ -15,9 +15,9 @@ Eigenfunctions are evaluated from the explicit series
 normalized to unit L^2 norm with positive slope at x = 0.  Every term of
 the series is evaluated at the mode's own root kappa_m, for all x at once by
 the prefix recursion ``simplex._prefix_series`` on composite 12-node Gauss
-panels (max(32, 8m) panels for mode m, the requested x merged into the
-panel edges).  Eigenfunction accuracy is set by that panel grid, not by
-``quad_order``, which only the root finder uses.
+panels (max(32, 8m) panels for mode m, the knots of a tabulated profile and
+the requested x merged into the panel edges).  Eigenfunction accuracy is set
+by that panel grid, not by ``quad_order``, which only the root finder uses.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .coefficients import Conductivity, TravelTimeMap
 from .errors import DomainError, NoConvergence, RootMissed
@@ -63,7 +64,7 @@ class Eigenfunction:
 
 def find_eigenvalues(c: Conductivity, tt: TravelTimeMap, spec: SeriesSpec,
                      count: int) -> list[EigenPair]:
-    """First ``count`` positive roots of Delta_N, bracketed then polished.
+    """First ``count`` positive roots of Delta_N: sign-change scan, then brentq.
 
     The scan step cannot skip roots: consecutive zeros of Delta_N are about
     pi/tau(1) apart while the scan step is a quarter of that.  Raises
@@ -76,7 +77,7 @@ def find_eigenvalues(c: Conductivity, tt: TravelTimeMap, spec: SeriesSpec,
     # Generous ceiling: roots sit near m*pi/tau(1).
     ceiling = (count + 3) * math.pi / total
     grid = np.arange(step * 0.25, ceiling, step)
-    # One table build serves the scan and every bisection and Newton step.
+    # One table build serves the scan and every brentq step.
     tables = build_term_tables(c, tt, 0.0, 1.0, spec)
 
     def delta(k):
@@ -93,44 +94,18 @@ def find_eigenvalues(c: Conductivity, tt: TravelTimeMap, spec: SeriesSpec,
 
     pairs = []
     for m, idx in enumerate(flips[:count], start=1):
-        lo, hi = float(grid[idx]), float(grid[idx + 1])
-        flo = float(vals[idx])
-        for _ in range(200):
-            if hi - lo <= 1e-8:
-                break
-            mid = 0.5 * (lo + hi)
-            fmid = delta(mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        else:
-            raise NoConvergence(f"bisection stalled for mode {m}")
-
-        kappa = 0.5 * (lo + hi)
-        f = delta(kappa)
-        h = 1e-6 * max(1.0, kappa)
-        for _ in range(12):
-            df = (delta(kappa + h) - delta(kappa - h)) / (2.0 * h)
-            if df == 0.0:
-                break
-            step_n = f / df
-            kappa_new = kappa - step_n
-            f_new = delta(kappa_new)
-            if abs(f_new) >= abs(f) or abs(step_n) < 1e-16 * kappa:
-                if abs(f_new) < abs(f):
-                    kappa, f = kappa_new, f_new
-                break
-            kappa, f = kappa_new, f_new
+        try:
+            kappa = brentq(delta, grid[idx], grid[idx + 1], xtol=1e-15,
+                           rtol=4.0 * np.finfo(float).eps)
+        except RuntimeError as exc:
+            raise NoConvergence(f"root of mode {m} did not converge: {exc}") from exc
         pairs.append(EigenPair(m=m, kappa=kappa, lam=-kappa * kappa,
-                               truncation_N=spec.truncation_N, residual=abs(f)))
+                               truncation_N=spec.truncation_N,
+                               residual=abs(delta(kappa))))
 
     kappas = [p.kappa for p in pairs]
     if any(b <= a for a, b in zip(kappas, kappas[1:])):
-        raise NoConvergence("polished roots are not strictly increasing")
+        raise NoConvergence("roots are not strictly increasing")
     return pairs
 
 
@@ -150,8 +125,11 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
         raise DomainError("pair was produced with a different truncation")
     kappa = pair.kappa
     N = spec.truncation_N
-    # Panels resolving the m-th mode; every evaluation refines this grid.
-    grid = np.linspace(0.0, 1.0, max(32, 8 * pair.m) + 1)
+    # Panels resolving the m-th mode, with the knots of a tabulated profile
+    # as edges (the quadrature is smooth only between them); every
+    # evaluation refines this grid.
+    grid = np.union1d(np.linspace(0.0, 1.0, max(32, 8 * pair.m) + 1),
+                      c.params.get("knots", ()))
 
     # Positive slope at 0: probe inside the first quarter oscillation.
     probe = min(0.25, 0.5 * c.sigma_min / kappa)

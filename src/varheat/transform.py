@@ -1,4 +1,4 @@
-"""Characteristic function, solution kernel, and contour-integral solver.
+"""Characteristic function, transform Phi, and contour-integral solver.
 
 The solution of q_t = (sigma^2 q_x)_x with Dirichlet data is represented as
 
@@ -32,6 +32,10 @@ imaginary for real data, which is monitored through ``imag_residual``.
 
 Truncation of the series at n <= N gives the computable approximation; all
 operations accept the truncation via :class:`~varheat.simplex.SeriesSpec`.
+Delta_N is evaluated for arrays of wavenumbers by :func:`delta_values`; its
+pointwise reference is :func:`~varheat.simplex.series_sum` over (0, 1).
+Phi_N has the pointwise reference :func:`phi_fn` and the batched path that
+:func:`solve_grid` uses.
 """
 
 from __future__ import annotations
@@ -41,29 +45,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import Conductivity, TravelTimeMap
+from .coefficients import Conductivity, TravelTimeMap, _panel_gauss
 from .errors import (
     DenominatorNearZero,
     DomainError,
     TailTooLarge,
     ToleranceNotReached,
 )
-from .simplex import (
-    SeriesSpec,
-    _panel_gauss,
-    build_term_tables,
-    series_sum,
-    simplex_integral,
-)
+from .simplex import SeriesSpec, build_term_tables, series_sum
 
 __all__ = [
     "Contour",
     "SolutionSample",
-    "delta_fn",
-    "regularized_delta_fn",
     "delta_values",
-    "psi_kernel",
-    "regularized_psi_kernel",
     "phi_fn",
     "solve",
     "solve_grid",
@@ -77,6 +71,9 @@ _S_MAX = 1.2
 # Upper bound on mu * t_max, the growth exp(mu t) of the integrand on the
 # far edge of the analyticity strip (Weideman & Trefethen's mu ~ 1/t scaling).
 _MU_T_MAX = 2.0
+# solve_grid refuses a contour on which min |regDelta_N| falls below this
+# fraction of max(1, max |regDelta_N|).
+_DENOMINATOR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -173,22 +170,6 @@ class SolutionSample:
 # ---------------------------------------------------------------------------
 
 
-def delta_fn(c: Conductivity, tt: TravelTimeMap, k, spec: SeriesSpec) -> complex:
-    """Truncated characteristic function: sum_{n<=N} S_n(0, 1; k).
-
-    Odd and entire in k; for constant sigma it reduces to sin(k tau(1)) and
-    its positive real zeros are the square roots of minus the eigenvalues.
-    """
-    return series_sum(c, tt, 0.0, 1.0, k, spec)
-
-
-def regularized_delta_fn(c: Conductivity, tt: TravelTimeMap, k, spec: SeriesSpec) -> complex:
-    """exp(i k tau(1)) * Delta_N(k), bounded in the upper half plane."""
-    from .simplex import regularized_series_sum
-
-    return regularized_series_sum(c, tt, 0.0, 1.0, k, spec, tt.total)
-
-
 def delta_values(c: Conductivity, tt: TravelTimeMap, ks, spec: SeriesSpec) -> np.ndarray:
     """Vectorized Delta_N over an array of wavenumbers (real arrays stay real)."""
     return _delta_from_tables(build_term_tables(c, tt, 0.0, 1.0, spec), ks)
@@ -209,54 +190,8 @@ def _delta_from_tables(tables, ks) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Solution kernel Psi and transform Phi
+# Transform Phi
 # ---------------------------------------------------------------------------
-
-
-def psi_kernel(c: Conductivity, tt: TravelTimeMap, k, x: float, y: float,
-               spec: SeriesSpec, form: str = "product") -> complex:
-    """Symmetric kernel Psi_N(k, x, y).
-
-    ``product`` multiplies the two series each truncated at N (the form the
-    solver integrates); ``cauchy`` keeps only total order <= N in the double
-    sum.  The two agree up to the first omitted cross term.
-    """
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise DomainError("psi_kernel needs x, y in [0, 1]")
-    lo, hi = (y, x) if y <= x else (x, y)
-    if form == "product":
-        left = series_sum(c, tt, 0.0, lo, k, spec)
-        right = series_sum(c, tt, hi, 1.0, k, spec)
-        return left * right
-    if form == "cauchy":
-        N = spec.truncation_N
-        left = [simplex_integral(c, tt, n, 0.0, lo, k, spec) for n in range(N + 1)]
-        right = [simplex_integral(c, tt, n, hi, 1.0, k, spec) for n in range(N + 1)]
-        return complex(sum(left[n - l] * right[l] for n in range(N + 1) for l in range(n + 1)))
-    raise DomainError(f"unknown psi form {form!r}")
-
-
-def regularized_psi_kernel(c: Conductivity, tt: TravelTimeMap, k, x: float,
-                           y: float, spec: SeriesSpec) -> complex:
-    """exp(i k tau(1)) * Psi_N(k, x, y), every exponent kept decaying.
-
-    The two series factors carry their own travel-time spans as shifts and
-    the remaining gap exp(ik (tau(max) - tau(min))) is bounded for
-    Im k >= 0, so the product stays finite arbitrarily high in the upper
-    half plane where the plain kernel overflows.
-    """
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise DomainError("psi kernel needs x, y in [0, 1]")
-    from .simplex import regularized_series_sum
-
-    kc = complex(k)
-    lo, hi = (y, x) if y <= x else (x, y)
-    tau_lo = float(tt.tau(lo))
-    tau_hi = float(tt.tau(hi))
-    left = regularized_series_sum(c, tt, 0.0, lo, kc, spec, shift=tau_lo)
-    right = regularized_series_sum(c, tt, hi, 1.0, kc, spec,
-                                   shift=tt.total - tau_hi)
-    return left * right * np.exp(1j * kc * (tau_hi - tau_lo))
 
 
 def phi_fn(c: Conductivity, tt: TravelTimeMap, k, x: float, q0, spec: SeriesSpec,
@@ -440,7 +375,7 @@ def _check_quadrature(cont, integrand, weighted, ts, tol):
 
 def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
                contour: Contour | None = None, tail_tol: float = DEFAULT_TAIL_TOL,
-               denominator_floor: float = 1e-12, all_orders: bool = False):
+               all_orders: bool = False):
     """Evaluate q_N on a grid of x values for a batch of times; {t: [samples]}.
 
     One contour serves the whole batch: unless ``contour`` is given,
@@ -470,7 +405,7 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
         axis=0,
     )  # (N+1, K)
     dscale = np.abs(regD[N])
-    floor = denominator_floor * max(1.0, float(dscale.max()))
+    floor = _DENOMINATOR_FLOOR * max(1.0, float(dscale.max()))
     if float(dscale.min()) < floor:
         raise DenominatorNearZero(
             "contour passes within the floor of a characteristic zero; "

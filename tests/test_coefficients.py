@@ -94,6 +94,21 @@ def test_malformed_tables(tmp_path):
         make_conductivity("tabulated", table=str(short))
 
 
+def test_malformed_arrays():
+    # the array path shares the CSV path's checks and error types
+    x = np.linspace(0.0, 1.0, 5)
+    for bad_x, s2 in (
+        (x[:3], np.ones(3)),                            # too few samples
+        (x, np.ones(4)),                                # lengths differ
+        (x[[0, 2, 1, 3, 4]], np.ones(5)),               # non-monotone x
+        (np.linspace(0.1, 1.0, 5), np.ones(5)),         # does not reach 0
+    ):
+        with pytest.raises(MalformedTable):
+            make_conductivity("tabulated", x=bad_x, sigma_sq=s2)
+    c = make_conductivity("tabulated", x=x, sigma_sq=np.ones(5))
+    assert np.array_equal(c.params["knots"], x)
+
+
 def test_log_derivative_values(parabolic):
     c, _ = parabolic
     assert log_derivative(c, 0.5) == pytest.approx(0.0, abs=1e-15)

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varheat import SeriesSpec, build_travel_time, make_conductivity
-from varheat.errors import DomainError
+from varheat.errors import DomainError, NoConvergence
 from varheat.oracles import fd_eigenvalues
-from varheat.simplex import simplex_integral
+from varheat.simplex import _prefix_series, simplex_integral
 from varheat.spectrum import eigenfunction, find_eigenvalues
 from varheat.transform import delta_values
 from varheat.verify import TABLE1_VALUES as TABLE
+
+from conftest import exp_sine_profile, profiles
 
 
 def test_constant_sigma_eigenvalues(const1):
@@ -51,6 +53,43 @@ def test_find_eigenvalues_builds_term_tables_once(parabolic, spec2, monkeypatch)
     monkeypatch.setattr("varheat.transform.build_term_tables", counting)
     assert len(spectrum.find_eigenvalues(*parabolic, spec2, 30)) == 30
     assert len(calls) == 1
+
+
+def test_find_eigenvalues_delta_budget(parabolic, spec2, monkeypatch):
+    # one scan plus a few Brent steps per root
+    from varheat import spectrum
+
+    calls = []
+    plain = spectrum._delta_from_tables
+
+    def counting(tables, ks):
+        calls.append(ks)
+        return plain(tables, ks)
+
+    monkeypatch.setattr(spectrum, "_delta_from_tables", counting)
+    assert len(find_eigenvalues(*parabolic, spec2, 30)) == 30
+    assert len(calls) <= 1 + 12 * 30
+
+
+def test_root_solver_failure_is_typed(parabolic, spec2, monkeypatch):
+    from varheat import spectrum
+
+    def stall(*args, **kwargs):
+        raise RuntimeError("Failed to converge after 100 iterations")
+
+    monkeypatch.setattr(spectrum, "brentq", stall)
+    with pytest.raises(NoConvergence, match="mode 1"):
+        find_eigenvalues(*parabolic, spec2, 3)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(c=profiles)
+def test_roots_increase_with_tiny_residuals(c):
+    tt = build_travel_time(c)
+    pairs = find_eigenvalues(c, tt, SeriesSpec(truncation_N=2), 10)
+    kappas = np.array([p.kappa for p in pairs])
+    assert kappas.size == 10 and kappas[0] > 0.0 and np.all(np.diff(kappas) > 0.0)
+    assert max(p.residual for p in pairs) <= 1e-12
 
 
 def test_count_validation(parabolic, spec2):
@@ -111,6 +150,24 @@ def test_eigenfunctions_build_no_term_tables(parabolic, spec2, monkeypatch):
     for bad in (np.array([1.2]), -0.1, np.nan):
         with pytest.raises(DomainError):
             ef(bad)
+
+
+def test_eigenfunction_panels_include_table_knots():
+    # sigma'' of a PCHIP profile jumps at its 40 knots, which miss the
+    # max(32, 8m) uniform panel edges; the reference on 2048 panels (knots
+    # merged too) is converged to roundoff.
+    c = exp_sine_profile(40, (0.2, -0.1, 0.05), (0.3, 1.9, 4.0))
+    tt = build_travel_time(c)
+    spec = SeriesSpec(truncation_N=2)
+    xs = np.linspace(0.0, 1.0, 101)
+    edges = np.union1d(np.linspace(0.0, 1.0, 2049), np.union1d(c.params["knots"], xs))
+    at_x = np.searchsorted(edges, xs)
+    for pair in find_eigenvalues(c, tt, spec, 8):
+        pts, wts, at_nodes, at_edges = _prefix_series(c, tt, edges, pair.kappa, 2)
+        raw = at_nodes.sum(axis=0) / np.sqrt(c.sigma(pts))
+        ref = at_edges.sum(axis=0)[at_x] / np.sqrt(c.sigma(xs) * np.sum(wts * raw**2))
+        vals = eigenfunction(c, tt, pair, spec)(xs)
+        assert np.max(np.abs(vals - np.sign(ref @ vals) * ref)) <= 1e-10
 
 
 def test_eigenfunction_boundary_norm_slope(parabolic, spec2):

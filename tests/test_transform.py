@@ -14,19 +14,16 @@ from varheat.errors import (
     ToleranceNotReached,
 )
 from varheat.oracles import fourier_solution
-from varheat.simplex import term_bound
+from varheat.simplex import series_sum, term_bound
 from varheat.transform import (
     Contour,
-    delta_fn,
     delta_values,
     phi_fn,
-    psi_kernel,
-    regularized_delta_fn,
     solve,
     solve_grid,
 )
 
-from conftest import quadratic, sine
+from conftest import profiles, quadratic, sine
 
 # Frozen closed form (symbolic integration of the sine products):
 # Phi(k=2, x=0.3) for sigma = 1, q0 = sin(pi y).
@@ -35,14 +32,14 @@ PHI_CONST_K2_X03 = 0.2506598472315638
 
 def test_delta_constant_is_sine(const1, spec2):
     c, tt = const1
-    for k in (0.7, 2.0, 1.0 + 1.0j):
-        assert delta_fn(c, tt, k, spec2) == pytest.approx(np.sin(k), abs=1e-12)
+    ks = np.array([0.7, 2.0, 1.0 + 1.0j])
+    assert np.allclose(delta_values(c, tt, ks, spec2), np.sin(ks), rtol=0.0, atol=1e-12)
 
 
 def test_delta_oddness(parabolic, spec2):
     c, tt = parabolic
-    d = delta_fn(c, tt, 1.7, spec2)
-    assert delta_fn(c, tt, -1.7, spec2) == pytest.approx(-d, abs=1e-13)
+    d = delta_values(c, tt, np.array([1.7, -1.7]), spec2)
+    assert d[1] == pytest.approx(-d[0], abs=1e-13)
 
 
 def test_delta_values_vectorized(parabolic, spec2):
@@ -51,15 +48,20 @@ def test_delta_values_vectorized(parabolic, spec2):
     vals = delta_values(c, tt, ks, spec2)
     assert vals.dtype == float
     for k, v in zip(ks, vals):
-        assert v == pytest.approx(delta_fn(c, tt, k, spec2).real, abs=1e-12)
+        assert v == pytest.approx(series_sum(c, tt, 0.0, 1.0, k, spec2).real, abs=1e-12)
 
 
-def test_regularized_delta_consistency(parabolic, spec2):
-    c, tt = parabolic
-    k = 2.0 + 1.5j
-    reg = regularized_delta_fn(c, tt, k, spec2)
-    assert reg == pytest.approx(np.exp(1j * k * tt.total) * delta_fn(c, tt, k, spec2),
-                                abs=1e-12)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(c=profiles)
+def test_delta_values_odd_real_and_match_scalar_series(c):
+    tt = build_travel_time(c)
+    spec = SeriesSpec(truncation_N=2)
+    ks = np.linspace(0.5, 10.0 * math.pi / tt.total, 7)
+    vals = delta_values(c, tt, ks, spec)
+    assert vals.dtype == float
+    assert np.max(np.abs(delta_values(c, tt, -ks, spec) + vals)) <= 1e-12
+    ref = np.array([series_sum(c, tt, 0.0, 1.0, k, spec) for k in ks])
+    assert np.max(np.abs(vals - ref)) <= 1e-12
 
 
 def test_delta_matches_interface_determinant(parabolic, spec2, spec3):
@@ -74,55 +76,11 @@ def test_delta_matches_interface_determinant(parabolic, spec2, spec3):
     c, tt = parabolic
     part = uniform_partition(c, 2000)
     lhs = dn_det(part, 1.0)
-    gap2 = abs(lhs - delta_fn(c, tt, 1.0, spec2))
+    gap2 = abs(lhs - delta_values(c, tt, np.array([1.0]), spec2)[0])
     assert gap2 < term_bound(c, tt, 3, 0.0, 1.0, 1.0) + 5e-4
     # at matching truncation depth the agreement is far tighter
-    gap3 = abs(lhs - delta_fn(c, tt, 1.0, spec3))
+    gap3 = abs(lhs - delta_values(c, tt, np.array([1.0]), spec3)[0])
     assert gap3 < 5e-4
-
-
-def test_psi_constant_kernel(const1, spec2):
-    c, tt = const1
-    k, x, y = 2.0, 0.7, 0.3
-    val = psi_kernel(c, tt, k, x, y, spec2)
-    assert val == pytest.approx(math.sin(k * y) * math.sin(k * (1 - x)), abs=1e-12)
-
-
-def test_psi_symmetry(parabolic, spec2):
-    c, tt = parabolic
-    a = psi_kernel(c, tt, 2.0, 0.3, 0.7, spec2)
-    b = psi_kernel(c, tt, 2.0, 0.7, 0.3, spec2)
-    assert a == pytest.approx(b, abs=1e-14)
-
-
-def test_psi_cauchy_vs_product(parabolic, spec3):
-    c, tt = parabolic
-    k, x, y = 2.0, 0.6, 0.25
-    prod = psi_kernel(c, tt, k, x, y, spec3, form="product")
-    cauchy = psi_kernel(c, tt, k, x, y, spec3, form="cauchy")
-    # difference is the sum of cross terms with total order > N
-    N = spec3.truncation_N
-    bound = sum(
-        term_bound(c, tt, n, 0.0, y, k) * term_bound(c, tt, l, x, 1.0, k)
-        for n in range(N + 1) for l in range(N + 1) if n + l > N
-    )
-    assert abs(prod - cauchy) <= bound + 1e-14
-
-
-def test_regularized_psi_consistency_and_boundedness(parabolic, spec2):
-    from varheat.transform import regularized_psi_kernel
-
-    c, tt = parabolic
-    k = 2.0 + 1.0j
-    reg = regularized_psi_kernel(c, tt, k, 0.7, 0.3, spec2)
-    plain = psi_kernel(c, tt, k, 0.7, 0.3, spec2)
-    assert reg == pytest.approx(np.exp(1j * k * tt.total) * plain, abs=1e-12)
-    # symmetric in (x, y) like the plain kernel
-    assert reg == pytest.approx(regularized_psi_kernel(c, tt, k, 0.3, 0.7, spec2),
-                                abs=1e-14)
-    # stays finite where the plain kernel would overflow
-    high = regularized_psi_kernel(c, tt, 300j, 0.7, 0.3, spec2)
-    assert np.isfinite(high.real) and np.isfinite(high.imag)
 
 
 def test_phi_closed_form_constant(const1, spec2):
