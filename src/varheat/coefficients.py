@@ -249,6 +249,12 @@ def make_conductivity(kind, **params) -> Conductivity:
         if "table" in params:
             x, s2 = load_sigma_table(params.pop("table"))
         else:
+            missing = [p for p in ("x", "sigma_sq") if p not in params]
+            if missing:
+                raise DomainError(
+                    f"tabulated: needs `table` or both `x` and `sigma_sq` "
+                    f"(missing {', '.join(missing)})"
+                )
             x = np.asarray(params.pop("x"), dtype=float)
             s2 = np.asarray(params.pop("sigma_sq"), dtype=float)
             _check_table(x, s2, "tabulated")

@@ -27,8 +27,12 @@ trapezoid rule in u converges geometrically in 1/h (Trefethen & Weideman,
 exp(-k^2 t) decays doubly exponentially in u, so the sum is truncated at
 |u| <= end.  One contour serves a whole batch of times: its end point comes
 from the smallest time and its step and scale s from the largest.  The
-nodes are symmetric under k -> -conj(k), so the raw integral is purely
-imaginary for real data, which is monitored through ``imag_residual``.
+nodes are symmetric under k -> -conj(k).  With sigma and q0 real, every
+simplex term is odd in k with real coefficients, so the integrand obeys
+f(-conj(k)) = -conj(f(k)): :func:`solve_grid` sweeps only the Re k >= 0
+half of the nodes and mirrors the rest, which is why q0 must be real.  Each
+mirrored pair then sums to a purely imaginary raw integral, so
+``imag_residual`` measures only roundoff in those pair sums.
 
 Truncation of the series at n <= N gives the computable approximation; all
 operations accept the truncation via :class:`~varheat.simplex.SeriesSpec`.
@@ -87,8 +91,9 @@ class Contour:
     M * step >= end; an even M makes the even-j nodes the same rule at step
     2 * step, which :func:`solve_grid` uses to estimate the discretisation
     error.  Nodes and weights are mirror symmetric under
-    u -> -u, i.e. k -> -conj(k), so real data produce real solutions up to
-    roundoff.  :meth:`for_times` sizes a contour for a batch of times.
+    u -> -u, i.e. k -> -conj(k), so for real data :func:`solve_grid` sweeps
+    only the nodes with j >= 0 and the solution is real up to roundoff.
+    :meth:`for_times` sizes a contour for a batch of times.
     """
 
     step: float
@@ -273,13 +278,23 @@ def _barycentric_matrix(grid, targets):
 
 
 def _segment_weights(c, q0, lo, hi, per_unit):
-    """Gauss nodes and q0/sqrt(sigma)-weighted quadrature weights on [lo, hi]."""
+    """Gauss nodes and q0/sqrt(sigma)-weighted quadrature weights on [lo, hi].
+
+    Raises :class:`DomainError` unless q0 is finite and real at the nodes.
+    """
     if hi - lo <= 1e-14:
         return np.empty(0), np.empty(0)
     n_panels = max(2, math.ceil((hi - lo) * per_unit / 12.0))
     pts, wts = _panel_gauss(np.linspace(lo, hi, n_panels + 1), 12)
     pts, wts = pts.ravel(), wts.ravel()
-    return pts, wts * q0(pts) / np.sqrt(c.sigma(pts))
+    q = np.asarray(q0(pts))
+    if np.iscomplexobj(q):
+        if np.any(q.imag != 0.0):
+            raise DomainError("q0 must be real: it returned complex values")
+        q = q.real
+    if not np.all(np.isfinite(q)):
+        raise DomainError("q0 must be finite: it returned NaN or inf")
+    return pts, wts * q / np.sqrt(c.sigma(pts))
 
 
 def _phi_batch(c, tt, q0, ks, xs, spec, kmax):
@@ -380,15 +395,19 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
 
     One contour serves the whole batch: unless ``contour`` is given,
     :meth:`Contour.for_times` sizes it from the smallest and largest t and
-    ``tail_tol``.  The characteristic function, the Phi batch over all x and
-    the denominator check are computed once, and all times come out of one
-    (X, K) @ (K, T) product.  With ``all_orders=True`` the result is
-    {t: {n: [samples]}} for every truncation n <= N at no extra cost (the
-    series is summed cumulatively).  Raises :class:`DenominatorNearZero` if
-    the contour passes too close to a zero of the regularized characteristic
-    function, :class:`TailTooLarge` if the truncation bound at the last node
-    exceeds ``tail_tol`` at some t, and :class:`ToleranceNotReached` if the
-    trapezoid error estimate does.
+    ``tail_tol``.  The characteristic function, the Phi batch over the
+    interior x and the denominator check are computed once, on the vertex
+    and the Re k > 0 nodes only; the integrand at the other half follows
+    from f(-conj(k)) = -conj(f(k)), which holds because sigma is real and
+    ``q0`` must be real (a complex, NaN or infinite q0 raises
+    :class:`DomainError`).  All times come out of one (X, K) @ (K, T)
+    product, and x = 0 and x = 1 give exactly 0.  With ``all_orders=True``
+    the result is {t: {n: [samples]}} for every truncation n <= N at no
+    extra cost (the series is summed cumulatively).  Raises
+    :class:`DenominatorNearZero` if the contour passes too close to a zero
+    of the regularized characteristic function, :class:`TailTooLarge` if the
+    truncation bound at the last node exceeds ``tail_tol`` at some t, and
+    :class:`ToleranceNotReached` if the trapezoid error estimate does.
     """
     xs = [float(x) for x in np.atleast_1d(xs)]
     ts = [float(t) for t in np.atleast_1d(ts)]
@@ -399,11 +418,14 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
     N = spec.truncation_N
     cont = contour if contour is not None else Contour.for_times(ts, tail_tol)
     ks, ws = cont.nodes()
+    # The vertex and the Re k > 0 nodes; node j mirrors node 2M - j.
+    half = ks[cont.half_count:]
     delta_tabs = build_term_tables(c, tt, 0.0, 1.0, spec)
     regD = np.cumsum(
-        np.stack([tab.eval_regularized(ks, tt.total)[0] for tab in delta_tabs]),
+        np.stack([tab.eval_regularized(half, tt.total)[0] for tab in delta_tabs]),
         axis=0,
-    )  # (N+1, K)
+    )  # (N+1, M+1)
+    # |regDelta| is mirror invariant, so the half decides the check.
     dscale = np.abs(regD[N])
     floor = _DENOMINATOR_FLOOR * max(1.0, float(dscale.max()))
     if float(dscale.min()) < floor:
@@ -411,21 +433,27 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
             "contour passes within the floor of a characteristic zero; "
             "raise its vertex s tan(delta)"
         )
-    phi = _phi_batch(c, tt, q0, ks, xs, spec, float(np.abs(ks).max()))  # (N+1, X, K)
-    integrand = phi / regD[:, None, :]
-    t_arr = np.array(ts)
-    weighted = np.exp(-np.multiply.outer(ks**2, t_arr)) * ws[:, None]  # (K, T)
-    _check_quadrature(cont, integrand[N], weighted, t_arr, tail_tol)
-
     orders = range(N + 1) if all_orders else (N,)
+    inside = np.array([0.0 < x < 1.0 for x in xs])
+    vals = np.zeros((N + 1, len(xs), len(ts)), dtype=complex)
+    if inside.any():
+        interior = [x for x, keep in zip(xs, inside) if keep]
+        phi = _phi_batch(c, tt, q0, half, interior, spec,
+                         float(np.abs(ks).max()))  # (N+1, X, M+1)
+        right = phi / regD[:, None, :]
+        integrand = np.concatenate([-np.conj(right[..., :0:-1]), right], axis=-1)
+        t_arr = np.array(ts)
+        weighted = np.exp(-np.multiply.outer(ks**2, t_arr)) * ws[:, None]  # (K, T)
+        _check_quadrature(cont, integrand[N], weighted, t_arr, tail_tol)
+        for n in orders:
+            vals[n, inside] = integrand[n] @ weighted / (1j * math.pi)  # (X, T)
+
     out = {t: {} for t in ts}
     for n in orders:
-        vals = integrand[n] @ weighted / (1j * math.pi)  # (X, T)
         for j, t in enumerate(ts):
             out[t][n] = [
-                SolutionSample(x, t, 0.0, n, 0.0) if x in (0.0, 1.0)
-                else SolutionSample(x, t, float(v.real), n, float(abs(v.imag)))
-                for x, v in zip(xs, vals[:, j])
+                SolutionSample(x, t, float(v.real), n, float(abs(v.imag)))
+                for x, v in zip(xs, vals[n, :, j])
             ]
     return out if all_orders else {t: per_order[N] for t, per_order in out.items()}
 

@@ -109,6 +109,17 @@ def test_malformed_arrays():
     assert np.array_equal(c.params["knots"], x)
 
 
+@pytest.mark.parametrize("params, missing", [
+    ({}, "x, sigma_sq"),
+    ({"x": np.linspace(0.0, 1.0, 5)}, "sigma_sq"),
+    ({"sigma_sq": np.ones(5)}, "x"),
+])
+def test_tabulated_missing_params(params, missing):
+    # neither a table nor both arrays: a typed error naming what is missing
+    with pytest.raises(DomainError, match=f"missing {missing}"):
+        make_conductivity("tabulated", **params)
+
+
 def test_log_derivative_values(parabolic):
     c, _ = parabolic
     assert log_derivative(c, 0.5) == pytest.approx(0.0, abs=1e-15)

@@ -14,16 +14,19 @@ from varheat.errors import (
     ToleranceNotReached,
 )
 from varheat.oracles import fourier_solution
-from varheat.simplex import series_sum, term_bound
+from varheat.simplex import TermTable, build_term_tables, series_sum, term_bound
 from varheat.transform import (
     Contour,
+    _phi_batch,
     delta_values,
     phi_fn,
     solve,
     solve_grid,
 )
 
-from conftest import profiles, quadratic, sine
+from conftest import exp_sine_profile, profiles, quadratic, sine
+
+FIGURE2_TS = [0.25, 1.0, 4.0]
 
 # Frozen closed form (symbolic integration of the sine products):
 # Phi(k=2, x=0.3) for sigma = 1, q0 = sin(pi y).
@@ -62,6 +65,19 @@ def test_delta_values_odd_real_and_match_scalar_series(c):
     assert np.max(np.abs(delta_values(c, tt, -ks, spec) + vals)) <= 1e-12
     ref = np.array([series_sum(c, tt, 0.0, 1.0, k, spec) for k in ks])
     assert np.max(np.abs(vals - ref)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(c=profiles)
+def test_delta_values_mirror_symmetric_at_complex_k(c):
+    # sigma real makes every term odd in k with real coefficients, so
+    # Delta(-conj(k)) = -conj(Delta(k)): the symmetry solve_grid relies on
+    tt = build_travel_time(c)
+    spec = SeriesSpec(truncation_N=2)
+    ks = np.linspace(-8.0, 8.0, 9) + 1j * np.linspace(0.2, 3.0, 9)
+    vals = delta_values(c, tt, ks, spec)
+    mirrored = delta_values(c, tt, -np.conj(ks), spec)
+    assert np.max(np.abs(mirrored + np.conj(vals))) <= 1e-14 * max(1.0, np.abs(vals).max())
 
 
 def test_delta_matches_interface_determinant(parabolic, spec2, spec3):
@@ -167,6 +183,67 @@ def test_solve_boundary_values_are_zero(parabolic, spec2):
     res = solve_grid(c, tt, quadratic, [0.0, 1.0], [0.5], spec2)
     for s in res[0.5]:
         assert s.value == 0.0
+    # boundary rows beside an interior x leave its value unchanged
+    batch = solve_grid(c, tt, quadratic, [0.0, 0.37, 1.0], [0.5], spec2)[0.5]
+    alone = solve_grid(c, tt, quadratic, [0.37], [0.5], spec2)[0.5]
+    assert abs(batch[1].value - alone[0].value) <= 1e-15
+    assert batch[0].value == batch[2].value == 0.0
+
+
+@pytest.mark.parametrize("q0", [
+    lambda y: np.where(y > 0.5, np.nan, y * (1.0 - y)),
+    lambda y: (1.0 + 0.5j) * y * (1.0 - y),
+], ids=["nan", "complex"])
+def test_solve_rejects_bad_q0(parabolic, spec2, q0):
+    # the mirrored half of the contour is only valid for finite real q0
+    c, tt = parabolic
+    with pytest.raises(DomainError, match="q0 must be"):
+        solve_grid(c, tt, q0, [0.3, 0.7], [1.0], spec2)
+
+
+def _full_contour_solve(c, tt, q0, xs, ts, spec):
+    """q_N from a sweep of every contour node, with no mirror."""
+    N = spec.truncation_N
+    ks, ws = Contour.for_times(ts).nodes()
+    regD = sum(tab.eval_regularized(ks, tt.total)[0]
+               for tab in build_term_tables(c, tt, 0.0, 1.0, spec))
+    phi = _phi_batch(c, tt, q0, ks, xs, spec, float(np.abs(ks).max()))[N]
+    weighted = np.exp(-np.multiply.outer(ks**2, np.array(ts))) * ws[:, None]
+    return ((phi / regD) @ weighted / (1j * math.pi)).real  # (X, T)
+
+
+@pytest.mark.parametrize("profile", ["parabolic", "rational", "exp_sine"])
+def test_solve_half_sweep_matches_full_contour(profile, request, spec2):
+    if profile == "exp_sine":
+        c = exp_sine_profile(33, (0.2, -0.1, 0.05), (0.3, 1.0, 2.0))
+        tt = build_travel_time(c)
+    else:
+        c, tt = request.getfixturevalue(profile)
+    xs = [0.15, 0.5, 0.83]
+    ref = _full_contour_solve(c, tt, quadratic, xs, FIGURE2_TS, spec2)
+    res = solve_grid(c, tt, quadratic, xs, FIGURE2_TS, spec2)
+    for j, t in enumerate(FIGURE2_TS):
+        for i, s in enumerate(res[t]):
+            assert abs(s.value - ref[i, j]) <= 1e-13, (t, s.x)
+
+
+def test_solve_sweeps_half_the_contour(parabolic, spec2, monkeypatch):
+    c, tt = parabolic
+    swept = []
+
+    def counting(method):
+        def wrapped(self, k, *args):
+            swept.append(np.atleast_1d(k).size)
+            return method(self, k, *args)
+        return wrapped
+
+    monkeypatch.setattr(TermTable, "eval_plain", counting(TermTable.eval_plain))
+    monkeypatch.setattr(TermTable, "eval_regularized",
+                        counting(TermTable.eval_regularized))
+    solve_grid(c, tt, quadratic, np.linspace(0.0, 1.0, 21), FIGURE2_TS, spec2,
+               all_orders=True)
+    half_count = Contour.for_times(FIGURE2_TS).half_count
+    assert swept and max(swept) <= half_count + 1
 
 
 def test_solve_realness_residual(parabolic, spec2):
@@ -187,8 +264,6 @@ def test_solve_large_time_decay(parabolic, spec2):
 def test_solve_batched_matches_pointwise_phi(parabolic, spec2):
     # cross-check of the production batched kernel against the direct
     # pointwise quadrature path, through the full contour integral
-    from varheat.transform import _phi_batch
-
     c, tt = parabolic
     ks, _ = Contour.for_times([1.0]).nodes()
     # nine nodes spanning the whole contour, both ends included
