@@ -17,14 +17,21 @@ evaluators below exploit that: nested Gauss-Legendre nodes are expanded once
 (innermost limits shrink with the outer variable) and then any number of k
 values can be swept as dot products against the tuple arrays.
 
-Two kernels share the tuples:
+Every evaluator sums W * exp(ik*shift) * sin(k*(c+T)) over the tuples:
+shift = 0 is the plain series, fine for real and moderately complex k.  The
+regularized form takes shift >= tau(b)-tau(a) >= |c+T|, so for Im k >= 0
+every exponent's real part is at most 0 and no intermediate exceeds
+magnitude 1 per sample (up to the mu product); it stays bounded high in the
+upper half plane, where the plain sine overflows.  The scalar references
+(``simplex_integral`` and its siblings) evaluate complex sin and exp on
+each chunk of tuples.  Batched :class:`TermTable` sweeps use one kernel in
+real arithmetic: with k = a + ib and P = c + T,
 
-* plain:        sin(k * (c + T)) -- fine for real and moderately complex k;
-* regularized:  exp(ik*shift) * sin(k*(c+T)) expanded as
-                (exp(ik*(shift+c+T)) - exp(ik*(shift-c-T))) / 2i,
-                where shift >= tau(b)-tau(a) >= |c+T| keeps every exponent's
-                imaginary part nonnegative for Im k >= 0, so no intermediate
-                exceeds magnitude 1 per sample (up to the mu product).
+    exp(ik*shift) sin(kP) = exp(ia*shift) [sin(aP)(E- + E+)
+                                           + i cos(aP)(E- - E+)] / 2,
+    E- = exp(b(P - shift)),  E+ = exp(-b(P + shift)),
+
+so the regularized condition (b >= 0, shift >= |P|) is exactly E-, E+ <= 1.
 
 Cost grows as quad_order**n; orders above ORDER_CAP are refused.
 
@@ -36,6 +43,7 @@ composite Gauss panels, at a cost linear in n (the eigenfunction path).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,6 +75,9 @@ ORDER_CAP = 6
 _CHUNK_LIMIT = 1 << 22
 # Stored term tables refuse orders whose per-interval tuple count exceeds this.
 _TABLE_LIMIT = 1 << 24
+# Elements per block of the term-table sweep (a few float64 temporaries of
+# this size fit in a core's L2 cache).
+_SWEEP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,12 +94,18 @@ class SeriesSpec:
     tol: float = 1e-10
 
     def __post_init__(self):
+        for name in ("truncation_N", "quad_order"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if self.truncation_N < 0:
             raise DomainError("truncation_N must be >= 0")
         if self.quad_order < 2:
             raise DomainError("quad_order must be >= 2")
-        if self.tol <= 0.0:
-            raise DomainError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise DomainError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 # Gauss nodes per panel of the prefix recursion.
@@ -340,7 +357,11 @@ class TermTable:
 
     ``weights``/``phases`` have shape (M, quad_order**n); ``const`` is the
     per-interval phase constant.  ``eval_plain`` and ``eval_regularized``
-    return (M, K) arrays for a vector of K wavenumbers.
+    return (M, K) arrays for a vector of K wavenumbers, both from one
+    real-arithmetic sweep (see the module docstring) that takes rows and
+    wavenumbers in cache-sized blocks.  The regularized values stay bounded
+    when Im k >= 0 and each row's shift reaches its travel-time ``span``;
+    both conditions are checked.
     """
 
     n: int
@@ -349,42 +370,57 @@ class TermTable:
     const: np.ndarray
     span: np.ndarray  # tau(b) - tau(a), for shift validation
 
-    def _sweep(self, k, func, chunk_elems=1 << 23):
-        k = np.atleast_1d(np.asarray(k))
+    def _sweep(self, k, shift):
+        """(M, K) sums over j of W e^{ik shift} sin(kP), one shift per row.
+
+        Evaluates the real form of the module docstring, with
+        sin(aP) = 2 t d and cos(aP) = 2 d - 1 from t = tan(aP/2),
+        d = 1 / (1 + t^2): one real transcendental for both (absolute error
+        a few 1e-16).  Rows and wavenumbers are taken in blocks of about
+        _SWEEP_BLOCK elements, so the real temporaries of a block stay in
+        cache, and each block reduces over j by two real matrix products.
+        """
+        k = np.atleast_1d(np.asarray(k)).ravel()
         M, J = self.phases.shape
-        out = np.empty((M, k.size), dtype=complex)
-        P = self.const[:, None] + self.phases
+        out = np.zeros((M, k.size), dtype=complex)
         if not self.weights.any():
-            out[:] = 0.0
             return out
-        step = max(1, int(chunk_elems // max(1, M * J)))
-        for s in range(0, k.size, step):
-            kk = k[s : s + step]
-            out[:, s : s + kk.size] = func(P, kk)
-        return out
+        half_a, b = 0.5 * k.real, k.imag
+        P = self.const[:, None] + self.phases
+        width = max(1, min(k.size, _SWEEP_BLOCK // J))
+        rows = max(1, _SWEEP_BLOCK // (J * width))
+        for r in range(0, M, rows):
+            p = P[r : r + rows, :, None]
+            sh = shift[r : r + rows, None, None]
+            w = self.weights[r : r + rows, None, :]
+            for s in range(0, k.size, width):
+                cols = slice(s, s + width)
+                t = np.tan(p * half_a[cols])
+                d = 1.0 / (1.0 + t * t)
+                dn = np.exp(b[cols] * (p - sh))
+                up = np.exp(-b[cols] * (p + sh))
+                out.real[r : r + rows, cols] = (w @ (t * d * (dn + up)))[:, 0]
+                out.imag[r : r + rows, cols] = (w @ ((d - 0.5) * (dn - up)))[:, 0]
+        return out * np.exp(1j * np.multiply.outer(shift, k.real))
 
     def eval_plain(self, k):
-        def func(P, kk):
-            S = np.sin(P[:, :, None] * kk[None, None, :])
-            return np.einsum("mj,mjk->mk", self.weights, S)
-
-        return self._sweep(k, func)
+        """S_n(a_m, b_m; k) for every interval m and wavenumber k: (M, K)."""
+        return self._sweep(k, np.zeros(self.phases.shape[0]))
 
     def eval_regularized(self, k, shift):
-        shift = np.asarray(shift, dtype=float)
-        if shift.ndim == 0:
-            shift = np.full((self.phases.shape[0], 1), float(shift))
-        else:
-            shift = shift.reshape(self.phases.shape[0], 1)
-        if np.any(shift[:, 0] < self.span - 1e-12):
+        """exp(ik*shift) S_n(a_m, b_m; k), shape (M, K), bounded for Im k >= 0.
+
+        ``shift`` is a scalar or one value per interval and must reach the
+        interval's travel-time span (else :class:`ShiftTooSmall`); every k
+        needs Im k >= 0 (else :class:`DomainError`).
+        """
+        shift = np.broadcast_to(np.asarray(shift, dtype=float).reshape(-1),
+                                self.span.shape)
+        if np.any(shift < self.span - 1e-12):
             raise ShiftTooSmall("shift below travel-time span of a batched interval")
-
-        def func(P, kk):
-            up = np.exp(1j * (shift + P)[:, :, None] * kk[None, None, :])
-            dn = np.exp(1j * (shift - P)[:, :, None] * kk[None, None, :])
-            return np.einsum("mj,mjk->mk", self.weights, (up - dn)) / 2j
-
-        return self._sweep(k, func)
+        if np.any(np.imag(k) < -1e-12):
+            raise DomainError("regularized evaluation requires Im k >= 0")
+        return self._sweep(k, shift)
 
 
 def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b, spec: SeriesSpec,

@@ -142,8 +142,8 @@ class Contour:
         result a posteriori.
         """
         ts = [float(t) for t in np.atleast_1d(ts)]
-        if not ts or min(ts) <= 0.0:
-            raise DomainError("contour sizing needs times t > 0")
+        if not ts or not all(math.isfinite(t) and t > 0.0 for t in ts):
+            raise DomainError(f"contour sizing needs finite times t > 0, got {ts}")
         if not tol > 0.0:
             raise DomainError("contour sizing needs tol > 0")
         t_min, t_max = min(ts), max(ts)
@@ -411,10 +411,12 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
     """
     xs = [float(x) for x in np.atleast_1d(xs)]
     ts = [float(t) for t in np.atleast_1d(ts)]
-    if any(t <= 0.0 for t in ts):
-        raise DomainError("solve requires t > 0")
-    if any(x < 0.0 or x > 1.0 for x in xs):
-        raise DomainError("solve requires x in [0, 1]")
+    for t in ts:
+        if not (math.isfinite(t) and t > 0.0):
+            raise DomainError(f"solve requires finite t > 0, got t={t!r}")
+    for x in xs:
+        if not 0.0 <= x <= 1.0:
+            raise DomainError(f"solve requires x in [0, 1], got x={x!r}")
     N = spec.truncation_N
     cont = contour if contour is not None else Contour.for_times(ts, tail_tol)
     ks, ws = cont.nodes()

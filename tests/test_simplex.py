@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from varheat import SeriesSpec, make_conductivity, build_travel_time
+from varheat import SeriesSpec, make_conductivity, build_travel_time, simplex
 from varheat.errors import DomainError, OrderTooHigh, ShiftTooSmall
 from varheat.simplex import (
     _prefix_series,
@@ -16,6 +16,7 @@ from varheat.simplex import (
     term_bound,
 )
 from varheat.spectrum import find_eigenvalues
+from varheat.transform import Contour, _cheb_lobatto
 
 from conftest import PARABOLIC_TAU_TOTAL
 
@@ -34,6 +35,16 @@ def test_spec_validation():
         SeriesSpec(quad_order=1)
     with pytest.raises(DomainError):
         SeriesSpec(tol=0.0)
+
+
+def test_spec_orders_are_integers_and_tol_finite():
+    for bad in ({"truncation_N": 2.5}, {"quad_order": 8.5}, {"quad_order": "8"},
+                {"tol": math.nan}, {"tol": math.inf}, {"tol": -1e-10}):
+        with pytest.raises(DomainError):
+            SeriesSpec(**bad)
+    spec = SeriesSpec(truncation_N=np.int64(2), quad_order=np.int32(8))
+    assert (spec.truncation_N, spec.quad_order) == (2, 8)
+    assert type(spec.truncation_N) is int and type(spec.quad_order) is int
 
 
 def test_order0_is_sine_of_travel_time(parabolic, spec3):
@@ -171,6 +182,67 @@ def test_shift_too_small(parabolic, spec3):
     with pytest.raises(DomainError):
         regularized_simplex_integral(c, tt, 1, 0.0, 1.0, -1j, spec3,
                                      shift=2.0 * tt.total)
+
+
+def test_batched_regularized_requires_upper_half_plane(parabolic, spec2):
+    # E- and E+ of the sweep stay <= 1 only for Im k >= 0, as in the scalar path
+    c, tt = parabolic
+    for tab in build_term_tables(c, tt, 0.0, 1.0, spec2):
+        for ks in (1.0 - 2.0j, np.array([1.0 + 1.0j, 2.0 - 1e-9j])):
+            with pytest.raises(DomainError, match="Im k"):
+                tab.eval_regularized(ks, tt.total)
+        assert np.isfinite(tab.eval_regularized(2.0 - 1e-13j, tt.total)).all()
+
+
+def test_batched_regularized_stays_bounded_high_up(parabolic, spec2):
+    # Batched twin of test_regularized_stays_bounded_high_up: sin(kP) alone
+    # overflows here, so a kernel that formed it before the shift gives NaN.
+    c, tt = parabolic
+    a = np.array([0.0, 0.0, 0.3])
+    b = np.array([0.4, 1.0, 0.9])
+    shifts = tt.tau(b) - tt.tau(a)
+    ks = np.array([200.0j, 3.0 + 300.0j])
+    for tab in build_term_tables(c, tt, a, b, spec2):
+        vals = tab.eval_regularized(ks, shifts)
+        assert np.all(np.isfinite(vals))
+        for m in range(a.size):
+            for j, k in enumerate(ks):
+                ref = regularized_simplex_integral(c, tt, tab.n, a[m], b[m], k, spec2,
+                                                   float(shifts[m]))
+                assert abs(vals[m, j] - ref) <= 1e-12 * abs(ref), (tab.n, m, k)
+
+
+def _einsum_sweep(tab, ks, shift):
+    """Complex reference: sum_j W exp(ik shift) sin(kP) over whole arrays."""
+    P = (tab.const[:, None] + tab.phases)[:, :, None]
+    ks = np.atleast_1d(ks)[None, None, :]
+    shift = np.broadcast_to(shift, tab.span.shape)[:, None, None]
+    terms = np.exp(1j * ks * shift) * np.sin(ks * P)
+    return np.einsum("mj,mjk->mk", tab.weights, terms)
+
+
+@pytest.mark.parametrize("block", [simplex._SWEEP_BLOCK, 5000])
+@pytest.mark.parametrize("profile", ["parabolic", "const1"])
+def test_term_table_blocks_match_complex_reference(profile, block, spec2, request,
+                                                   monkeypatch):
+    # (0, y) rows on a 48-point Chebyshev grid span many row blocks at K = 31
+    # contour nodes; a block of 5000 elements also splits the nodes and leaves
+    # partial blocks at both edges.  Constant sigma has zero weights for n >= 1.
+    monkeypatch.setattr(simplex, "_SWEEP_BLOCK", block)
+    c, tt = request.getfixturevalue(profile)
+    ygrid = _cheb_lobatto(48)
+    cont = Contour.for_times([0.25, 1.0, 4.0])
+    nodes = cont.nodes()[0][cont.half_count:]
+    assert nodes.size == 31
+    for tab in build_term_tables(c, tt, 0.0, ygrid, spec2):
+        for ks in (1.3 + 0.7j, nodes):
+            for got, want in ((tab.eval_plain(ks), _einsum_sweep(tab, ks, 0.0)),
+                              (tab.eval_regularized(ks, tab.span),
+                               _einsum_sweep(tab, ks, tab.span))):
+                assert got.shape == (48, np.size(ks))
+                assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+                if profile == "const1" and tab.n > 0:
+                    assert not np.any(got)
 
 
 def test_term_tables_match_scalar_path(parabolic, spec2):

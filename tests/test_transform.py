@@ -284,6 +284,22 @@ def test_solve_input_validation(parabolic, spec2):
         solve(c, tt, quadratic, 1.5, 1.0, spec2)
 
 
+def test_solve_rejects_nan_x(parabolic, spec2):
+    # NaN fails every comparison, so it must not pass as a boundary point
+    c, tt = parabolic
+    with pytest.raises(DomainError, match="x="):
+        solve_grid(c, tt, quadratic, [0.5, math.nan], [1.0], spec2)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_solve_rejects_non_finite_t(parabolic, spec2, t):
+    c, tt = parabolic
+    with pytest.raises(DomainError, match="t="):
+        solve_grid(c, tt, quadratic, [0.5], [1.0, t], spec2)
+    with pytest.raises(DomainError, match="finite"):
+        Contour.for_times([1.0, t])
+
+
 def test_denominator_floor_triggers(parabolic, spec2):
     # s tan(delta) -> 0 puts the vertex on the zero of Delta at k = 0
     c, tt = parabolic
