@@ -198,6 +198,19 @@ def _check_order(n, quad_order):
     return quad_order**n
 
 
+def _check_regularized(k, shift, span):
+    """Raise unless exp(ik*shift) S stays bounded: Im k >= 0, finite shift >= span."""
+    if np.any(np.imag(k) < -1e-12):
+        raise DomainError("regularized evaluation requires Im k >= 0")
+    if not np.all(np.isfinite(shift)):
+        raise DomainError("regularized evaluation needs a finite shift")
+    if np.any(shift < span - 1e-12):
+        raise ShiftTooSmall(
+            f"shift falls {float(np.max(span - shift)):.3g} below the travel-time "
+            "span; the combined exponents would grow"
+        )
+
+
 def _expand_level(lo, up, W, T, sign, mu_vals_fn, tau_vals_fn, x01, w01):
     """Add one inner simplex variable; upper limits shrink to current nodes."""
     span = up - lo
@@ -281,20 +294,13 @@ def regularized_simplex_integral(c: Conductivity, tt: TravelTimeMap, n: int, a: 
                                  b: float, k, spec: SeriesSpec, shift: float) -> complex:
     """Evaluate exp(ik*shift) * S_n(a, b; k) in overflow-safe form.
 
-    Requires Im k >= 0 and shift >= tau(b) - tau(a); every combined
-    exponent then decays in the upper half k-plane.
+    Requires Im k >= 0 and a finite shift >= tau(b) - tau(a); every
+    combined exponent then decays in the upper half k-plane.
     """
     _check_interval(a, b)
-    kc = complex(k)
-    if kc.imag < -1e-12:
-        raise DomainError("regularized evaluation requires Im k >= 0")
-    span = tt.tau(b) - tt.tau(a)
-    if shift < span - 1e-12:
-        raise ShiftTooSmall(
-            f"shift={shift:g} is below the travel-time span {span:g}; "
-            "the combined exponents would grow"
-        )
-    return _fold_simplex(c, tt, n, a, b, spec.quad_order, _kernel_regularized(kc, shift))
+    _check_regularized(k, shift, tt.tau(b) - tt.tau(a))
+    return _fold_simplex(c, tt, n, a, b, spec.quad_order,
+                         _kernel_regularized(complex(k), shift))
 
 
 def series_sum(c: Conductivity, tt: TravelTimeMap, a: float, b: float, k,
@@ -312,13 +318,8 @@ def regularized_series_sum(c: Conductivity, tt: TravelTimeMap, a: float, b: floa
                            spec: SeriesSpec, shift: float) -> complex:
     """Regularized counterpart of :func:`series_sum` (same shift every term)."""
     _check_interval(a, b)
-    kc = complex(k)
-    if kc.imag < -1e-12:
-        raise DomainError("regularized evaluation requires Im k >= 0")
-    span = tt.tau(b) - tt.tau(a)
-    if shift < span - 1e-12:
-        raise ShiftTooSmall(f"shift={shift:g} below travel-time span {span:g}")
-    kern = _kernel_regularized(kc, shift)
+    _check_regularized(k, shift, tt.tau(b) - tt.tau(a))
+    kern = _kernel_regularized(complex(k), shift)
     return complex(
         sum(_fold_simplex(c, tt, n, a, b, spec.quad_order, kern)
             for n in range(spec.truncation_N + 1))
@@ -410,28 +411,25 @@ class TermTable:
     def eval_regularized(self, k, shift):
         """exp(ik*shift) S_n(a_m, b_m; k), shape (M, K), bounded for Im k >= 0.
 
-        ``shift`` is a scalar or one value per interval and must reach the
-        interval's travel-time span (else :class:`ShiftTooSmall`); every k
-        needs Im k >= 0 (else :class:`DomainError`).
+        ``shift`` is a scalar or one value per interval, must be finite
+        (else :class:`DomainError`) and must reach the interval's
+        travel-time span (else :class:`ShiftTooSmall`); every k needs
+        Im k >= 0 (else :class:`DomainError`).
         """
         shift = np.broadcast_to(np.asarray(shift, dtype=float).reshape(-1),
                                 self.span.shape)
-        if np.any(shift < self.span - 1e-12):
-            raise ShiftTooSmall("shift below travel-time span of a batched interval")
-        if np.any(np.imag(k) < -1e-12):
-            raise DomainError("regularized evaluation requires Im k >= 0")
+        _check_regularized(k, shift, self.span)
         return self._sweep(k, shift)
 
 
-def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b, spec: SeriesSpec,
-                      max_order: int | None = None) -> list[TermTable]:
+def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b,
+                      spec: SeriesSpec) -> list[TermTable]:
     """Precompute tuples of S_0..S_N over a batch of intervals.
 
     ``a`` and ``b`` broadcast to a common length M; returns one
     :class:`TermTable` per order.  Memory is M * quad_order**n tuples per
     order, so high orders are refused here (use the scalar evaluators).
     """
-    N = spec.truncation_N if max_order is None else max_order
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     a, b = np.broadcast_arrays(a, b)
@@ -446,7 +444,7 @@ def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b, spec: SeriesSpec
     span = tau(b) - tau(a)
 
     tables = []
-    for n in range(N + 1):
+    for n in range(spec.truncation_N + 1):
         count = _check_order(n, spec.quad_order)
         if count > _TABLE_LIMIT:
             raise OrderTooHigh(

@@ -9,8 +9,15 @@ product of the (0, min(x,y)) and (max(x,y), 1) series, and
 Phi(k,x) = int_0^1 Psi(k,x,y) q0(y) / sqrt(sigma(x) sigma(y)) dy.
 
 Numerically both numerator and denominator are multiplied by
-exp(i k tau(1)) so that each decays in the upper half plane.  The contour
-Gamma is the hyperbola
+exp(i k tau(1)) so that each stays bounded in the upper half plane.  The
+solver builds two term tables, one per side, over the intervals (0, b) and
+(a, 1) whose ends run over a Chebyshev grid in y and the requested x, and
+sweeps each row once, regularized by its own travel-time span.  The grid
+rows feed the y-integrals, the x rows are the endpoint factors, and the
+y = 1 row is regDelta.  The remaining phase exp(ik |tau(x) - tau(y)|) is
+folded into the y-quadrature and has modulus <= 1, so no intermediate
+grows with Im k and small times, whose contours reach far up, stay finite.
+The contour Gamma is the hyperbola
 
     k(u) = s (sinh u + i tan(delta) cosh u),   u real,
 
@@ -298,60 +305,56 @@ def _segment_weights(c, q0, lo, hi, per_unit):
 
 
 def _phi_batch(c, tt, q0, ks, xs, spec, kmax):
-    """Regularized Phi_n(k, x) for all orders n <= N, contour nodes, and xs.
+    """Regularized Phi_n(k, x) and Delta_n(k) for all orders n <= N.
 
-    Returns an array of shape (N+1, X, K) holding exp(ik tau(1)) Phi with the
-    series *cumulative* in n (entry n is the truncation-N=n value).
+    Returns (phi, regD) of shapes (N+1, X, K) and (N+1, K): exp(ik tau(1))
+    times Phi and Delta, with the series *cumulative* in n (entry n is the
+    truncation-N=n value).
 
-    The y-integral is evaluated through a Chebyshev-Lobatto grid in y: the
-    simplex series over (0, y) and (y, 1) are smooth in y, so their values on
-    the grid interpolate to any quadrature node, which turns the whole double
-    sweep into small matrix products reused by every x.  ``kmax``, the
-    largest |k| on the contour, sizes the y-grid and the y-quadrature.
+    Two term tables serve everything: rows (0, b) and (a, 1) with the ends
+    a, b running over a Chebyshev-Lobatto grid in y followed by the xs.
+    Each row is swept once, regularized by its own travel-time span, so
+    every value is bounded for Im k >= 0.  The y-grid rows interpolate the
+    simplex series to the y-quadrature nodes, the x rows are the endpoint
+    factors, and the y = 1 row of the left table is regDelta.  The phase
+    still owed to each y-integrand, exp(ik (tau(x) - tau(y))) with y <= x
+    on the left and exp(ik (tau(y) - tau(x))) with y >= x on the right, has
+    modulus <= 1 and is folded into the quadrature weights, which turns the
+    whole double sweep into small matrix products.  ``kmax``, the largest
+    |k| on the contour, sizes the y-grid and the y-quadrature.
     """
     total = tt.total
     X = len(xs)
     K = ks.size
-    N = spec.truncation_N
     G = min(220, max(48, int(0.75 * kmax * total) + 16))
     ygrid = _cheb_lobatto(G)
-
-    left_tabs = build_term_tables(c, tt, 0.0, ygrid, spec)
-    right_tabs = build_term_tables(c, tt, ygrid, 1.0, spec)
-    SL = np.stack([tab.eval_plain(ks) for tab in left_tabs])    # (N+1, G, K)
-    SR = np.stack([tab.eval_plain(ks) for tab in right_tabs])
-    np.cumsum(SL, axis=0, out=SL)
-    np.cumsum(SR, axis=0, out=SR)
-
     xs_arr = np.asarray(xs, dtype=float)
-    tau_x = tt.tau(xs_arr)
-    # Endpoint factors, regularized with their own travel-time span.
-    fac_left_tabs = build_term_tables(c, tt, 0.0, xs_arr, spec)
-    fac_right_tabs = build_term_tables(c, tt, xs_arr, 1.0, spec)
-    FL = np.stack([tab.eval_regularized(ks, tau_x[:, None]) for tab in fac_left_tabs])
-    FR = np.stack([tab.eval_regularized(ks, (total - tau_x)[:, None]) for tab in fac_right_tabs])
-    np.cumsum(FL, axis=0, out=FL)
-    np.cumsum(FR, axis=0, out=FR)
+    ends = np.concatenate([ygrid, xs_arr])
+    left, right = (
+        np.cumsum([tab.eval_regularized(ks, tab.span)
+                   for tab in build_term_tables(c, tt, a, b, spec)], axis=0)
+        for a, b in ((0.0, ends), (ends, 1.0))
+    )  # (N+1, G+X, K) each
 
     per_unit = max(24.0, 0.9 * kmax * total)
-    CL = np.zeros((X, G))
-    CR = np.zeros((X, G))
+    tau_x = tt.tau(xs_arr)
+    CL = np.zeros((X, G, K), dtype=complex)
+    CR = np.zeros((X, G, K), dtype=complex)
     for i, x in enumerate(xs_arr):
-        pts, wq = _segment_weights(c, q0, 0.0, float(x), per_unit)
-        if pts.size:
-            CL[i] = wq @ _barycentric_matrix(ygrid, pts)
-        pts, wq = _segment_weights(c, q0, float(x), 1.0, per_unit)
-        if pts.size:
-            CR[i] = wq @ _barycentric_matrix(ygrid, pts)
+        for C, lo, hi, sign in ((CL, 0.0, x, 1.0), (CR, x, 1.0, -1.0)):
+            pts, wq = _segment_weights(c, q0, lo, hi, per_unit)
+            if pts.size:
+                gap = sign * (tau_x[i] - tt.tau(pts))  # >= 0
+                kernel = wq[:, None] * np.exp(1j * np.multiply.outer(gap, ks))
+                C[i] = _barycentric_matrix(ygrid, pts).T @ kernel
 
-    # P(n, x, k) = int_0^x S_sum(0,y) q0/sqrt(sigma) dy, likewise R on (x, 1).
-    P = np.einsum("xg,ngk->nxk", CL, SL)
-    R = np.einsum("xg,ngk->nxk", CR, SR)
-    phase_left = np.exp(1j * np.multiply.outer(tau_x, ks))          # (X, K)
-    phase_right = np.exp(1j * np.multiply.outer(total - tau_x, ks))
-    phi = FR * (phase_left[None] * P) + FL * (phase_right[None] * R)
+    # The y-integrals on (0, x) and (x, 1); each times the opposite endpoint
+    # factor carries exp(ik tau(1)) exactly once.
+    P = np.einsum("xgk,ngk->nxk", CL, left[:, :G])
+    R = np.einsum("xgk,ngk->nxk", CR, right[:, :G])
+    phi = right[:, G:] * P + left[:, G:] * R
     phi /= np.sqrt(c.sigma(xs_arr))[None, :, None]
-    return phi
+    return phi, left[:, G - 1]
 
 
 def _check_quadrature(cont, integrand, weighted, ts, tol):
@@ -395,9 +398,10 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
 
     One contour serves the whole batch: unless ``contour`` is given,
     :meth:`Contour.for_times` sizes it from the smallest and largest t and
-    ``tail_tol``.  The characteristic function, the Phi batch over the
-    interior x and the denominator check are computed once, on the vertex
-    and the Re k > 0 nodes only; the integrand at the other half follows
+    ``tail_tol``.  Phi over the interior x and regDelta come from one
+    :func:`_phi_batch` of two term tables (regDelta is the y = 1 row of the
+    left one), computed once, on the vertex and the Re k > 0 nodes only,
+    and every value in it is bounded; the integrand at the other half follows
     from f(-conj(k)) = -conj(f(k)), which holds because sigma is real and
     ``q0`` must be real (a complex, NaN or infinite q0 raises
     :class:`DomainError`).  All times come out of one (X, K) @ (K, T)
@@ -408,6 +412,11 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
     of the regularized characteristic function, :class:`TailTooLarge` if the
     truncation bound at the last node exceeds ``tail_tol`` at some t, and
     :class:`ToleranceNotReached` if the trapezoid error estimate does.
+
+    On ``parabolic24`` with q0 = x(1 - x) and N = 2 the error against the
+    exact x(1 - x) exp(-t) is about 1.6e-6 at t = 0.01 (truncation: 5.8e-8
+    at N = 3) and below 1e-4 at t = 1e-4 and 1e-5, where the quad_order = 32
+    simplex tuples, not the contour, limit the accuracy.
     """
     xs = [float(x) for x in np.atleast_1d(xs)]
     ts = [float(t) for t in np.atleast_1d(ts)]
@@ -422,11 +431,10 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
     ks, ws = cont.nodes()
     # The vertex and the Re k > 0 nodes; node j mirrors node 2M - j.
     half = ks[cont.half_count:]
-    delta_tabs = build_term_tables(c, tt, 0.0, 1.0, spec)
-    regD = np.cumsum(
-        np.stack([tab.eval_regularized(half, tt.total)[0] for tab in delta_tabs]),
-        axis=0,
-    )  # (N+1, M+1)
+    inside = np.array([0.0 < x < 1.0 for x in xs])
+    interior = [x for x, keep in zip(xs, inside) if keep]
+    phi, regD = _phi_batch(c, tt, q0, half, interior, spec,
+                           float(np.abs(ks).max()))  # (N+1, X, M+1), (N+1, M+1)
     # |regDelta| is mirror invariant, so the half decides the check.
     dscale = np.abs(regD[N])
     floor = _DENOMINATOR_FLOOR * max(1.0, float(dscale.max()))
@@ -436,12 +444,8 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
             "raise its vertex s tan(delta)"
         )
     orders = range(N + 1) if all_orders else (N,)
-    inside = np.array([0.0 < x < 1.0 for x in xs])
     vals = np.zeros((N + 1, len(xs), len(ts)), dtype=complex)
     if inside.any():
-        interior = [x for x, keep in zip(xs, inside) if keep]
-        phi = _phi_batch(c, tt, q0, half, interior, spec,
-                         float(np.abs(ks).max()))  # (N+1, X, M+1)
         right = phi / regD[:, None, :]
         integrand = np.concatenate([-np.conj(right[..., :0:-1]), right], axis=-1)
         t_arr = np.array(ts)

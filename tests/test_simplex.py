@@ -184,6 +184,22 @@ def test_shift_too_small(parabolic, spec3):
                                      shift=2.0 * tt.total)
 
 
+@pytest.mark.parametrize("shift", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["simplex_integral", "series_sum", "term_table"])
+def test_regularized_rejects_non_finite_shift(parabolic, spec2, entry, shift):
+    # NaN fails the shift >= span comparison, and an infinite shift makes
+    # exp(ik shift) meaningless, so both must raise rather than return NaN
+    c, tt = parabolic
+    k = 1.0 + 1.0j
+    with pytest.raises(DomainError, match="finite shift"):
+        if entry == "simplex_integral":
+            regularized_simplex_integral(c, tt, 1, 0.0, 1.0, k, spec2, shift)
+        elif entry == "series_sum":
+            regularized_series_sum(c, tt, 0.0, 1.0, k, spec2, shift)
+        else:
+            build_term_tables(c, tt, 0.0, 1.0, spec2)[1].eval_regularized(k, shift)
+
+
 def test_batched_regularized_requires_upper_half_plane(parabolic, spec2):
     # E- and E+ of the sweep stay <= 1 only for Im k >= 0, as in the scalar path
     c, tt = parabolic

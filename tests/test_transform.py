@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varheat import SeriesSpec, build_travel_time, make_conductivity
+from varheat import SeriesSpec, build_travel_time, make_conductivity, transform
 from varheat.errors import (
     DenominatorNearZero,
     DomainError,
@@ -207,7 +208,7 @@ def _full_contour_solve(c, tt, q0, xs, ts, spec):
     ks, ws = Contour.for_times(ts).nodes()
     regD = sum(tab.eval_regularized(ks, tt.total)[0]
                for tab in build_term_tables(c, tt, 0.0, 1.0, spec))
-    phi = _phi_batch(c, tt, q0, ks, xs, spec, float(np.abs(ks).max()))[N]
+    phi = _phi_batch(c, tt, q0, ks, xs, spec, float(np.abs(ks).max()))[0][N]
     weighted = np.exp(-np.multiply.outer(ks**2, np.array(ts))) * ws[:, None]
     return ((phi / regD) @ weighted / (1j * math.pi)).real  # (X, T)
 
@@ -228,22 +229,32 @@ def test_solve_half_sweep_matches_full_contour(profile, request, spec2):
 
 
 def test_solve_sweeps_half_the_contour(parabolic, spec2, monkeypatch):
+    # one table per side, each row swept once and only in regularized form
     c, tt = parabolic
-    swept = []
+    swept = {"eval_plain": [], "eval_regularized": []}
+    builds = []
 
-    def counting(method):
+    def counting(name):
+        method = getattr(TermTable, name)
+
         def wrapped(self, k, *args):
-            swept.append(np.atleast_1d(k).size)
+            swept[name].append(np.atleast_1d(k).size)
             return method(self, k, *args)
         return wrapped
 
-    monkeypatch.setattr(TermTable, "eval_plain", counting(TermTable.eval_plain))
-    monkeypatch.setattr(TermTable, "eval_regularized",
-                        counting(TermTable.eval_regularized))
+    def counting_builds(*args, **kwargs):
+        builds.append(args)
+        return build_term_tables(*args, **kwargs)
+
+    for name in swept:
+        monkeypatch.setattr(TermTable, name, counting(name))
+    monkeypatch.setattr(transform, "build_term_tables", counting_builds)
     solve_grid(c, tt, quadratic, np.linspace(0.0, 1.0, 21), FIGURE2_TS, spec2,
                all_orders=True)
     half_count = Contour.for_times(FIGURE2_TS).half_count
-    assert swept and max(swept) <= half_count + 1
+    assert len(builds) == 2
+    assert swept["eval_plain"] == []
+    assert swept["eval_regularized"] == [half_count + 1] * (2 * (spec2.truncation_N + 1))
 
 
 def test_solve_realness_residual(parabolic, spec2):
@@ -261,19 +272,35 @@ def test_solve_large_time_decay(parabolic, spec2):
     assert abs(v5) <= math.exp(lam1 * 4.0) * abs(v1) * 1.1
 
 
-def test_solve_batched_matches_pointwise_phi(parabolic, spec2):
+@pytest.mark.parametrize("t", [1.0, 0.01])
+def test_solve_batched_matches_pointwise_phi(parabolic, spec2, t):
     # cross-check of the production batched kernel against the direct
-    # pointwise quadrature path, through the full contour integral
+    # pointwise quadrature path, through the full contour integral; the
+    # t = 0.01 contour reaches Im k = 21.6, where exp(Im k tau(1)) ~ 2e28
     c, tt = parabolic
-    ks, _ = Contour.for_times([1.0]).nodes()
+    ks, _ = Contour.for_times([t]).nodes()
     # nine nodes spanning the whole contour, both ends included
     probe = ks[np.round(np.linspace(0, ks.size - 1, 9)).astype(int)]
-    phi = _phi_batch(c, tt, quadratic, probe, [0.35, 0.8], spec2,
-                     float(np.abs(ks).max()))
+    phi, _ = _phi_batch(c, tt, quadratic, probe, [0.35, 0.8], spec2,
+                        float(np.abs(ks).max()))
     for i, x in enumerate((0.35, 0.8)):
         for j, k in enumerate(probe):
             direct = phi_fn(c, tt, k, x, quadratic, spec2, regularized=True)
             assert abs(phi[2, i, j] - direct) < 1e-9
+
+
+@pytest.mark.parametrize("t, tol", [(0.01, 1e-5), (1e-4, 1e-3), (1e-5, 1e-3)])
+def test_solve_small_times_match_exact(parabolic, spec2, t, tol):
+    # x(1-x) e^{-t} is exact on parabolic24.  Small times put the contour
+    # end high in the upper half plane, where every table value must stay
+    # bounded: no overflow warning, no NaN, no tail refusal.
+    c, tt = parabolic
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve_grid(c, tt, quadratic, [0.1, 0.3, 0.5], [t], spec2)[t]
+    for s in res:
+        assert math.isfinite(s.value)
+        assert abs(s.value - quadratic(s.x) * math.exp(-t)) <= tol, s.x
 
 
 def test_solve_input_validation(parabolic, spec2):
