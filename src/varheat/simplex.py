@@ -10,14 +10,27 @@ where mu = sigma'/sigma and the phase A(y) alternates travel-time gaps:
     A(y) = sum_{p=0..n} (-1)**p (tau(y_{p+1}) - tau(y_p)),
     y_0 = a, y_{n+1} = b.
 
-Since tau enters linearly, A(y) = c + sum_p 2*(-1)**(p+1) tau(y_p) with the
-constant c = -tau(a) + (-1)**n tau(b), so a quadrature rule for the simplex
-reduces to a list of (weight, phase) pairs that are *independent of k*.  All
-evaluators below exploit that: nested Gauss-Legendre nodes are expanded once
+Two evaluators compute it.
+
+The prefix recursion (``_prefix_series``) gives every term S_n(0, y; k) for
+all upper limits y at once, for any k with Im k >= 0, in n cumulative
+integrations on composite 12-node Gauss panels, at a cost linear in n.  It
+returns e^{ik tau(y)} S_n, which stays bounded in the upper half plane,
+because e^{ik tau(y)} sin(kA) splits into two exponentials of twice the even
+and twice the odd gaps, each of modulus <= 1.  The suffix terms S_n(y, 1; k)
+are the same recursion on the reflected profile sigma(1 - x).  The solver
+(``transform.solve_grid``) and the eigenfunctions (``spectrum``) both use it,
+with max(32, ceil(|k| tau(1))) panels rounded up to a power of two.
+
+The quadrature tuples serve Delta_N on (0, 1), its real roots and the scalar
+references.  Since tau enters linearly, A(y) = c + sum_p 2*(-1)**(p+1)
+tau(y_p) with the constant c = -tau(a) + (-1)**n tau(b), so a quadrature
+rule for the simplex reduces to a list of (weight, phase) pairs that are
+*independent of k*: nested Gauss-Legendre nodes are expanded once
 (innermost limits shrink with the outer variable) and then any number of k
 values can be swept as dot products against the tuple arrays.
 
-Every evaluator sums W * exp(ik*shift) * sin(k*(c+T)) over the tuples:
+Every tuple evaluator sums W * exp(ik*shift) * sin(k*(c+T)):
 shift = 0 is the plain series, fine for real and moderately complex k.  The
 regularized form takes shift >= tau(b)-tau(a) >= |c+T|, so for Im k >= 0
 every exponent's real part is at most 0 and no intermediate exceeds
@@ -33,29 +46,21 @@ real arithmetic: with k = a + ib and P = c + T,
 
 so the regularized condition (b >= 0, shift >= |P|) is exactly E-, E+ <= 1.
 
-Cost grows as quad_order**n; orders above ORDER_CAP are refused.
-
-For real k and the lower limit 0, ``_prefix_series`` gives every term
-S_n(0, y; k) for all upper limits y at once, in n cumulative integrations on
-composite Gauss panels, at a cost linear in n (the eigenfunction path).
+Tuple cost grows as quad_order**n; orders above ORDER_CAP are refused.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import (
-    Conductivity,
-    TravelTimeMap,
-    _panel_gauss,
-    _unit_gauss,
-    log_derivative,
-)
+from .coefficients import Conductivity, TravelTimeMap, _panel_gauss, _unit_gauss, log_derivative
 from .errors import DomainError, OrderTooHigh, ShiftTooSmall
 
 __all__ = [
@@ -85,7 +90,10 @@ class SeriesSpec:
     """Truncation and quadrature configuration for the series evaluators.
 
     truncation_N: series cut at n <= N (N >= 0).
-    quad_order:   Gauss-Legendre nodes per simplex dimension (>= 2).
+    quad_order:   Gauss-Legendre nodes per simplex dimension (>= 2) of the
+                  quadrature tuples: the roots, ``delta_values`` and the
+                  scalar references.  The solve and the eigenfunctions use
+                  the prefix recursion, whose panels follow |k| instead.
     tol:          target absolute accuracy per term (used by audits).
     """
 
@@ -110,6 +118,12 @@ class SeriesSpec:
 
 # Gauss nodes per panel of the prefix recursion.
 _PREFIX_ORDER = 12
+# Fewest panels of the prefix recursion (see _panel_count).
+_MIN_PANELS = 32
+# Largest growth Im(omega) (tau(s) - tau_ref) of a phase factor inside one
+# block of a cumulative integral (twice that for the squared factors of the
+# recursion at 2k; e^64 ~ 6e27 is far from overflow).
+_GROWTH = 32.0
 # Composite Gauss rule of abs_log_derivative_integral: panels x nodes.
 _ABS_MU_PANELS = 64
 _ABS_MU_ORDER = 12
@@ -119,62 +133,165 @@ _ABS_MU_ORDER = 12
 def _unit_cumulative(order):
     """Spectral integration on [0, 1] at the Gauss nodes, cached per order.
 
-    (Q @ f)[i] is the integral from 0 to x_i of the degree order-1
-    polynomial that interpolates f at the nodes x_j.
+    For i < order, (Q @ f)[i] is the integral from 0 to x_i of the degree
+    order-1 polynomial that interpolates f at the nodes x_j; the last row,
+    the Gauss weights, integrates it over [0, 1].
     """
-    x01, _ = _unit_gauss(order)
+    x01, w01 = _unit_gauss(order)
     t = 2.0 * x01 - 1.0
     legendre = np.polynomial.legendre
     # antider[i, j] = int_{-1}^{t_i} P_j; vander[i, j] = P_j(t_i).
     antider = legendre.legval(t, legendre.legint(np.eye(order), lbnd=-1.0)).T
     vander = legendre.legvander(t, order - 1)
-    return 0.5 * np.linalg.solve(vander.T, antider.T).T
+    return np.vstack([0.5 * np.linalg.solve(vander.T, antider.T).T, w01])
 
 
-def _prefix_series(c, tt, edges, k, N):
-    """Terms S_0..S_N(0, y; k) for real k by prefix recursion on Gauss panels.
+def _panel_count(k, total):
+    """Panels of the prefix recursion at wavenumbers k: max(32, ceil(|k| tau(1))),
+    rounded up to a power of two so that nearby wavenumbers share a grid."""
+    wanted = np.maximum(_MIN_PANELS, np.ceil(np.abs(k) * total))
+    return 2 ** np.ceil(np.log2(wanted)).astype(int)
 
-    With A linear in tau(y_p), sin(kA) = Im e^{ikA} factors over the
-    simplex variables:
 
-        S_n(0, y; k) = 2**-n Im[e^{ik(-1)**n tau(y)} F_n(y)],   F_0 = 1,
-        F_p(y) = int_0^y mu(s) e^{2ik(-1)**(p+1) tau(s)} F_{p-1}(s) ds,
+def _panel_edges(c, count, points=()):
+    """``count`` uniform panels on [0, 1], split at ``points`` and at the knots
+    of a tabulated profile (the quadrature is smooth only between them)."""
+    return np.unique(np.concatenate([np.linspace(0.0, 1.0, count + 1),
+                                     c.params.get("knots", ()), points]))
 
-    so each order costs one cumulative integration.  On each panel between
-    consecutive ``edges`` (increasing, from 0 to at most 1) F_p comes from
-    the spectral integration matrix at the Gauss nodes; a cumulative sum of
-    the panel integrals carries it across panels, so values at the edges
-    carry no interpolation error.
 
-    Returns (pts, wts, at_nodes, at_edges): the panel nodes and weights,
-    shape (P, _PREFIX_ORDER), and the terms, shapes (N + 1, P, _PREFIX_ORDER)
-    and (N + 1, P + 1).
-    """
+class _Panels(NamedTuple):
+    """Composite Gauss panels: nodes and weights, mu and tau at the nodes, all
+    shaped (P, _PREFIX_ORDER), and tau at the P + 1 edges."""
+
+    pts: np.ndarray
+    wts: np.ndarray
+    mu: np.ndarray
+    tau: np.ndarray
+    tau_edges: np.ndarray
+
+    def reflected(self, total):
+        """The panels of x -> 1 - x, on which sigma(1 - x) has mu -> -mu and
+        tau -> tau(1) - tau, so S_n(y, 1; sigma) = S_n(0, 1 - y; sigma(1 - .))."""
+        pts, wts, mu, tau = (a[::-1, ::-1] for a in self[:4])
+        return _Panels(1.0 - pts, wts, -mu, total - tau, total - self.tau_edges[::-1])
+
+
+def _panels(c, tt, edges):
+    """:class:`_Panels` between ``edges`` (increasing, from 0 to at most 1)."""
     edges = np.asarray(edges, dtype=float)
     if not (edges[0] == 0.0 and edges[-1] <= 1.0):
-        raise DomainError(
-            f"series points must lie in [0, 1], got [{edges[0]:g}, {edges[-1]:g}]"
-        )
-    k = float(k)
+        raise DomainError(f"series points must lie in [0, 1], got {edges[0]:g}..{edges[-1]:g}")
     pts, wts = _panel_gauss(edges, _PREFIX_ORDER)
-    cumulative = _unit_cumulative(_PREFIX_ORDER)
-    width = np.diff(edges)[:, None]
-    tau_pts = tt.tau(pts)
-    tau_edges = tt.tau(edges)
-    up = log_derivative(c, pts) * np.exp(2j * k * tau_pts)
-    F_pts = np.ones(pts.shape, dtype=complex)
-    F_edges = np.ones(edges.shape, dtype=complex)
-    at_nodes = np.empty((N + 1,) + pts.shape)
-    at_edges = np.empty((N + 1,) + edges.shape)
-    for n in range(N + 1):
-        if n > 0:
-            g = (up if n % 2 else up.conj()) * F_pts
-            F_edges = np.concatenate(([0.0], np.cumsum(np.sum(wts * g, axis=1))))
-            F_pts = F_edges[:-1, None] + width * (g @ cumulative.T)
-        sign = (-1.0) ** n
-        at_nodes[n] = 0.5**n * (np.exp(1j * sign * k * tau_pts) * F_pts).imag
-        at_edges[n] = 0.5**n * (np.exp(1j * sign * k * tau_edges) * F_edges).imag
-    return pts, wts, at_nodes, at_edges
+    return _Panels(pts, wts, log_derivative(c, pts), tt.tau(pts), tt.tau(edges))
+
+
+class _Cumulative:
+    """C(y) = int_0^y e^{i omega (tau(y) - tau(s))} f(s) ds on a panel grid.
+
+    For Im omega >= 0 the kernel has modulus <= 1, but its two factors about
+    a reference tau_ref do not.  The panels are therefore cut into blocks at
+    the edges where Im(omega) tau crosses a multiple of _GROWTH; each block's
+    first edge is its reference, so neither factor leaves
+    [e^-(_GROWTH + one panel), e^(_GROWTH + one panel)].  Inside a panel the
+    spectral matrix of :func:`_unit_cumulative` integrates
+    e^{i omega (tau_ref - tau(s))} f(s); a cumulative sum of the panel
+    integrals runs inside each block, and its end value times
+    e^{i omega (tau(end) - tau_ref)}, of modulus <= 1, carries into the next
+    block.  Real omega needs one block.  ``omega`` holds K values.
+    """
+
+    def __init__(self, panels, omega):
+        tau_edges = panels.tau_edges
+        level = np.floor(max(0.0, omega.imag.max()) / _GROWTH * tau_edges[:-1])
+        first = level.searchsorted(level)  # the first panel of each panel's block
+        self.starts = (first == np.arange(first.size)).nonzero()[0]
+        self.stops = np.append(self.starts[1:], first.size)
+        self.ref = tau_edges[first]
+        self.width = panels.wts.sum(axis=1)[:, None, None]
+        self.out_nodes = np.exp(1j * np.multiply.outer(panels.tau - self.ref[:, None], omega))
+        self.in_nodes = 1.0 / self.out_nodes
+        self.out_edges = np.exp(1j * np.multiply.outer(tau_edges[1:] - self.ref, omega))
+
+    def squared(self):
+        """The integral for 2 omega on the same blocks: every factor squared
+        (inside a block the growth then reaches twice _GROWTH)."""
+        twice = copy.copy(self)
+        for name in ("out_nodes", "in_nodes", "out_edges"):
+            setattr(twice, name, getattr(self, name) ** 2)
+        return twice
+
+    def __call__(self, f, phased=..., nodes=True):
+        """C for complex f of shape (..., P, q, K) at the nodes (..., P, q, K)
+        and at the edges (..., P + 1, K); with ``nodes`` false, the edges only.
+
+        Only the entries ``f[phased]`` take the kernel; the others are plain
+        cumulative integrals (omega = 0).  f, a C-contiguous complex array, is
+        overwritten.
+        """
+        f[phased] *= self.in_nodes
+        rows = _unit_cumulative(_PREFIX_ORDER)[None if nodes else -1:]
+        part = self.width * (rows @ f.view(float)).view(complex)  # real products
+        whole = part[..., -1, :]
+        left = np.empty_like(whole)
+        carry = 0.0
+        for lo, hi in zip(self.starts, self.stops):
+            run = carry + np.cumsum(whole[..., lo:hi, :], axis=-2)
+            left[..., lo:hi, :] = run - whole[..., lo:hi, :]
+            carry = run[..., -1:, :]
+            carry[phased] *= self.out_edges[hi - 1 : hi]
+        at_edges = left + whole
+        at_edges[phased] *= self.out_edges
+        at_edges = np.concatenate([np.zeros_like(at_edges[..., :1, :]), at_edges], axis=-2)
+        if not nodes:
+            return at_edges
+        at_nodes = left[..., None, :] + part[..., :-1, :]
+        at_nodes[phased] *= self.out_nodes
+        return at_nodes, at_edges
+
+
+def _prefix_series(panels, k, N, cumulative=None):
+    """R_n(0, y; k) = e^{ik tau(y)} S_n(0, y; k), n <= N, by prefix recursion.
+
+    With A the alternating sum of travel-time gaps (module docstring),
+    tau(y) + A and tau(y) - A are twice the sums of the even and of the odd
+    gaps, so
+
+        e^{ik tau(y)} sin(kA) = (e^{2ik sum even gaps} - e^{2ik sum odd gaps}) / 2i.
+
+    Each branch factors over the simplex variables.  With G_0 = e^{i w_0 tau(y)},
+
+        G_p(y) = int_0^y e^{i w_p (tau(y) - tau(s))} mu(s) G_{p-1}(s) ds,
+
+    where w_p = 2k on the branch's own gaps (p even in the first branch, p
+    odd in the second) and 0 on the others; R_n = 2**-n (G_n - G'_n) / 2i.
+    For Im k >= 0 no factor exceeds modulus 1, so each order costs one
+    :class:`_Cumulative` integral of both branches, stacked on a leading
+    axis (for real k the second branch is e^{2ik tau} times the conjugate of
+    the first, so only the first runs).  S_n(y, 1; k) is the same recursion
+    on ``panels.reflected(tau(1))``.
+
+    ``k`` holds K wavenumbers with Im k >= 0 (else :class:`DomainError`);
+    ``cumulative``, if given, is the :class:`_Cumulative` for omega = 2k on
+    these panels.  Returns complex arrays of shapes (N + 1, P, q, K) at the
+    panel nodes and (N + 1, P + 1, K) at the edges; real k gives
+    S_n = Re(e^{-ik tau} R_n).
+    """
+    k = np.atleast_1d(np.asarray(k, dtype=complex))
+    if k.imag.min() < -1e-12:
+        raise DomainError("the prefix recursion requires Im k >= 0")
+    cumulative = cumulative or _Cumulative(panels, 2.0 * k)
+    # G_0 = e^{2ik tau}: e^{2ik tau_ref} times the kernel's outer factor at the nodes
+    first = (np.exp(2j * np.multiply.outer(cumulative.ref, k))[:, None] * cumulative.out_nodes,
+             np.exp(2j * np.multiply.outer(panels.tau_edges, k)))
+    real = not k.imag.any()
+    G = [np.array([g, np.ones_like(g)][: 2 - real]) for g in first]
+    half_mu = 0.5 * panels.mu[..., None]  # one factor of the 2**-n per order
+    orders = [G]
+    for n in range(1, N + 1):
+        orders.append(cumulative(half_mu * orders[-1][0], phased=slice(n % 2, n % 2 + 1)))
+    return tuple((g[:, 0] - (e * g[:, 0].conj() if real else g[:, 1])) / 2j
+                 for g, e in zip(map(np.array, zip(*orders)), first))
 
 
 def _phase_const(tt, a, b, n):
@@ -225,7 +342,7 @@ def _expand_level(lo, up, W, T, sign, mu_vals_fn, tau_vals_fn, x01, w01):
 
 def _fold_simplex(c, tt, n, a, b, quad_order, kernel):
     """Apply ``kernel(W, c + T)`` over all quadrature tuples of S_n, chunked."""
-    count = _check_order(n, quad_order)
+    _check_order(n, quad_order)
     const = _phase_const(tt, a, b, n)
     if n == 0:
         return kernel(np.array([1.0]), np.array([const]))
@@ -254,29 +371,19 @@ def _fold_simplex(c, tt, n, a, b, quad_order, kernel):
 
 def _kernel_plain(k):
     kc = complex(k)
-    if kc.imag == 0.0:
-        kr = kc.real
-
-        def kern(W, P):
-            return complex(W @ np.sin(kr * P))
-
-    else:
-
-        def kern(W, P):
-            return complex(W @ np.sin(kc * P))
-
-    return kern
+    kr = kc.real if kc.imag == 0.0 else kc  # a real k keeps the sine real
+    return lambda W, P: complex(W @ np.sin(kr * P))
 
 
 def _kernel_regularized(k, shift):
     kc = complex(k)
+    return lambda W, P: complex(W @ (np.exp(1j * kc * (shift + P))
+                                     - np.exp(1j * kc * (shift - P)))) / 2j
 
-    def kern(W, P):
-        up = np.exp(1j * kc * (shift + P))
-        dn = np.exp(1j * kc * (shift - P))
-        return complex(W @ (up - dn)) / 2j
 
-    return kern
+def _sum_orders(c, tt, a, b, spec, kern):
+    return complex(sum(_fold_simplex(c, tt, n, a, b, spec.quad_order, kern)
+                       for n in range(spec.truncation_N + 1)))
 
 
 def simplex_integral(c: Conductivity, tt: TravelTimeMap, n: int, a: float, b: float,
@@ -307,11 +414,7 @@ def series_sum(c: Conductivity, tt: TravelTimeMap, a: float, b: float, k,
                spec: SeriesSpec) -> complex:
     """Partial sum over n <= truncation_N of the simplex integrals."""
     _check_interval(a, b)
-    kern = _kernel_plain(k)
-    return complex(
-        sum(_fold_simplex(c, tt, n, a, b, spec.quad_order, kern)
-            for n in range(spec.truncation_N + 1))
-    )
+    return _sum_orders(c, tt, a, b, spec, _kernel_plain(k))
 
 
 def regularized_series_sum(c: Conductivity, tt: TravelTimeMap, a: float, b: float, k,
@@ -319,11 +422,7 @@ def regularized_series_sum(c: Conductivity, tt: TravelTimeMap, a: float, b: floa
     """Regularized counterpart of :func:`series_sum` (same shift every term)."""
     _check_interval(a, b)
     _check_regularized(k, shift, tt.tau(b) - tt.tau(a))
-    kern = _kernel_regularized(complex(k), shift)
-    return complex(
-        sum(_fold_simplex(c, tt, n, a, b, spec.quad_order, kern)
-            for n in range(spec.truncation_N + 1))
-    )
+    return _sum_orders(c, tt, a, b, spec, _kernel_regularized(k, shift))
 
 
 def abs_log_derivative_integral(c: Conductivity, a: float, b: float) -> float:
@@ -443,19 +542,18 @@ def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b,
     tau = lambda y: np.asarray(tt.tau(y))
     span = tau(b) - tau(a)
 
+    # quad_order**n grows with n, so the top order decides before any expansion.
+    N = spec.truncation_N
+    if _check_order(N, spec.quad_order) > _TABLE_LIMIT:
+        raise OrderTooHigh(
+            f"order {N} at quad_order {spec.quad_order} needs {spec.quad_order**N} "
+            "stored tuples per interval; lower quad_order or use the scalar path"
+        )
     tables = []
-    for n in range(spec.truncation_N + 1):
-        count = _check_order(n, spec.quad_order)
-        if count > _TABLE_LIMIT:
-            raise OrderTooHigh(
-                f"order {n} at quad_order {spec.quad_order} needs {count} stored "
-                "tuples per interval; lower quad_order or use the scalar path"
-            )
+    for n in range(N + 1):
         const = -tau(a) + (-1.0) ** n * tau(b)
         if n == 0:
-            tables.append(
-                TermTable(0, np.ones((M, 1)), np.zeros((M, 1)), const, span)
-            )
+            tables.append(TermTable(0, np.ones((M, 1)), np.zeros((M, 1)), const, span))
             continue
         lo = a.copy()
         up = b.copy()
@@ -464,8 +562,6 @@ def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b,
         for level in range(n, 0, -1):
             sign = (-1.0) ** (level + 1)
             lo, up, W, T = _expand_level(lo, up, W, T, sign, mu, tau, x01, w01)
-        J = count
-        tables.append(
-            TermTable(n, W.reshape(M, J), T.reshape(M, J), const, span)
-        )
+        J = spec.quad_order**n
+        tables.append(TermTable(n, W.reshape(M, J), T.reshape(M, J), const, span))
     return tables

@@ -10,13 +10,14 @@ Phi(k,x) = int_0^1 Psi(k,x,y) q0(y) / sqrt(sigma(x) sigma(y)) dy.
 
 Numerically both numerator and denominator are multiplied by
 exp(i k tau(1)) so that each stays bounded in the upper half plane.  The
-solver builds two term tables, one per side, over the intervals (0, b) and
-(a, 1) whose ends run over a Chebyshev grid in y and the requested x, and
-sweeps each row once, regularized by its own travel-time span.  The grid
-rows feed the y-integrals, the x rows are the endpoint factors, and the
-y = 1 row is regDelta.  The remaining phase exp(ik |tau(x) - tau(y)|) is
-folded into the y-quadrature and has modulus <= 1, so no intermediate
-grows with Im k and small times, whose contours reach far up, stay finite.
+solver evaluates both on the prefix recursion of :mod:`varheat.simplex`:
+e^{ik tau(y)} S(0, y) on composite Gauss panels whose edges include every
+requested x, and e^{ik (tau(1) - tau(y))} S(y, 1) on the reflected panels.
+The y-integrals of Phi are one more cumulative integral each, whose kernel
+exp(ik |tau(x) - tau(y)|) has modulus <= 1, and regDelta is the y = 1 edge
+of the left series.  No intermediate grows with Im k, and the panels
+follow |k|, so small times, whose contours reach far up, stay finite and
+accurate.
 The contour Gamma is the hyperbola
 
     k(u) = s (sinh u + i tan(delta) cosh u),   u real,
@@ -63,7 +64,8 @@ from .errors import (
     TailTooLarge,
     ToleranceNotReached,
 )
-from .simplex import SeriesSpec, build_term_tables, series_sum
+from .simplex import (SeriesSpec, _Cumulative, _panel_count, _panel_edges, _panels,
+                      _prefix_series, build_term_tables, series_sum)
 
 __all__ = [
     "Contour",
@@ -213,8 +215,8 @@ def phi_fn(c: Conductivity, tt: TravelTimeMap, k, x: float, q0, spec: SeriesSpec
     Pointwise reference path: composite Gauss-Legendre in y, split at y = x
     where the kernel has a derivative kink.  ``regularized`` multiplies by
     exp(i k tau(1)) with every exponent kept decaying, so it stays bounded
-    high in the upper half plane.  The production solver uses the batched
-    equivalent in :func:`solve_grid`; the two are cross-checked in tests.
+    high in the upper half plane.  The production solver uses the prefix
+    recursion in :func:`solve_grid`; the two are cross-checked in tests.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError("phi_fn needs x in [0, 1]")
@@ -262,99 +264,73 @@ def phi_fn(c: Conductivity, tt: TravelTimeMap, k, x: float, q0, spec: SeriesSpec
 # ---------------------------------------------------------------------------
 
 
-def _cheb_lobatto(G):
-    return 0.5 * (1.0 - np.cos(np.pi * np.arange(G) / (G - 1)))
-
-
-def _barycentric_matrix(grid, targets):
-    """Rows interpolate a function known on ``grid`` to each target point."""
-    G = grid.size
-    w = np.ones(G)
-    w[1::2] = -1.0
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    diff = targets[:, None] - grid[None, :]
-    exact = np.isclose(diff, 0.0, atol=1e-15)
-    diff = np.where(exact, 1.0, diff)
-    ratios = w[None, :] / diff
-    B = ratios / ratios.sum(axis=1, keepdims=True)
-    hit_rows = exact.any(axis=1)
-    B[hit_rows] = 0.0
-    B[hit_rows, exact.argmax(axis=1)[hit_rows]] = 1.0
-    return B
+def _q0_weights(c, q0, pts):
+    """q0 / sqrt(sigma) at ``pts``; raises :class:`DomainError` unless q0 is
+    finite and real there."""
+    q = np.asarray(q0(pts))
+    if np.iscomplexobj(q) and np.any(q.imag != 0.0):
+        raise DomainError("q0 must be real: it returned complex values")
+    if not np.all(np.isfinite(q)):
+        raise DomainError("q0 must be finite: it returned NaN or inf")
+    return q.real / np.sqrt(c.sigma(pts))
 
 
 def _segment_weights(c, q0, lo, hi, per_unit):
-    """Gauss nodes and q0/sqrt(sigma)-weighted quadrature weights on [lo, hi].
-
-    Raises :class:`DomainError` unless q0 is finite and real at the nodes.
-    """
+    """Gauss nodes and q0/sqrt(sigma)-weighted quadrature weights on [lo, hi]."""
     if hi - lo <= 1e-14:
         return np.empty(0), np.empty(0)
     n_panels = max(2, math.ceil((hi - lo) * per_unit / 12.0))
     pts, wts = _panel_gauss(np.linspace(lo, hi, n_panels + 1), 12)
     pts, wts = pts.ravel(), wts.ravel()
-    q = np.asarray(q0(pts))
-    if np.iscomplexobj(q):
-        if np.any(q.imag != 0.0):
-            raise DomainError("q0 must be real: it returned complex values")
-        q = q.real
-    if not np.all(np.isfinite(q)):
-        raise DomainError("q0 must be finite: it returned NaN or inf")
-    return pts, wts * q / np.sqrt(c.sigma(pts))
+    return pts, wts * _q0_weights(c, q0, pts)
 
 
-def _phi_batch(c, tt, q0, ks, xs, spec, kmax):
+def _series_and_integral(panels, k, N, weight):
+    """R(y) = e^{ik tau(y)} S(0, y), cumulative in n, and its y-integral
+    int_0^x e^{ik (tau(x) - tau(y))} R(y) weight(y) dy, both at the edges."""
+    integral = _Cumulative(panels, k)  # its blocks also serve the recursion at 2k
+    nodes, at_edges = (np.cumsum(r, axis=0)
+                       for r in _prefix_series(panels, k, N, integral.squared()))
+    return at_edges, integral(nodes * weight, nodes=False)
+
+
+def _phi_batch(c, tt, q0, ks, xs, spec):
     """Regularized Phi_n(k, x) and Delta_n(k) for all orders n <= N.
 
     Returns (phi, regD) of shapes (N+1, X, K) and (N+1, K): exp(ik tau(1))
     times Phi and Delta, with the series *cumulative* in n (entry n is the
     truncation-N=n value).
 
-    Two term tables serve everything: rows (0, b) and (a, 1) with the ends
-    a, b running over a Chebyshev-Lobatto grid in y followed by the xs.
-    Each row is swept once, regularized by its own travel-time span, so
-    every value is bounded for Im k >= 0.  The y-grid rows interpolate the
-    simplex series to the y-quadrature nodes, the x rows are the endpoint
-    factors, and the y = 1 row of the left table is regDelta.  The phase
-    still owed to each y-integrand, exp(ik (tau(x) - tau(y))) with y <= x
-    on the left and exp(ik (tau(y) - tau(x))) with y >= x on the right, has
-    modulus <= 1 and is folded into the quadrature weights, which turns the
-    whole double sweep into small matrix products.  ``kmax``, the largest
-    |k| on the contour, sizes the y-grid and the y-quadrature.
+    Wavenumbers with the same ``simplex._panel_count`` share one panel grid,
+    whose edges include every x and the table knots.  On it the prefix
+    recursion gives R(y) = e^{ik tau(y)} S(0, y), and on the reflected grid
+    R~(y) = e^{ik (tau(1) - tau(y))} S(y, 1).  Each y-integral is one more
+    cumulative integral, with omega = k:
+
+        L(x) = int_0^x e^{ik (tau(x) - tau(y))} R(y) q0(y) / sqrt(sigma(y)) dy,
+
+    and L~(x) the same over (x, 1) on the reflected grid, so that
+    exp(ik tau(1)) Phi(x) = [R~(x) L(x) + R(x) L~(x)] / sqrt(sigma(x)), read
+    at edges with no interpolation, and regDelta = R(1).  Every factor is
+    bounded for Im k >= 0.  At x = 0 and x = 1 both products vanish, so Phi
+    is exactly 0 there.
     """
-    total = tt.total
-    X = len(xs)
-    K = ks.size
-    G = min(220, max(48, int(0.75 * kmax * total) + 16))
-    ygrid = _cheb_lobatto(G)
-    xs_arr = np.asarray(xs, dtype=float)
-    ends = np.concatenate([ygrid, xs_arr])
-    left, right = (
-        np.cumsum([tab.eval_regularized(ks, tab.span)
-                   for tab in build_term_tables(c, tt, a, b, spec)], axis=0)
-        for a, b in ((0.0, ends), (ends, 1.0))
-    )  # (N+1, G+X, K) each
-
-    per_unit = max(24.0, 0.9 * kmax * total)
-    tau_x = tt.tau(xs_arr)
-    CL = np.zeros((X, G, K), dtype=complex)
-    CR = np.zeros((X, G, K), dtype=complex)
-    for i, x in enumerate(xs_arr):
-        for C, lo, hi, sign in ((CL, 0.0, x, 1.0), (CR, x, 1.0, -1.0)):
-            pts, wq = _segment_weights(c, q0, lo, hi, per_unit)
-            if pts.size:
-                gap = sign * (tau_x[i] - tt.tau(pts))  # >= 0
-                kernel = wq[:, None] * np.exp(1j * np.multiply.outer(gap, ks))
-                C[i] = _barycentric_matrix(ygrid, pts).T @ kernel
-
-    # The y-integrals on (0, x) and (x, 1); each times the opposite endpoint
-    # factor carries exp(ik tau(1)) exactly once.
-    P = np.einsum("xgk,ngk->nxk", CL, left[:, :G])
-    R = np.einsum("xgk,ngk->nxk", CR, right[:, :G])
-    phi = right[:, G:] * P + left[:, G:] * R
-    phi /= np.sqrt(c.sigma(xs_arr))[None, :, None]
-    return phi, left[:, G - 1]
+    N = spec.truncation_N
+    xs = np.asarray(xs, dtype=float)
+    phi = np.empty((N + 1, xs.size, ks.size), dtype=complex)
+    regD = np.empty((N + 1, ks.size), dtype=complex)
+    counts = _panel_count(ks, tt.total)
+    for count in np.unique(counts):
+        group = counts == count
+        edges = _panel_edges(c, count, xs)
+        at_x = np.searchsorted(edges, xs)
+        panels = _panels(c, tt, edges)
+        weight = _q0_weights(c, q0, panels.pts)[..., None]
+        (R, L), (R_, L_) = (_series_and_integral(side, ks[group], N, w) for side, w in (
+            (panels, weight), (panels.reflected(tt.total), weight[::-1, ::-1])))
+        phi[..., group] = R_[:, -1 - at_x] * L[:, at_x] + R[:, at_x] * L_[:, -1 - at_x]
+        regD[:, group] = R[:, -1]
+    return phi / np.sqrt(c.sigma(xs))[:, None], regD
 
 
 def _check_quadrature(cont, integrand, weighted, ts, tol):
@@ -398,12 +374,13 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
 
     One contour serves the whole batch: unless ``contour`` is given,
     :meth:`Contour.for_times` sizes it from the smallest and largest t and
-    ``tail_tol``.  Phi over the interior x and regDelta come from one
-    :func:`_phi_batch` of two term tables (regDelta is the y = 1 row of the
-    left one), computed once, on the vertex and the Re k > 0 nodes only,
-    and every value in it is bounded; the integrand at the other half follows
-    from f(-conj(k)) = -conj(f(k)), which holds because sigma is real and
-    ``q0`` must be real (a complex, NaN or infinite q0 raises
+    ``tail_tol``, which must be finite and positive (else
+    :class:`DomainError`, also when a contour is given).  Phi and regDelta
+    come from one :func:`_phi_batch` of the prefix recursion, computed once,
+    on the vertex and the Re k > 0 nodes only, and every value in it is
+    bounded; the integrand at the other half follows from
+    f(-conj(k)) = -conj(f(k)), which holds because sigma is real and ``q0``
+    must be real (a complex, NaN or infinite q0 raises
     :class:`DomainError`).  All times come out of one (X, K) @ (K, T)
     product, and x = 0 and x = 1 give exactly 0.  With ``all_orders=True``
     the result is {t: {n: [samples]}} for every truncation n <= N at no
@@ -415,8 +392,8 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
 
     On ``parabolic24`` with q0 = x(1 - x) and N = 2 the error against the
     exact x(1 - x) exp(-t) is about 1.6e-6 at t = 0.01 (truncation: 5.8e-8
-    at N = 3) and below 1e-4 at t = 1e-4 and 1e-5, where the quad_order = 32
-    simplex tuples, not the contour, limit the accuracy.
+    at N = 3); the panels follow |k|, so t = 1e-4 and 1e-5, whose contours
+    reach |k| ~ 2000, stay as accurate.
     """
     xs = [float(x) for x in np.atleast_1d(xs)]
     ts = [float(t) for t in np.atleast_1d(ts)]
@@ -426,15 +403,13 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
     for x in xs:
         if not 0.0 <= x <= 1.0:
             raise DomainError(f"solve requires x in [0, 1], got x={x!r}")
+    if not (math.isfinite(tail_tol) and tail_tol > 0.0):
+        raise DomainError(f"tail_tol must be finite and positive, got {tail_tol!r}")
     N = spec.truncation_N
     cont = contour if contour is not None else Contour.for_times(ts, tail_tol)
     ks, ws = cont.nodes()
     # The vertex and the Re k > 0 nodes; node j mirrors node 2M - j.
-    half = ks[cont.half_count:]
-    inside = np.array([0.0 < x < 1.0 for x in xs])
-    interior = [x for x, keep in zip(xs, inside) if keep]
-    phi, regD = _phi_batch(c, tt, q0, half, interior, spec,
-                           float(np.abs(ks).max()))  # (N+1, X, M+1), (N+1, M+1)
+    phi, regD = _phi_batch(c, tt, q0, ks[cont.half_count:], xs, spec)
     # |regDelta| is mirror invariant, so the half decides the check.
     dscale = np.abs(regD[N])
     floor = _DENOMINATOR_FLOOR * max(1.0, float(dscale.max()))
@@ -443,24 +418,17 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
             "contour passes within the floor of a characteristic zero; "
             "raise its vertex s tan(delta)"
         )
-    orders = range(N + 1) if all_orders else (N,)
-    vals = np.zeros((N + 1, len(xs), len(ts)), dtype=complex)
-    if inside.any():
-        right = phi / regD[:, None, :]
-        integrand = np.concatenate([-np.conj(right[..., :0:-1]), right], axis=-1)
-        t_arr = np.array(ts)
-        weighted = np.exp(-np.multiply.outer(ks**2, t_arr)) * ws[:, None]  # (K, T)
-        _check_quadrature(cont, integrand[N], weighted, t_arr, tail_tol)
-        for n in orders:
-            vals[n, inside] = integrand[n] @ weighted / (1j * math.pi)  # (X, T)
+    right = phi / regD[:, None, :]
+    integrand = np.concatenate([-np.conj(right[..., :0:-1]), right], axis=-1)
+    t_arr = np.array(ts)
+    weighted = np.exp(-np.multiply.outer(ks**2, t_arr)) * ws[:, None]  # (K, T)
+    _check_quadrature(cont, integrand[N], weighted, t_arr, tail_tol)
+    vals = integrand @ weighted / (1j * math.pi)  # (N+1, X, T)
 
-    out = {t: {} for t in ts}
-    for n in orders:
-        for j, t in enumerate(ts):
-            out[t][n] = [
-                SolutionSample(x, t, float(v.real), n, float(abs(v.imag)))
-                for x, v in zip(xs, vals[n, :, j])
-            ]
+    out = {t: {n: [SolutionSample(x, t, float(v.real), n, float(abs(v.imag)))
+                   for x, v in zip(xs, vals[n, :, j])]
+               for n in (range(N + 1) if all_orders else (N,))}
+           for j, t in enumerate(ts)}
     return out if all_orders else {t: per_order[N] for t, per_order in out.items()}
 
 

@@ -185,7 +185,7 @@ def test_cli_exit_code_2_on_bad_contour(tmp_path, capsys):
 
 
 def test_cli_exit_code_1_on_numerical_failure(tmp_path, capsys):
-    # series order above the simplex cap raises OrderTooHigh in the solve
+    # series order above the tuple cap raises OrderTooHigh in the root finder
     cfg = _write_cfg(tmp_path, """
 sigma.kind = parabolic24
 profile.kind = quadratic
@@ -193,7 +193,7 @@ solve.x_points = 5
 solve.times = 0.05
 series.N = 7
 """)
-    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    rc = main(["eigs", "--config", cfg, "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "numerical failure" in capsys.readouterr().err
 

@@ -6,6 +6,7 @@ import pytest
 from varheat import SeriesSpec, make_conductivity, build_travel_time, simplex
 from varheat.errors import DomainError, OrderTooHigh, ShiftTooSmall
 from varheat.simplex import (
+    _panels,
     _prefix_series,
     abs_log_derivative_integral,
     build_term_tables,
@@ -16,7 +17,7 @@ from varheat.simplex import (
     term_bound,
 )
 from varheat.spectrum import find_eigenvalues
-from varheat.transform import Contour, _cheb_lobatto
+from varheat.transform import Contour
 
 from conftest import PARABOLIC_TAU_TOTAL
 
@@ -246,7 +247,7 @@ def test_term_table_blocks_match_complex_reference(profile, block, spec2, reques
     # partial blocks at both edges.  Constant sigma has zero weights for n >= 1.
     monkeypatch.setattr(simplex, "_SWEEP_BLOCK", block)
     c, tt = request.getfixturevalue(profile)
-    ygrid = _cheb_lobatto(48)
+    ygrid = 0.5 * (1.0 - np.cos(np.pi * np.arange(48) / 47))  # Chebyshev-Lobatto
     cont = Contour.for_times([0.25, 1.0, 4.0])
     nodes = cont.nodes()[0][cont.half_count:]
     assert nodes.size == 31
@@ -287,9 +288,10 @@ PREFIX_XS = np.array([0.1, 0.37, 0.5, 0.93, 1.0])
 
 
 def _prefix_terms_at(c, tt, panels, k, N, xs=PREFIX_XS):
+    # S_n = Re(e^{-ik tau} R_n) at real k
     edges = np.union1d(np.linspace(0.0, 1.0, panels + 1), xs)
-    at_edges = _prefix_series(c, tt, edges, k, N)[3]
-    return at_edges[:, np.searchsorted(edges, xs)]
+    at_edges = _prefix_series(_panels(c, tt, edges), k, N)[1][..., 0]
+    return (np.exp(-1j * k * tt.tau(edges)) * at_edges).real[:, np.searchsorted(edges, xs)]
 
 
 @pytest.mark.parametrize("profile", ["parabolic", "rational"])
@@ -319,3 +321,67 @@ def test_prefix_recursion_converged_on_pchip_profile():
         coarse = _prefix_terms_at(c, tt, 32, k, 3)
         fine = _prefix_terms_at(c, tt, 256, k, 3)
         assert np.max(np.abs(coarse - fine)) < 1e-10
+
+
+def test_term_tables_refuse_before_expanding(parabolic, monkeypatch):
+    # every order is checked against ORDER_CAP and the tuple limit first, so
+    # a refused request expands nothing
+    c, tt = parabolic
+    expanded = []
+
+    def counting(*args):
+        expanded.append(args[0].size)
+        return expand(*args)
+
+    expand = simplex._expand_level
+    monkeypatch.setattr(simplex, "_expand_level", counting)
+    for N in (7, 5):  # above ORDER_CAP; 32**5 tuples exceed _TABLE_LIMIT
+        with pytest.raises(OrderTooHigh):
+            build_term_tables(c, tt, 0.0, np.linspace(0.0, 1.0, 67), SeriesSpec(truncation_N=N))
+    assert expanded == []
+
+
+@pytest.mark.parametrize("profile", ["parabolic", "rational"])
+def test_prefix_recursion_complex_k_and_reflection(profile, request):
+    # e^{ik tau(y)} S_n(0, y) and, on the reflected panels,
+    # e^{ik (tau(1) - tau(y))} S_n(y, 1), against the scalar regularized path
+    c, tt = request.getfixturevalue(profile)
+    spec64 = SeriesSpec(truncation_N=3, quad_order=64)
+    xs = np.array([0.1, 0.4, 0.77])
+    ks = np.array([1.3, 5.0 + 3.0j, -4.0 + 6.0j])
+    edges = np.union1d(np.linspace(0.0, 1.0, 65), xs)
+    at_x = np.searchsorted(edges, xs)
+    panels = _panels(c, tt, edges)
+    left = _prefix_series(panels, ks, 3)[1][:, at_x]
+    right = _prefix_series(panels.reflected(tt.total), ks, 3)[1][:, -1 - at_x]
+    for n in range(4):
+        for i, x in enumerate(xs):
+            for j, k in enumerate(ks):
+                tau_x = float(tt.tau(x))
+                ref = regularized_simplex_integral(c, tt, n, 0.0, x, k, spec64, tau_x)
+                assert abs(left[n, i, j] - ref) <= 1e-12, (n, x, k)
+                ref = regularized_simplex_integral(c, tt, n, x, 1.0, k, spec64,
+                                                   tt.total - tau_x)
+                assert abs(right[n, i, j] - ref) <= 1e-12, (n, x, k)
+
+
+def test_prefix_recursion_blocks_match_one_block(parabolic, monkeypatch):
+    # At Im k = 40 the phase factors grow by e^{2 Im k tau(1)} ~ e^{241}
+    # across [0, 1]: still finite, so one block is a reference for the
+    # blocked carries (8 blocks at the default growth bound).
+    c, tt = parabolic
+    panels = _panels(c, tt, np.linspace(0.0, 1.0, 257))
+    ks = np.array([5.0 + 40.0j, 40.0j, 1.0 + 1.0j])
+    blocked = _prefix_series(panels, ks, 3)
+    monkeypatch.setattr(simplex, "_GROWTH", 1e9)
+    single = _prefix_series(panels, ks, 3)
+    for got, want in zip(blocked, single):
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_prefix_recursion_requires_upper_half_plane(parabolic):
+    c, tt = parabolic
+    panels = _panels(c, tt, np.linspace(0.0, 1.0, 33))
+    with pytest.raises(DomainError, match="Im k"):
+        _prefix_series(panels, [1.0 - 0.5j], 2)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from varheat import SeriesSpec, build_travel_time, make_conductivity
 from varheat.errors import DomainError, NoConvergence
 from varheat.oracles import fd_eigenvalues
-from varheat.simplex import _prefix_series, simplex_integral
-from varheat.spectrum import eigenfunction, find_eigenvalues
+from varheat.simplex import simplex_integral
+from varheat.spectrum import _series, eigenfunction, find_eigenvalues
 from varheat.transform import delta_values
 from varheat.verify import TABLE1_VALUES as TABLE
 
@@ -154,7 +154,7 @@ def test_eigenfunctions_build_no_term_tables(parabolic, spec2, monkeypatch):
 
 def test_eigenfunction_panels_include_table_knots():
     # sigma'' of a PCHIP profile jumps at its 40 knots, which miss the
-    # max(32, 8m) uniform panel edges; the reference on 2048 panels (knots
+    # uniform panel edges; the reference on 2048 panels (knots
     # merged too) is converged to roundoff.
     c = exp_sine_profile(40, (0.2, -0.1, 0.05), (0.3, 1.9, 4.0))
     tt = build_travel_time(c)
@@ -163,9 +163,11 @@ def test_eigenfunction_panels_include_table_knots():
     edges = np.union1d(np.linspace(0.0, 1.0, 2049), np.union1d(c.params["knots"], xs))
     at_x = np.searchsorted(edges, xs)
     for pair in find_eigenvalues(c, tt, spec, 8):
-        pts, wts, at_nodes, at_edges = _prefix_series(c, tt, edges, pair.kappa, 2)
-        raw = at_nodes.sum(axis=0) / np.sqrt(c.sigma(pts))
-        ref = at_edges.sum(axis=0)[at_x] / np.sqrt(c.sigma(xs) * np.sum(wts * raw**2))
+        panels, at_nodes, at_edges = _series(c, tt, edges, pair.kappa, 2)
+        real = [(np.exp(-1j * pair.kappa * tau) * r).real
+                for tau, r in ((panels.tau, at_nodes), (panels.tau_edges, at_edges))]
+        raw = real[0] / np.sqrt(c.sigma(panels.pts))
+        ref = real[1][at_x] / np.sqrt(c.sigma(xs) * np.sum(panels.wts * raw**2))
         vals = eigenfunction(c, tt, pair, spec)(xs)
         assert np.max(np.abs(vals - np.sign(ref @ vals) * ref)) <= 1e-10
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varheat import SeriesSpec, build_travel_time, make_conductivity, transform
+from varheat import SeriesSpec, build_travel_time, make_conductivity, simplex, transform
 from varheat.errors import (
     DenominatorNearZero,
     DomainError,
@@ -15,7 +15,7 @@ from varheat.errors import (
     ToleranceNotReached,
 )
 from varheat.oracles import fourier_solution
-from varheat.simplex import TermTable, build_term_tables, series_sum, term_bound
+from varheat.simplex import _prefix_series, regularized_series_sum, series_sum, term_bound
 from varheat.transform import (
     Contour,
     _phi_batch,
@@ -206,9 +206,7 @@ def _full_contour_solve(c, tt, q0, xs, ts, spec):
     """q_N from a sweep of every contour node, with no mirror."""
     N = spec.truncation_N
     ks, ws = Contour.for_times(ts).nodes()
-    regD = sum(tab.eval_regularized(ks, tt.total)[0]
-               for tab in build_term_tables(c, tt, 0.0, 1.0, spec))
-    phi = _phi_batch(c, tt, q0, ks, xs, spec, float(np.abs(ks).max()))[0][N]
+    phi, regD = (r[N] for r in _phi_batch(c, tt, q0, ks, xs, spec))
     weighted = np.exp(-np.multiply.outer(ks**2, np.array(ts))) * ws[:, None]
     return ((phi / regD) @ weighted / (1j * math.pi)).real  # (X, T)
 
@@ -229,32 +227,29 @@ def test_solve_half_sweep_matches_full_contour(profile, request, spec2):
 
 
 def test_solve_sweeps_half_the_contour(parabolic, spec2, monkeypatch):
-    # one table per side, each row swept once and only in regularized form
+    # no term tables; the prefix recursion runs once per side and panel grid,
+    # and the grids together take each of the half_count + 1 nodes once
     c, tt = parabolic
-    swept = {"eval_plain": [], "eval_regularized": []}
-    builds = []
+    swept = []
 
-    def counting(name):
-        method = getattr(TermTable, name)
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_grid built term tables")
 
-        def wrapped(self, k, *args):
-            swept[name].append(np.atleast_1d(k).size)
-            return method(self, k, *args)
-        return wrapped
+    def counting(panels, k, N, *args):
+        swept.append(np.asarray(k))
+        return _prefix_series(panels, k, N, *args)
 
-    def counting_builds(*args, **kwargs):
-        builds.append(args)
-        return build_term_tables(*args, **kwargs)
-
-    for name in swept:
-        monkeypatch.setattr(TermTable, name, counting(name))
-    monkeypatch.setattr(transform, "build_term_tables", counting_builds)
+    for module in (transform, simplex):
+        monkeypatch.setattr(module, "build_term_tables", refuse)
+    monkeypatch.setattr(transform, "_prefix_series", counting)
     solve_grid(c, tt, quadratic, np.linspace(0.0, 1.0, 21), FIGURE2_TS, spec2,
                all_orders=True)
-    half_count = Contour.for_times(FIGURE2_TS).half_count
-    assert len(builds) == 2
-    assert swept["eval_plain"] == []
-    assert swept["eval_regularized"] == [half_count + 1] * (2 * (spec2.truncation_N + 1))
+    cont = Contour.for_times(FIGURE2_TS)
+    half = cont.nodes()[0][cont.half_count:]
+    # the left series and the reflected right series of each grid
+    assert len(swept) % 2 == 0 and all(np.array_equal(swept[i], swept[i + 1])
+                                       for i in range(0, len(swept), 2))
+    assert sorted(np.concatenate(swept[::2]), key=lambda k: k.real) == list(half)
 
 
 def test_solve_realness_residual(parabolic, spec2):
@@ -275,25 +270,27 @@ def test_solve_large_time_decay(parabolic, spec2):
 @pytest.mark.parametrize("t", [1.0, 0.01])
 def test_solve_batched_matches_pointwise_phi(parabolic, spec2, t):
     # cross-check of the production batched kernel against the direct
-    # pointwise quadrature path, through the full contour integral; the
-    # t = 0.01 contour reaches Im k = 21.6, where exp(Im k tau(1)) ~ 2e28
+    # pointwise quadrature path; the t = 0.01 contour reaches Im k = 21.6,
+    # where exp(Im k tau(1)) ~ 2e28.  At quad_order = 32 the reference
+    # itself is off by 8.6e-8 there, so it runs at 64.
     c, tt = parabolic
     ks, _ = Contour.for_times([t]).nodes()
     # nine nodes spanning the whole contour, both ends included
     probe = ks[np.round(np.linspace(0, ks.size - 1, 9)).astype(int)]
-    phi, _ = _phi_batch(c, tt, quadratic, probe, [0.35, 0.8], spec2,
-                        float(np.abs(ks).max()))
+    phi, _ = _phi_batch(c, tt, quadratic, probe, [0.35, 0.8], spec2)
+    spec64 = SeriesSpec(truncation_N=2, quad_order=64)
     for i, x in enumerate((0.35, 0.8)):
         for j, k in enumerate(probe):
-            direct = phi_fn(c, tt, k, x, quadratic, spec2, regularized=True)
+            direct = phi_fn(c, tt, k, x, quadratic, spec64, regularized=True)
             assert abs(phi[2, i, j] - direct) < 1e-9
 
 
-@pytest.mark.parametrize("t, tol", [(0.01, 1e-5), (1e-4, 1e-3), (1e-5, 1e-3)])
+@pytest.mark.parametrize("t, tol", [(0.01, 1e-5), (1e-4, 1e-6), (1e-5, 1e-6)])
 def test_solve_small_times_match_exact(parabolic, spec2, t, tol):
     # x(1-x) e^{-t} is exact on parabolic24.  Small times put the contour
-    # end high in the upper half plane, where every table value must stay
-    # bounded: no overflow warning, no NaN, no tail refusal.
+    # end high in the upper half plane (|k| ~ 2000 at t = 1e-5), where every
+    # series value must stay bounded and resolved: no overflow warning, no
+    # NaN, no tail refusal.
     c, tt = parabolic
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -301,6 +298,57 @@ def test_solve_small_times_match_exact(parabolic, spec2, t, tol):
     for s in res:
         assert math.isfinite(s.value)
         assert abs(s.value - quadratic(s.x) * math.exp(-t)) <= tol, s.x
+
+
+def test_solve_high_order_matches_exact(parabolic):
+    # the recursion costs linear in N, so N = 6 is cheap; its truncation
+    # error is far below the N = 2 one (5.9e-5 at t = 1)
+    c, tt = parabolic
+    xs = np.linspace(0.05, 0.95, 19)
+    res = solve_grid(c, tt, quadratic, xs, [0.05, 1.0], SeriesSpec(truncation_N=6))
+    for t, samples in res.items():
+        for s in samples:
+            assert abs(s.value - quadratic(s.x) * math.exp(-t)) <= 1e-9, (t, s.x)
+
+
+def test_solve_on_unaligned_table_matches_crank_nicolson():
+    # A 40-knot PCHIP table: its knots miss the uniform panel edges and must
+    # be merged into them.  Reference: Crank-Nicolson at nx = nt = 800 and
+    # 1600, Richardson-extrapolated (second order in h and dt).
+    from varheat.oracles import crank_nicolson
+
+    c = exp_sine_profile(40, (0.2, -0.1, 0.05), (0.3, 1.0, 2.0))
+    tt = build_travel_time(c)
+    t, xs = 0.25, np.linspace(0.0, 1.0, 21)
+    coarse = crank_nicolson(c, quadratic, t, 800, 800)[1][::40]
+    fine = crank_nicolson(c, quadratic, t, 1600, 1600)[1][::80]
+    ref = (4.0 * fine - coarse) / 3.0
+    res = solve_grid(c, tt, quadratic, xs, [t], SeriesSpec(truncation_N=5))[t]
+    assert np.max(np.abs([s.value for s in res] - ref)) <= 1e-8
+
+
+@pytest.mark.parametrize("profile", ["parabolic", "rational"])
+def test_regularized_delta_on_small_time_contour(profile, request):
+    # regDelta of the solve against the scalar regularized series at
+    # quad_order = 96 on the t = 0.01 contour (Im k up to 21.6)
+    c, tt = request.getfixturevalue(profile)
+    spec = SeriesSpec(truncation_N=2, quad_order=96)
+    cont = Contour.for_times([0.01])
+    ks = cont.nodes()[0][cont.half_count:]
+    regD = _phi_batch(c, tt, quadratic, ks, [0.5], spec)[1][2]
+    for k, got in zip(ks, regD):
+        ref = regularized_series_sum(c, tt, 0.0, 1.0, k, spec, tt.total)
+        assert abs(got - ref) <= 1e-12, k
+
+
+@pytest.mark.parametrize("tail_tol", [math.nan, math.inf, 0.0, -1.0])
+def test_solve_rejects_bad_tail_tol(parabolic, spec2, tail_tol):
+    # NaN passes no comparison, so it would skip both a-posteriori checks
+    c, tt = parabolic
+    for contour in (None, Contour(step=0.1, end=1.0)):
+        with pytest.raises(DomainError, match="tail_tol"):
+            solve_grid(c, tt, quadratic, [0.5], [1.0], spec2, contour=contour,
+                       tail_tol=tail_tol)
 
 
 def test_solve_input_validation(parabolic, spec2):
