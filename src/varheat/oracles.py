@@ -4,7 +4,8 @@ Four families, none of which share code with the production path:
 
 * the piecewise-constant interface model: the conductivity is frozen on N
   cells, transforms of the cell problems yield a 2N x 2N linear system
-  A(k) X = Y, and Cramer's rule recovers the solution at the interfaces.
+  A(k) X = Y, and one LU solve per contour node gives the interface
+  unknowns, which by Cramer's rule are the ratios det A_j / det A.
   Scaled determinants D_N = (i/2) det A / prod(Lambda_p^+) admit an exact
   binary-vector sum and an equivalent switch-location sum whose truncation
   costs only O(N * max_switches), which is what makes the large-N
@@ -77,6 +78,8 @@ class InterfacePartition:
         sigmas = np.asarray(self.sigmas, dtype=float)
         if nodes.ndim != 1 or sigmas.ndim != 1 or nodes.size != sigmas.size + 1:
             raise SingularPartition("need N+1 nodes and N sigmas")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(sigmas))):
+            raise SingularPartition("nodes and sigmas must be finite")
         if abs(nodes[0]) > 1e-14 or abs(nodes[-1] - 1.0) > 1e-14:
             raise SingularPartition("partition must span [0, 1]")
         if np.any(np.diff(nodes) <= 0.0):
@@ -146,12 +149,42 @@ def lambda_factors(part: InterfacePartition) -> LambdaFactors:
     return LambdaFactors(plus=s[1:] + s[:-1], minus=s[1:] - s[:-1])
 
 
-def _profile_transforms(part: InterfacePartition, q0, nu, sign):
-    """q0 half-transforms int_{cell_j} exp(sign * -i nu_j y) q0(y) dy."""
+# Row blocks of A(k): the cell relations at +k, then the mirror at -k.
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def _system_matrix(part: InterfacePartition, kc: complex) -> np.ndarray:
+    """A(k) alone; its columns are ordered as in :class:`GlobalRelationSystem`."""
+    if kc == 0:
+        raise DomainError("the interface system requires k != 0")
+    N = part.n_cells
+    s = part.sigmas
+    nu = kc / s
+    left = np.exp(-1j * _SIGNS * nu * part.nodes[:-1])  # e^{-+i nu_j x_{j-1}}
+    right = np.exp(-1j * _SIGNS * nu * part.nodes[1:])  # e^{-+i nu_j x_j}
+    r = np.arange(N)
+    A = np.zeros((2, N, 2 * N), dtype=complex)
+    # flux sigma^2 g1 at interfaces j-1 and j, columns N-1+p for p = 0..N
+    A[:, r, N - 1 + r] = left
+    A[:, r, N + r] = -right
+    # value ik g0 at interior interfaces, columns p-1 for p = 1..N-1; the
+    # mirrored relation flips the sign of ik g0
+    A[:, r[1:], r[:-1]] = _SIGNS * s[1:] * left[:, 1:]
+    A[:, r[:-1], r[:-1]] = -_SIGNS * s[:-1] * right[:, :-1]
+    return A.reshape(2 * N, 2 * N)
+
+
+def _weighted_profile(part: InterfacePartition, q0):
+    """16-node Gauss points per cell and the weights times q0 there."""
     pts, wts = _panel_gauss(part.nodes, 16)
-    vals = q0(pts.ravel()).reshape(pts.shape)
-    phase = np.exp(sign * (-1j) * nu[:, None] * pts)
-    return np.sum(wts * vals * phase, axis=1)
+    return pts, wts * q0(pts.ravel()).reshape(pts.shape)
+
+
+def _system_rhs(part: InterfacePartition, kc: complex, pts, wq) -> np.ndarray:
+    """Y(k): q0 half-transforms int_{cell_j} e^{-+i nu_j y} q0(y) dy at +-k."""
+    nu = kc / part.sigmas
+    phase = np.exp(-1j * _SIGNS[:, :, None] * nu[:, None] * pts)
+    return np.sum(wq * phase, axis=-1).ravel()
 
 
 def assemble_system(part: InterfacePartition, k, q0) -> GlobalRelationSystem:
@@ -162,57 +195,21 @@ def assemble_system(part: InterfacePartition, k, q0) -> GlobalRelationSystem:
     unknowns at the outer boundaries are zero (Dirichlet) and drop out.
     """
     kc = complex(k)
-    if kc == 0:
-        raise DomainError("assemble_system requires k != 0")
+    A = _system_matrix(part, kc)
     N = part.n_cells
-    nu = kc / part.sigmas
-    A = np.zeros((2 * N, 2 * N), dtype=complex)
-
-    def col_value(p):  # ik g0 at interface p = 1..N-1
-        return p - 1
-
-    def col_flux(p):  # sigma^2 g1 at interface p = 0..N
-        return N - 1 + p
-
-    for j in range(1, N + 1):
-        sig = part.sigmas[j - 1]
-        xl, xr = part.nodes[j - 1], part.nodes[j]
-        el = np.exp(-1j * nu[j - 1] * xl)
-        er = np.exp(-1j * nu[j - 1] * xr)
-        r = j - 1
-        A[r, col_flux(j - 1)] = el
-        A[r, col_flux(j)] = -er
-        if j - 1 >= 1:
-            A[r, col_value(j - 1)] = sig * el
-        if j <= N - 1:
-            A[r, col_value(j)] = -sig * er
-        # mirrored relation at -k: nu -> -nu, and ik g0 flips sign
-        elm = np.exp(1j * nu[j - 1] * xl)
-        erm = np.exp(1j * nu[j - 1] * xr)
-        r2 = N + j - 1
-        A[r2, col_flux(j - 1)] = elm
-        A[r2, col_flux(j)] = -erm
-        if j - 1 >= 1:
-            A[r2, col_value(j - 1)] = -sig * elm
-        if j <= N - 1:
-            A[r2, col_value(j)] = sig * erm
-
-    Y = np.concatenate([
-        _profile_transforms(part, q0, nu, +1),
-        _profile_transforms(part, q0, nu, -1),
-    ])
     labels = tuple(
         [f"ik*g0[{p}]" for p in range(1, N)] + [f"s2*g1[{p}]" for p in range(N + 1)]
     )
+    Y = _system_rhs(part, kc, *_weighted_profile(part, q0))
     return GlobalRelationSystem(k=kc, matrix=A, rhs=Y, labels=labels)
 
 
 def dn_det(part: InterfacePartition, k, q0=None) -> complex:
-    """(i/2) det A(k) * prod_p 1/Lambda_p^+ straight from the matrix."""
-    if q0 is None:
-        q0 = lambda y: np.zeros_like(y)
-    system = assemble_system(part, k, q0)
-    sign, logdet = np.linalg.slogdet(system.matrix)
+    """(i/2) det A(k) * prod_p 1/Lambda_p^+ straight from the matrix.
+
+    A(k) does not depend on the initial profile, so ``q0`` is ignored.
+    """
+    sign, logdet = np.linalg.slogdet(_system_matrix(part, complex(k)))
     lam = lambda_factors(part)
     logscale = float(np.sum(np.log(np.abs(lam.plus)))) if lam.plus.size else 0.0
     sgnscale = float(np.prod(np.sign(lam.plus))) if lam.plus.size else 1.0
@@ -376,8 +373,9 @@ def interface_solution(part: InterfacePartition, q0, j: int, t: float,
 
     q(x_j, t) = Re[-(1/pi) int det(A_j)/det(A) e^{-k^2 t} dk] over the same
     hyperbolic contour the continuum solver uses (sized for t unless
-    ``contour`` is given); the ratio is formed from log-determinants so the
-    overall transform scale cancels exactly.
+    ``contour`` is given).  By Cramer's rule the ratio is the unknown
+    X_{j-1} of A X = Y, so each node costs one LU solve and the overall
+    transform scale cancels exactly.
     """
     N = part.n_cells
     if not 1 <= j <= N - 1:
@@ -386,18 +384,14 @@ def interface_solution(part: InterfacePartition, q0, j: int, t: float,
         raise DomainError("t must be positive")
     cont = contour if contour is not None else Contour.for_times([t], _CONTOUR_TOL)
     ks, ws = cont.nodes()
+    pts, wq = _weighted_profile(part, q0)
     acc = 0j
     for kc, wc in zip(ks, ws):
-        system = assemble_system(part, kc, q0)
-        sign_a, log_a = np.linalg.slogdet(system.matrix)
-        if sign_a == 0.0:
-            raise DenominatorNearZero("det A vanished on the contour")
-        Aj = system.matrix
-        col = Aj[:, j - 1].copy()
-        Aj[:, j - 1] = system.rhs
-        sign_j, log_j = np.linalg.slogdet(Aj)
-        Aj[:, j - 1] = col
-        ratio = (sign_j / sign_a) * np.exp(log_j - log_a)
+        try:
+            ratio = np.linalg.solve(_system_matrix(part, kc),
+                                    _system_rhs(part, kc, pts, wq))[j - 1]
+        except np.linalg.LinAlgError as exc:
+            raise DenominatorNearZero("det A vanished on the contour") from exc
         acc += wc * ratio * np.exp(-(kc**2) * t)
     return float((-acc / math.pi).real)
 
@@ -421,32 +415,29 @@ def crank_nicolson(c: Conductivity, q0, t_final: float, nx: int, nt: int):
 
     sigma^2 is sampled at cell faces; Dirichlet rows are pinned to zero.
     Returns (x_grid, q_at_t_final).  Unconditionally stable; accuracy is
-    O(nx^-2 + nt^-2).
+    O(nx^-2 + nt^-2).  B = I - (dt/2) L is symmetric positive definite and
+    tridiagonal, so it is factored once (LAPACK ``pttrf``) and each step is
+    q <- B^-1 (I + (dt/2) L) q = 2 B^-1 q - q.
     """
-    if nx < 8 or nt < 8:
-        raise DomainError("need nx, nt >= 8")
-    if t_final <= 0.0:
-        raise DomainError("t_final must be positive")
+    if not all(isinstance(n, (int, np.integer)) for n in (nx, nt)) or nx < 8 or nt < 8:
+        raise DomainError("need integer nx, nt >= 8")
+    if not (math.isfinite(t_final) and t_final > 0.0):
+        raise DomainError("t_final must be positive and finite")
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
     dt = t_final / nt
     x = np.linspace(0.0, 1.0, nx + 1)
     q = np.asarray(q0(x), dtype=float).copy()
     q[0] = q[-1] = 0.0
     diag, off = _fd_operator(c, nx)
-
-    ab = np.zeros((3, nx - 1))
-    ab[0, 1:] = -0.5 * dt * off
-    ab[1, :] = 1.0 - 0.5 * dt * diag
-    ab[2, :-1] = -0.5 * dt * off
-    from scipy.linalg import solve_banded
-
+    d, e, info = dpttrf(1.0 - 0.5 * dt * diag, -0.5 * dt * off)
+    if info != 0:
+        raise DomainError(f"Crank-Nicolson matrix is not positive definite (info={info})")
     for _ in range(nt):
-        interior = q[1:-1]
-        rhs = interior + 0.5 * dt * (
-            diag * interior
-            + np.concatenate([off * interior[1:], [0.0]])
-            + np.concatenate([[0.0], off * interior[:-1]])
-        )
-        q[1:-1] = solve_banded((1, 1), ab, rhs)
+        y, info = dpttrs(d, e, q[1:-1])
+        if info != 0:
+            raise DomainError(f"Crank-Nicolson step failed (info={info})")
+        q[1:-1] = 2.0 * y - q[1:-1]
     return x, q
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from varheat import SeriesSpec, build_travel_time, make_conductivity
+from varheat.oracles import InterfacePartition
 
 # Closed form 2*sqrt(6)*asin(1/sqrt(3)), confirmed by adaptive quadrature.
 PARABOLIC_TAU_TOTAL = 3.015222466558585
@@ -73,3 +74,23 @@ profiles = st.one_of(
         st.tuples(*(st.floats(0.0, 2.0 * math.pi) for _ in range(3))),
     ),
 )
+
+
+def _weighted_partition(weights, sigmas):
+    # Widths proportional to weights in [1, 100]: with at most 10 cells each
+    # width is at least 1/901 > 1e-3.
+    cuts = np.cumsum(weights)[:-1] / np.sum(weights)
+    nodes = np.concatenate([[0.0], cuts, [1.0]])
+    return InterfacePartition(nodes=nodes, sigmas=np.array(sigmas), sigma0=sigmas[0])
+
+
+# The family `verify determinant` draws: 1-10 cells of width >= 1e-3 with
+# sigma in [0.25, 2.5], paired with |k| >= 0.05, Re k in [-6, 6],
+# Im k in [-2, 2].
+partitions = st.integers(1, 10).flatmap(lambda n: st.builds(
+    _weighted_partition,
+    st.lists(st.floats(1.0, 100.0), min_size=n, max_size=n),
+    st.lists(st.floats(0.25, 2.5), min_size=n, max_size=n),
+))
+wavenumbers = st.builds(complex, st.floats(-6.0, 6.0), st.floats(-2.0, 2.0)).filter(
+    lambda k: abs(k) >= 0.05)

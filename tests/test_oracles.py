@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from varheat import SeriesSpec, make_conductivity
 from varheat.errors import DomainError, SingularPartition, TooManyTerms
+from varheat.oracles import _fd_operator
 from varheat.oracles import (
     InterfacePartition,
     assemble_system,
@@ -21,10 +23,10 @@ from varheat.oracles import (
     psi_entry,
     uniform_partition,
 )
-from varheat.transform import delta_values, phi_fn
+from varheat.transform import Contour, delta_values, phi_fn
 from varheat.verify import CHEBFUN_VALUES as CHEBFUN
 
-from conftest import quadratic, sine
+from conftest import partitions, quadratic, sine, wavenumbers
 
 
 def _random_partition(rng, n_cells):
@@ -47,6 +49,18 @@ def test_partition_validation():
     with pytest.raises(SingularPartition):
         InterfacePartition(nodes=np.array([0.1, 1.0]), sigmas=np.array([1.0]),
                            sigma0=1.0)
+
+
+
+@pytest.mark.parametrize("nodes, sigmas", [
+    ([0.0, np.nan, 1.0], [1.0, 1.0]),
+    ([0.0, 0.5, 1.0], [1.0, np.nan]),
+    ([0.0, 0.5, 1.0], [np.inf, 1.0]),
+    ([0.0, 0.5, np.inf], [1.0, 1.0]),
+])
+def test_partition_rejects_non_finite(nodes, sigmas):
+    with pytest.raises(SingularPartition):
+        InterfacePartition(nodes=np.array(nodes), sigmas=np.array(sigmas), sigma0=1.0)
 
 
 def test_lambda_factor_properties():
@@ -88,6 +102,15 @@ def test_determinant_identity_random_sweep():
         lhs = dn_det(part, k)
         rhs = dn_bruteforce(part, k)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(part=partitions, k=wavenumbers)
+def test_determinant_forms_agree_on_partition_family(part, k):
+    brute = dn_bruteforce(part, k)
+    scale = max(1.0, abs(brute))
+    assert abs(dn_det(part, k) - brute) <= 1e-10 * scale
+    assert abs(dn_switchform(part, k, part.n_cells - 1) - brute) <= 1e-10 * scale
 
 
 def test_bruteforce_cap():
@@ -258,6 +281,19 @@ def test_interface_solution_matches_transform_solver(parabolic, spec2):
     assert abs(a - b) <= 0.5 * part.max_width + 2e-3
 
 
+def test_interface_solution_is_cramer_ratio(parabolic):
+    # The LU solve must equal the Cramer ratio det A_j / det A, which is
+    # i E_N / D_N in scaled determinants, node for node on the same contour.
+    c, _ = parabolic
+    part = uniform_partition(c, 48)
+    j, t = 18, 0.8
+    ks, ws = Contour.for_times([t], 1e-10).nodes()
+    acc = sum(w * (1j * en_det(part, k, j, quadratic) / dn_det(part, k)) * np.exp(-k**2 * t)
+              for k, w in zip(ks, ws))
+    ref = float((-acc / math.pi).real)
+    assert interface_solution(part, quadratic, j, t) == pytest.approx(ref, abs=1e-12)
+
+
 def test_crank_nicolson_benchmarks(parabolic, const1):
     c, _ = parabolic
     x, q = crank_nicolson(c, quadratic, 1.0, 200, 200)
@@ -280,9 +316,35 @@ def test_crank_nicolson_max_principle(parabolic):
     assert q.max() <= 0.25 + 1e-12
 
 
+def test_crank_nicolson_equals_dense_steps(parabolic):
+    c, _ = parabolic
+    nx = nt = 32
+    t_final = 0.7
+    x, q = crank_nicolson(c, quadratic, t_final, nx, nt)
+    diag, off = _fd_operator(c, nx)
+    L = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    half = 0.5 * t_final / nt * L
+    eye = np.eye(nx - 1)
+    ref = quadratic(x[1:-1])
+    for _ in range(nt):
+        ref = np.linalg.solve(eye - half, (eye + half) @ ref)
+    assert q[0] == q[-1] == 0.0
+    assert np.max(np.abs(q[1:-1] - ref)) <= 1e-13
+
+
 def test_crank_nicolson_validation(parabolic):
-    with pytest.raises(DomainError):
-        crank_nicolson(parabolic[0], quadratic, 1.0, 4, 100)
+    bad = [
+        (1.0, 4, 100),
+        (1.0, 100, 4),
+        (0.0, 100, 100),
+        (np.nan, 100, 100),  # used to escape as an untyped scipy ValueError
+        (np.inf, 100, 100),
+        (1.0, 100.0, 100),  # a non-integer grid size used to raise TypeError
+        (1.0, 100, 64.5),
+    ]
+    for t_final, nx, nt in bad:
+        with pytest.raises(DomainError):
+            crank_nicolson(parabolic[0], quadratic, t_final, nx, nt)
 
 
 def test_fd_eigenvalues_constant(const1):
