@@ -121,14 +121,11 @@ class TravelTimeMap:
     """Cached antiderivative tau(x) = int_0^x dxi/sigma(xi).
 
     ``tau`` is a strictly increasing C^1 evaluator with tau(0) = 0 and
-    tau(1) = ``total``; ``resolution`` is the node count of the underlying
-    spline.
+    tau(1) = ``total``.
     """
 
     tau: Callable[[np.ndarray], np.ndarray]
     total: float
-    resolution: int
-    tol: float
 
 
 def _check_domain(x, name="x"):
@@ -155,6 +152,8 @@ def _check_table(x, s2, where):
     """Validate (x, sigma^2) samples of a ``tabulated`` profile."""
     if x.shape != s2.shape or x.ndim != 1 or x.size < 4:
         raise MalformedTable(f"{where}: need >= 4 (x, sigma^2) samples of equal length")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s2))):
+        raise MalformedTable(f"{where}: x and sigma^2 must be finite")
     if np.any(np.diff(x) <= 0.0):
         raise MalformedTable(f"{where}: abscissae not strictly increasing")
     if abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12:
@@ -203,8 +202,8 @@ def make_conductivity(kind, **params) -> Conductivity:
         c = float(params.pop("c", 1.0))
         if params:
             raise DomainError(f"constant: unknown params {sorted(params)}")
-        if c <= 0.0:
-            raise NonPositiveConductivity("constant: c must be positive")
+        if not (np.isfinite(c) and c > 0.0):
+            raise NonPositiveConductivity(f"constant: c must be finite and positive, got {c!r}")
 
         def sigma(x, c=c):
             return np.full_like(np.asarray(x, dtype=float), c)
@@ -351,4 +350,4 @@ def build_travel_time(c: Conductivity, tol: float = 1e-10, max_level: int = 14) 
         x = _check_domain(x)
         return spline(x)
 
-    return TravelTimeMap(tau=tau, total=float(cum[-1]), resolution=int(edges.size), tol=tol)
+    return TravelTimeMap(tau=tau, total=float(cum[-1]))

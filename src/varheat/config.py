@@ -13,13 +13,14 @@ validated against the owning module's ranges when the objects are built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .coefficients import make_conductivity
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .simplex import SeriesSpec
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text", "named_profile"]
@@ -146,14 +147,14 @@ def parse_config(path: str) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    if cfg.series_N < 0:
-        raise ConfigError("series.N must be >= 0")
-    if cfg.series_quad_order < 2:
-        raise ConfigError("series.quad_order must be >= 2")
+    try:
+        cfg.series_spec()
+    except DomainError as exc:
+        raise ConfigError(f"series: {exc}") from exc
     if cfg.solve_x_points < 2:
         raise ConfigError("solve.x_points must be >= 2")
-    if any(t <= 0 for t in cfg.solve_times):
-        raise ConfigError("solve.times must be positive")
+    if not all(math.isfinite(t) and t > 0 for t in cfg.solve_times):
+        raise ConfigError("solve.times must be finite and positive")
     if cfg.eigs_count < 1:
         raise ConfigError("eigs.count must be >= 1")
     if not cfg.eigfuns_modes or any(m < 1 for m in cfg.eigfuns_modes):

@@ -65,8 +65,8 @@ _CONTOUR_TOL = 1e-10
 class InterfacePartition:
     """Cells (x_{j-1}, x_j) with constant sigma_j, covering [0, 1].
 
-    ``sigma0`` scales the left flux unknown; the scaling cancels in every
-    determinant ratio and defaults to sigma_1.
+    ``sigma0`` is stored for callers that record it (conventionally sigma_1);
+    no computation reads it.
     """
 
     nodes: np.ndarray   # shape (N+1,), 0 = x_0 < ... < x_N = 1
@@ -410,6 +410,10 @@ def _fd_operator(c: Conductivity, nx: int):
     return diag, off
 
 
+def _integers(*values):
+    return all(isinstance(n, (int, np.integer)) for n in values)
+
+
 def crank_nicolson(c: Conductivity, q0, t_final: float, nx: int, nt: int):
     """Conservative Crank-Nicolson solution of q_t = (sigma^2 q_x)_x.
 
@@ -419,7 +423,7 @@ def crank_nicolson(c: Conductivity, q0, t_final: float, nx: int, nt: int):
     tridiagonal, so it is factored once (LAPACK ``pttrf``) and each step is
     q <- B^-1 (I + (dt/2) L) q = 2 B^-1 q - q.
     """
-    if not all(isinstance(n, (int, np.integer)) for n in (nx, nt)) or nx < 8 or nt < 8:
+    if not _integers(nx, nt) or nx < 8 or nt < 8:
         raise DomainError("need integer nx, nt >= 8")
     if not (math.isfinite(t_final) and t_final > 0.0):
         raise DomainError("t_final must be positive and finite")
@@ -459,6 +463,8 @@ def fd_eigenvalues(c: Conductivity, count: int, nx: int) -> list:
     error; combining grids nx and 2 nx cancels the leading term.  The coarse
     grid has only nx - 1 eigenvalues, so ``count`` may not exceed that.
     """
+    if not _integers(nx, count):
+        raise DomainError("need integer nx and count")
     if nx < 64:
         raise DomainError("need nx >= 64")
     if not 1 <= count <= nx - 1:
@@ -472,6 +478,8 @@ def fd_eigenvector(c: Conductivity, lam: float, nx: int):
     """Grid eigenvector for an eigenvalue estimate, by inverse iteration."""
     from scipy.linalg import solve_banded
 
+    if not _integers(nx):
+        raise DomainError("need integer nx")
     diag, off = _fd_operator(c, nx)
     shift = lam * (1.0 + 1e-8) + 1e-10
     ab = np.zeros((3, nx - 1))
@@ -496,8 +504,10 @@ def fourier_solution(sigma_const: float, q0, x, t: float, modes: int):
     """Constant-sigma solution by the classical sine series."""
     if modes < 1:
         raise DomainError("modes must be >= 1")
-    if sigma_const <= 0.0:
-        raise DomainError("sigma_const must be positive")
+    if not (math.isfinite(sigma_const) and sigma_const > 0.0):
+        raise DomainError(f"sigma_const must be finite and positive, got {sigma_const!r}")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"t must be finite and positive, got {t!r}")
     pts, wts = _panel_gauss(np.linspace(0.0, 1.0, max(16, modes) + 1), 12)
     pts, wts = pts.ravel(), wts.ravel()
     q_vals = q0(pts)

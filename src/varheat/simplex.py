@@ -30,21 +30,19 @@ rule for the simplex reduces to a list of (weight, phase) pairs that are
 (innermost limits shrink with the outer variable) and then any number of k
 values can be swept as dot products against the tuple arrays.
 
-Every tuple evaluator sums W * exp(ik*shift) * sin(k*(c+T)):
-shift = 0 is the plain series, fine for real and moderately complex k.  The
-regularized form takes shift >= tau(b)-tau(a) >= |c+T|, so for Im k >= 0
-every exponent's real part is at most 0 and no intermediate exceeds
-magnitude 1 per sample (up to the mu product); it stays bounded high in the
-upper half plane, where the plain sine overflows.  The scalar references
-(``simplex_integral`` and its siblings) evaluate complex sin and exp on
-each chunk of tuples.  Batched :class:`TermTable` sweeps use one kernel in
-real arithmetic: with k = a + ib and P = c + T,
+One function, ``_tuple_sum``, evaluates every tuple sum
+sum_j W_j exp(ik*shift) sin(k*(c + T_j)): for the scalar references
+(``simplex_integral`` and its siblings), for the batched :class:`TermTable`
+and for Delta_N on (0, 1).  Without a shift (the plain series, fine for real
+and moderately complex k) a real k takes the real sine; every other sum
+takes the two-exponential form
 
-    exp(ik*shift) sin(kP) = exp(ia*shift) [sin(aP)(E- + E+)
-                                           + i cos(aP)(E- - E+)] / 2,
-    E- = exp(b(P - shift)),  E+ = exp(-b(P + shift)),
+    exp(ik*shift) sin(kP) = (exp(ik(shift + P)) - exp(ik(shift - P))) / 2i.
 
-so the regularized condition (b >= 0, shift >= |P|) is exactly E-, E+ <= 1.
+The regularized form takes shift >= tau(b)-tau(a) >= |c+T|, so for Im k >= 0
+both exponents have real part <= 0 and no intermediate exceeds magnitude 1
+per sample (up to the mu product); it stays bounded high in the upper half
+plane, where the plain sine overflows.
 
 Tuple cost grows as quad_order**n; orders above ORDER_CAP are refused.
 """
@@ -76,13 +74,12 @@ __all__ = [
 
 ORDER_CAP = 6
 
-# State arrays larger than this are split before expanding the next level.
+# State arrays larger than this are split before expanding the next level, and
+# the wavenumbers of a tuple sum are taken in chunks of at most this many
+# (tuple, wavenumber) pairs.
 _CHUNK_LIMIT = 1 << 22
 # Stored term tables refuse orders whose per-interval tuple count exceeds this.
 _TABLE_LIMIT = 1 << 24
-# Elements per block of the term-table sweep (a few float64 temporaries of
-# this size fit in a core's L2 cache).
-_SWEEP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -340,12 +337,35 @@ def _expand_level(lo, up, W, T, sign, mu_vals_fn, tau_vals_fn, x01, w01):
     return lof, yf, Wf, Tf
 
 
-def _fold_simplex(c, tt, n, a, b, quad_order, kernel):
-    """Apply ``kernel(W, c + T)`` over all quadrature tuples of S_n, chunked."""
+def _tuple_sum(W, P, k, shift=None):
+    """sum_j W[..., j] e^{ik shift} sin(k P[..., j]) for every k, shape (..., K).
+
+    ``W`` and ``P`` share the shape (..., J); ``k`` holds K wavenumbers and
+    ``shift`` is None (the plain sum) or one value per row.  Real k without
+    a shift gives the real sine and a real result; otherwise the terms take
+    the two-exponential form of the module docstring.
+    """
+    k = np.ravel(k)
+    real = shift is None and not np.iscomplexobj(k)
+    shift = 0.0 if shift is None else np.asarray(shift, dtype=float)[..., None]
+    rows = W[..., None, :] if real else W[..., None, :] / 2j
+    out = np.empty(W.shape[:-1] + k.shape, dtype=rows.dtype)
+    width = max(1, _CHUNK_LIMIT // P.size)
+    for s in range(0, k.size, width):
+        cols = slice(s, s + width)
+        if real:
+            terms = np.sin(np.multiply.outer(P, k[cols]))
+        else:
+            terms = (np.exp(1j * np.multiply.outer(shift + P, k[cols]))
+                     - np.exp(1j * np.multiply.outer(shift - P, k[cols])))
+        out[..., cols] = (rows @ terms)[..., 0, :]
+    return out
+
+
+def _fold_simplex(c, tt, n, a, b, quad_order, k, shift=None):
+    """:func:`_tuple_sum` of S_n at one k over all quadrature tuples, chunked."""
     _check_order(n, quad_order)
     const = _phase_const(tt, a, b, n)
-    if n == 0:
-        return kernel(np.array([1.0]), np.array([const]))
     x01, w01 = _unit_gauss(quad_order)
     mu = lambda y: np.asarray(log_derivative(c, y))
     tau = lambda y: np.asarray(tt.tau(y))
@@ -354,7 +374,7 @@ def _fold_simplex(c, tt, n, a, b, quad_order, kernel):
     def recurse(lo, up, W, T, level):
         # level = index p of the variable being added next (n down to 1)
         if level == 0:
-            return np.sum(kernel(W * scale, T + const))
+            return complex(_tuple_sum(W * scale, T + const, k, shift)[0])
         if up.size * quad_order > _CHUNK_LIMIT and up.size > 1:
             half = up.size // 2
             return recurse(lo[:half], up[:half], W[:half], T[:half], level) + recurse(
@@ -369,20 +389,8 @@ def _fold_simplex(c, tt, n, a, b, quad_order, kernel):
     return recurse(lo0, up0, np.array([1.0]), np.array([0.0]), n)
 
 
-def _kernel_plain(k):
-    kc = complex(k)
-    kr = kc.real if kc.imag == 0.0 else kc  # a real k keeps the sine real
-    return lambda W, P: complex(W @ np.sin(kr * P))
-
-
-def _kernel_regularized(k, shift):
-    kc = complex(k)
-    return lambda W, P: complex(W @ (np.exp(1j * kc * (shift + P))
-                                     - np.exp(1j * kc * (shift - P)))) / 2j
-
-
-def _sum_orders(c, tt, a, b, spec, kern):
-    return complex(sum(_fold_simplex(c, tt, n, a, b, spec.quad_order, kern)
+def _sum_orders(c, tt, a, b, spec, k, shift=None):
+    return complex(sum(_fold_simplex(c, tt, n, a, b, spec.quad_order, k, shift)
                        for n in range(spec.truncation_N + 1)))
 
 
@@ -394,7 +402,7 @@ def simplex_integral(c: Conductivity, tt: TravelTimeMap, n: int, a: float, b: fl
     large Im k prefer :func:`regularized_simplex_integral`.
     """
     _check_interval(a, b)
-    return _fold_simplex(c, tt, n, a, b, spec.quad_order, _kernel_plain(k))
+    return _fold_simplex(c, tt, n, a, b, spec.quad_order, k)
 
 
 def regularized_simplex_integral(c: Conductivity, tt: TravelTimeMap, n: int, a: float,
@@ -406,15 +414,14 @@ def regularized_simplex_integral(c: Conductivity, tt: TravelTimeMap, n: int, a: 
     """
     _check_interval(a, b)
     _check_regularized(k, shift, tt.tau(b) - tt.tau(a))
-    return _fold_simplex(c, tt, n, a, b, spec.quad_order,
-                         _kernel_regularized(complex(k), shift))
+    return _fold_simplex(c, tt, n, a, b, spec.quad_order, k, shift)
 
 
 def series_sum(c: Conductivity, tt: TravelTimeMap, a: float, b: float, k,
                spec: SeriesSpec) -> complex:
     """Partial sum over n <= truncation_N of the simplex integrals."""
     _check_interval(a, b)
-    return _sum_orders(c, tt, a, b, spec, _kernel_plain(k))
+    return _sum_orders(c, tt, a, b, spec, k)
 
 
 def regularized_series_sum(c: Conductivity, tt: TravelTimeMap, a: float, b: float, k,
@@ -422,7 +429,7 @@ def regularized_series_sum(c: Conductivity, tt: TravelTimeMap, a: float, b: floa
     """Regularized counterpart of :func:`series_sum` (same shift every term)."""
     _check_interval(a, b)
     _check_regularized(k, shift, tt.tau(b) - tt.tau(a))
-    return _sum_orders(c, tt, a, b, spec, _kernel_regularized(k, shift))
+    return _sum_orders(c, tt, a, b, spec, k, shift)
 
 
 def abs_log_derivative_integral(c: Conductivity, a: float, b: float) -> float:
@@ -457,11 +464,10 @@ class TermTable:
 
     ``weights``/``phases`` have shape (M, quad_order**n); ``const`` is the
     per-interval phase constant.  ``eval_plain`` and ``eval_regularized``
-    return (M, K) arrays for a vector of K wavenumbers, both from one
-    real-arithmetic sweep (see the module docstring) that takes rows and
-    wavenumbers in cache-sized blocks.  The regularized values stay bounded
-    when Im k >= 0 and each row's shift reaches its travel-time ``span``;
-    both conditions are checked.
+    return (M, K) arrays for a vector of K wavenumbers, both by the one
+    tuple sum of the module docstring (real for real k in ``eval_plain``).
+    The regularized values stay bounded when Im k >= 0 and each row's shift
+    reaches its travel-time ``span``; both conditions are checked.
     """
 
     n: int
@@ -470,42 +476,9 @@ class TermTable:
     const: np.ndarray
     span: np.ndarray  # tau(b) - tau(a), for shift validation
 
-    def _sweep(self, k, shift):
-        """(M, K) sums over j of W e^{ik shift} sin(kP), one shift per row.
-
-        Evaluates the real form of the module docstring, with
-        sin(aP) = 2 t d and cos(aP) = 2 d - 1 from t = tan(aP/2),
-        d = 1 / (1 + t^2): one real transcendental for both (absolute error
-        a few 1e-16).  Rows and wavenumbers are taken in blocks of about
-        _SWEEP_BLOCK elements, so the real temporaries of a block stay in
-        cache, and each block reduces over j by two real matrix products.
-        """
-        k = np.atleast_1d(np.asarray(k)).ravel()
-        M, J = self.phases.shape
-        out = np.zeros((M, k.size), dtype=complex)
-        if not self.weights.any():
-            return out
-        half_a, b = 0.5 * k.real, k.imag
-        P = self.const[:, None] + self.phases
-        width = max(1, min(k.size, _SWEEP_BLOCK // J))
-        rows = max(1, _SWEEP_BLOCK // (J * width))
-        for r in range(0, M, rows):
-            p = P[r : r + rows, :, None]
-            sh = shift[r : r + rows, None, None]
-            w = self.weights[r : r + rows, None, :]
-            for s in range(0, k.size, width):
-                cols = slice(s, s + width)
-                t = np.tan(p * half_a[cols])
-                d = 1.0 / (1.0 + t * t)
-                dn = np.exp(b[cols] * (p - sh))
-                up = np.exp(-b[cols] * (p + sh))
-                out.real[r : r + rows, cols] = (w @ (t * d * (dn + up)))[:, 0]
-                out.imag[r : r + rows, cols] = (w @ ((d - 0.5) * (dn - up)))[:, 0]
-        return out * np.exp(1j * np.multiply.outer(shift, k.real))
-
     def eval_plain(self, k):
         """S_n(a_m, b_m; k) for every interval m and wavenumber k: (M, K)."""
-        return self._sweep(k, np.zeros(self.phases.shape[0]))
+        return _tuple_sum(self.weights, self.const[:, None] + self.phases, k)
 
     def eval_regularized(self, k, shift):
         """exp(ik*shift) S_n(a_m, b_m; k), shape (M, K), bounded for Im k >= 0.
@@ -518,7 +491,7 @@ class TermTable:
         shift = np.broadcast_to(np.asarray(shift, dtype=float).reshape(-1),
                                 self.span.shape)
         _check_regularized(k, shift, self.span)
-        return self._sweep(k, shift)
+        return _tuple_sum(self.weights, self.const[:, None] + self.phases, k, shift)
 
 
 def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b,
@@ -551,10 +524,6 @@ def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b,
         )
     tables = []
     for n in range(N + 1):
-        const = -tau(a) + (-1.0) ** n * tau(b)
-        if n == 0:
-            tables.append(TermTable(0, np.ones((M, 1)), np.zeros((M, 1)), const, span))
-            continue
         lo = a.copy()
         up = b.copy()
         W = np.full(M, 0.5**n)
@@ -563,5 +532,6 @@ def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b,
             sign = (-1.0) ** (level + 1)
             lo, up, W, T = _expand_level(lo, up, W, T, sign, mu, tau, x01, w01)
         J = spec.quad_order**n
-        tables.append(TermTable(n, W.reshape(M, J), T.reshape(M, J), const, span))
+        tables.append(TermTable(n, W.reshape(M, J), T.reshape(M, J),
+                                _phase_const(tt, a, b, n), span))
     return tables

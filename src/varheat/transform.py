@@ -65,7 +65,7 @@ from .errors import (
     ToleranceNotReached,
 )
 from .simplex import (SeriesSpec, _Cumulative, _panel_count, _panel_edges, _panels,
-                      _prefix_series, build_term_tables, series_sum)
+                      _prefix_series, _tuple_sum, build_term_tables, series_sum)
 
 __all__ = [
     "Contour",
@@ -192,14 +192,7 @@ def delta_values(c: Conductivity, tt: TravelTimeMap, ks, spec: SeriesSpec) -> np
 def _delta_from_tables(tables, ks) -> np.ndarray:
     """Delta_N over ``ks`` from the (0, 1) term tables of :func:`build_term_tables`."""
     ks = np.asarray(ks)
-    if np.isrealobj(ks):
-        total = np.zeros(ks.size, dtype=float)
-        for tab in tables:
-            P = tab.const[:, None] + tab.phases
-            if tab.weights.any():
-                total += (tab.weights[0] @ np.sin(np.multiply.outer(P[0], ks.ravel())))
-        return total.reshape(ks.shape)
-    vals = sum(tab.eval_plain(ks.ravel())[0] for tab in tables)
+    vals = sum(_tuple_sum(tab.weights[0], tab.const[0] + tab.phases[0], ks) for tab in tables)
     return vals.reshape(ks.shape)
 
 

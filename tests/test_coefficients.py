@@ -58,8 +58,9 @@ def test_rational_is_positive_and_smooth(rational):
 
 
 def test_nonpositive_rejected():
-    with pytest.raises(NonPositiveConductivity):
-        make_conductivity("constant", c=-2.0)
+    for level in (-2.0, 0.0, math.nan, math.inf):
+        with pytest.raises(NonPositiveConductivity):
+            make_conductivity("constant", c=level)
     with pytest.raises(NonPositiveConductivity):
         make_conductivity("tabulated", x=np.linspace(0, 1, 5),
                           sigma_sq=np.array([1.0, 0.5, -0.1, 0.5, 1.0]))
@@ -92,6 +93,10 @@ def test_malformed_tables(tmp_path):
     short.write_text("0.1,1.0\n0.5,1.0\n0.7,1.0\n1.0,1.0\n")  # does not reach 0
     with pytest.raises(MalformedTable):
         make_conductivity("tabulated", table=str(short))
+    nan = tmp_path / "nan.csv"
+    nan.write_text("0.0,1.0\n0.5,nan\n0.7,1.0\n1.0,1.0\n")  # non-finite sigma^2
+    with pytest.raises(MalformedTable, match="finite"):
+        make_conductivity("tabulated", table=str(nan))
 
 
 def test_malformed_arrays():
@@ -102,6 +107,9 @@ def test_malformed_arrays():
         (x, np.ones(4)),                                # lengths differ
         (x[[0, 2, 1, 3, 4]], np.ones(5)),               # non-monotone x
         (np.linspace(0.1, 1.0, 5), np.ones(5)),         # does not reach 0
+        (np.array([0.0, 0.2, np.nan, 0.8, 1.0]), np.ones(5)),   # NaN abscissa
+        (x, np.array([1.0, np.inf, 1.0, 1.0, 1.0])),    # infinite sigma^2
+        (x, np.array([1.0, 1.0, np.nan, 1.0, 1.0])),    # NaN sigma^2
     ):
         with pytest.raises(MalformedTable):
             make_conductivity("tabulated", x=bad_x, sigma_sq=s2)

@@ -51,6 +51,22 @@ def test_bad_values_rejected():
         parse_config_text("solve.times = -1\n")
 
 
+@pytest.mark.parametrize("text, where", [
+    ("series.N = -1", "truncation_N"),
+    ("series.quad_order = 1", "quad_order"),
+    ("series.tol = 0", "tol"),
+    ("series.tol = nan", "tol"),
+    ("solve.times = 1, nan", "solve.times"),
+    ("solve.times = inf", "solve.times"),
+])
+def test_out_of_range_values_exit_2(tmp_path, capsys, text, where):
+    # range errors in the file are configuration errors, not numerical failures
+    with pytest.raises(ConfigError, match=where):
+        parse_config_text(text + "\n")
+    assert main(["solve", "--config", _write_cfg(tmp_path, text + "\n")]) == 2
+    assert where in capsys.readouterr().err
+
+
 def test_named_profiles():
     q = named_profile("quadratic")
     assert q(np.array([0.5]))[0] == 0.25

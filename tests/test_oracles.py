@@ -17,6 +17,7 @@ from varheat.oracles import (
     en_det,
     en_sampled,
     fd_eigenvalues,
+    fd_eigenvector,
     fourier_solution,
     interface_solution,
     lambda_factors,
@@ -381,6 +382,12 @@ def test_fd_eigenvalues_count_limited_by_coarse_grid(parabolic):
     assert len(fd_eigenvalues(parabolic[0], 63, 64)) == 63
     with pytest.raises(DomainError):
         fd_eigenvalues(parabolic[0], 66, 64)
+    # non-integer sizes used to escape as an untyped TypeError
+    for count, nx in ((4, 64.0), (4.0, 64)):
+        with pytest.raises(DomainError, match="integer"):
+            fd_eigenvalues(parabolic[0], count, nx)
+    with pytest.raises(DomainError, match="integer"):
+        fd_eigenvector(parabolic[0], -10.0, 64.0)
 
 
 def test_fd_eigenvalues_rational_stability(rational):
@@ -401,3 +408,8 @@ def test_fourier_solution_basics():
     # recovers the profile at t -> 0
     assert fourier_solution(1.0, quadratic, 0.3, 1e-12, 400) == pytest.approx(
         0.21, abs=1e-5)
+    # NaN used to come back as NaN, and t < 0 as inf with an overflow warning
+    for sigma, t in ((math.nan, 0.1), (math.inf, 0.1), (0.0, 0.1),
+                     (1.0, math.nan), (1.0, -1.0), (1.0, 0.0), (1.0, math.inf)):
+        with pytest.raises(DomainError, match="finite and positive"):
+            fourier_solution(sigma, quadratic, 0.5, t, 5)

@@ -238,14 +238,15 @@ def _einsum_sweep(tab, ks, shift):
     return np.einsum("mj,mjk->mk", tab.weights, terms)
 
 
-@pytest.mark.parametrize("block", [simplex._SWEEP_BLOCK, 5000])
+@pytest.mark.parametrize("chunk", [simplex._CHUNK_LIMIT, 5000])
 @pytest.mark.parametrize("profile", ["parabolic", "const1"])
-def test_term_table_blocks_match_complex_reference(profile, block, spec2, request,
+def test_term_table_blocks_match_complex_reference(profile, chunk, spec2, request,
                                                    monkeypatch):
-    # (0, y) rows on a 48-point Chebyshev grid span many row blocks at K = 31
-    # contour nodes; a block of 5000 elements also splits the nodes and leaves
-    # partial blocks at both edges.  Constant sigma has zero weights for n >= 1.
-    monkeypatch.setattr(simplex, "_SWEEP_BLOCK", block)
+    # (0, y) rows on a 48-point Chebyshev grid at K = 31 contour nodes; a
+    # chunk of 5000 (tuple, wavenumber) pairs takes the nodes 3 at a time at
+    # n = 1, leaving a partial last chunk, and one at a time at n = 2.
+    # Constant sigma has zero weights for n >= 1.
+    monkeypatch.setattr(simplex, "_CHUNK_LIMIT", chunk)
     c, tt = request.getfixturevalue(profile)
     ygrid = 0.5 * (1.0 - np.cos(np.pi * np.arange(48) / 47))  # Chebyshev-Lobatto
     cont = Contour.for_times([0.25, 1.0, 4.0])
