@@ -20,7 +20,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .coefficients import make_conductivity
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NonPositiveConductivity
 from .simplex import SeriesSpec
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text", "named_profile"]
@@ -151,6 +151,11 @@ def _validate(cfg: RunConfig):
         cfg.series_spec()
     except DomainError as exc:
         raise ConfigError(f"series: {exc}") from exc
+    if cfg.sigma_kind == "constant":
+        try:
+            cfg.conductivity()
+        except NonPositiveConductivity as exc:
+            raise ConfigError(f"sigma.value: {exc}") from exc
     if cfg.solve_x_points < 2:
         raise ConfigError("solve.x_points must be >= 2")
     if not all(math.isfinite(t) and t > 0 for t in cfg.solve_times):

@@ -478,8 +478,8 @@ def fd_eigenvector(c: Conductivity, lam: float, nx: int):
     """Grid eigenvector for an eigenvalue estimate, by inverse iteration."""
     from scipy.linalg import solve_banded
 
-    if not _integers(nx):
-        raise DomainError("need integer nx")
+    if not _integers(nx) or nx < 64:
+        raise DomainError("need integer nx >= 64")
     diag, off = _fd_operator(c, nx)
     shift = lam * (1.0 + 1e-8) + 1e-10
     ab = np.zeros((3, nx - 1))
@@ -502,8 +502,8 @@ def fd_eigenvector(c: Conductivity, lam: float, nx: int):
 
 def fourier_solution(sigma_const: float, q0, x, t: float, modes: int):
     """Constant-sigma solution by the classical sine series."""
-    if modes < 1:
-        raise DomainError("modes must be >= 1")
+    if not _integers(modes) or modes < 1:
+        raise DomainError("need integer modes >= 1")
     if not (math.isfinite(sigma_const) and sigma_const > 0.0):
         raise DomainError(f"sigma_const must be finite and positive, got {sigma_const!r}")
     if not (math.isfinite(t) and t > 0.0):

@@ -5,8 +5,10 @@ eigenvalues lambda_m = -kappa_m^2 where the kappa_m are the positive real
 zeros of the characteristic function Delta (restricted to its truncation
 Delta_N here).  Delta_N is odd and oscillates with quasi-period
 pi / tau(1), so a bracketing scan with step <= pi/(4 tau(1)) cannot skip a
-zero; each bracket is then solved to machine precision by Brent's method
-(``scipy.optimize.brentq``).
+zero.  All brackets are then solved together to machine precision by
+Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971)), one batched
+Delta_N evaluation per iteration, stopping on the tolerances scipy's Brent
+solver was run with (1e-15 absolute, 4 eps relative).
 
 Eigenfunctions are evaluated from the explicit series
 
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .coefficients import Conductivity, TravelTimeMap
 from .errors import DomainError, NoConvergence, RootMissed
@@ -72,27 +73,71 @@ def _series(c, tt, edges, kappa, N):
     return (panels,) + tuple(r.sum(axis=0)[..., 0] for r in _prefix_series(panels, kappa, N))
 
 
+# scipy's default iteration cap for Brent's method, per bracket
+_MAX_ITER = 100
+
+
+def _bracket_roots(delta, a, b, fa, fb):
+    """Roots of ``delta`` in the brackets [a_i, b_i], fa_i and fb_i of opposite sign.
+
+    Illinois regula falsi on every bracket at once: each iteration makes one
+    ``delta`` call over the brackets still open.  ``b`` is the newest iterate;
+    the retained end ``a`` has its weight halved each time it is kept.  A step
+    shorter than half the tolerance is lengthened to it, as Brent's method
+    does, so the bracket collapses once the iterate sits on the root.  A
+    bracket closes on Brent's test |b - a| <= 1e-15 + 4 eps |b|, or on
+    delta exactly 0; its root is the end with the smaller |delta|, returned
+    with that |delta|.
+    Bracket i is mode i + 1 in a :class:`NoConvergence` message.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    wa = fa.copy()
+    live = np.arange(a.size)
+    for it in range(_MAX_ITER + 1):
+        tol = 1e-15 + 4.0 * np.finfo(float).eps * np.abs(b[live])
+        open_ = (np.abs(b[live] - a[live]) > tol) & (fb[live] != 0.0)
+        live, tol = live[open_], tol[open_]
+        if not live.size:
+            break
+        if it == _MAX_ITER:
+            raise NoConvergence(
+                f"root of mode {live[0] + 1} did not converge in {_MAX_ITER} iterations")
+        la, lb, lfb, lwa = a[live], b[live], fb[live], wa[live]
+        c = lb - lfb * (lb - la) / (lfb - lwa)
+        c = np.where(np.abs(c - lb) < 0.5 * tol, lb + np.copysign(0.5 * tol, la - lb), c)
+        fc = delta(c)
+        bad = ~np.isfinite(fc)
+        if bad.any():
+            raise NoConvergence(
+                f"root of mode {live[bad][0] + 1} did not converge: Delta_N is not finite")
+        flip = np.signbit(fc) != np.signbit(lfb)
+        a[live] = np.where(flip, lb, la)
+        fa[live] = np.where(flip, lfb, fa[live])
+        wa[live] = np.where(flip, lfb, 0.5 * lwa)
+        b[live], fb[live] = c, fc
+    first = np.abs(fa) < np.abs(fb)
+    return np.where(first, a, b), np.where(first, np.abs(fa), np.abs(fb))
+
+
 def find_eigenvalues(c: Conductivity, tt: TravelTimeMap, spec: SeriesSpec,
                      count: int) -> list[EigenPair]:
-    """First ``count`` positive roots of Delta_N: sign-change scan, then brentq.
+    """First ``count`` positive roots of Delta_N: sign-change scan, then one
+    batched Illinois iteration over all brackets (:func:`_bracket_roots`).
 
     The scan step cannot skip roots: consecutive zeros of Delta_N are about
     pi/tau(1) apart while the scan step is a quarter of that.  Raises
-    :class:`RootMissed` if the ceiling is reached with too few sign changes.
+    :class:`RootMissed` if the ceiling is reached with too few sign changes,
+    and :class:`NoConvergence` if a bracket does not close.
     """
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise DomainError("count must be an integer >= 1")
     total = tt.total
     step = math.pi / (4.0 * total)
     # Generous ceiling: roots sit near m*pi/tau(1).
     ceiling = (count + 3) * math.pi / total
     grid = np.arange(step * 0.25, ceiling, step)
-    # One table build serves the scan and every brentq step.
+    # One table build serves the scan and every iteration.
     tables = build_term_tables(c, tt, 0.0, 1.0, spec)
-
-    def delta(k):
-        return float(_delta_from_tables(tables, np.array([k]))[0])
-
     vals = _delta_from_tables(tables, grid)
 
     signs = np.sign(vals)
@@ -102,21 +147,15 @@ def find_eigenvalues(c: Conductivity, tt: TravelTimeMap, spec: SeriesSpec,
             f"found {flips.size} sign changes below k={ceiling:.3f}, need {count}"
         )
 
-    pairs = []
-    for m, idx in enumerate(flips[:count], start=1):
-        try:
-            kappa = brentq(delta, grid[idx], grid[idx + 1], xtol=1e-15,
-                           rtol=4.0 * np.finfo(float).eps)
-        except RuntimeError as exc:
-            raise NoConvergence(f"root of mode {m} did not converge: {exc}") from exc
-        pairs.append(EigenPair(m=m, kappa=kappa, lam=-kappa * kappa,
-                               truncation_N=spec.truncation_N,
-                               residual=abs(delta(kappa))))
-
-    kappas = [p.kappa for p in pairs]
-    if any(b <= a for a, b in zip(kappas, kappas[1:])):
+    flips = flips[:count]
+    kappas, residuals = _bracket_roots(lambda k: _delta_from_tables(tables, k),
+                                       grid[flips], grid[flips + 1],
+                                       vals[flips], vals[flips + 1])
+    if np.any(np.diff(kappas) <= 0.0):
         raise NoConvergence("roots are not strictly increasing")
-    return pairs
+    return [EigenPair(m=m, kappa=kappa, lam=-kappa * kappa,
+                      truncation_N=spec.truncation_N, residual=res)
+            for m, (kappa, res) in enumerate(zip(kappas.tolist(), residuals.tolist()), start=1)]
 
 
 def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,

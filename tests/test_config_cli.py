@@ -58,6 +58,9 @@ def test_bad_values_rejected():
     ("series.tol = nan", "tol"),
     ("solve.times = 1, nan", "solve.times"),
     ("solve.times = inf", "solve.times"),
+    ("sigma.kind = constant\nsigma.value = nan", "sigma.value"),
+    ("sigma.kind = constant\nsigma.value = 0", "sigma.value"),
+    ("sigma.kind = constant\nsigma.value = -1", "sigma.value"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, capsys, text, where):
     # range errors in the file are configuration errors, not numerical failures

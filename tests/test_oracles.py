@@ -388,6 +388,10 @@ def test_fd_eigenvalues_count_limited_by_coarse_grid(parabolic):
             fd_eigenvalues(parabolic[0], count, nx)
     with pytest.raises(DomainError, match="integer"):
         fd_eigenvector(parabolic[0], -10.0, 64.0)
+    # nx = 1 used to return a NaN vector after a RuntimeWarning
+    for nx in (1, 63):
+        with pytest.raises(DomainError, match="nx >= 64"):
+            fd_eigenvector(parabolic[0], -10.0, nx)
 
 
 def test_fd_eigenvalues_rational_stability(rational):
@@ -413,3 +417,7 @@ def test_fourier_solution_basics():
                      (1.0, math.nan), (1.0, -1.0), (1.0, 0.0), (1.0, math.inf)):
         with pytest.raises(DomainError, match="finite and positive"):
             fourier_solution(sigma, quadratic, 0.5, t, 5)
+    # modes = 5.5 used to sum 6 modes, and nan to raise a bare ValueError
+    for modes in (0, 5.5, math.nan, 5.0):
+        with pytest.raises(DomainError, match="integer modes"):
+            fourier_solution(1.0, quadratic, 0.5, 0.1, modes)

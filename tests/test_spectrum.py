@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from varheat import SeriesSpec, build_travel_time, make_conductivity
 from varheat.errors import DomainError, NoConvergence
@@ -71,13 +72,35 @@ def test_find_eigenvalues_delta_budget(parabolic, spec2, monkeypatch):
     assert len(calls) <= 1 + 12 * 30
 
 
-def test_root_solver_failure_is_typed(parabolic, spec2, monkeypatch):
+def test_find_eigenvalues_call_count(parabolic, spec2, monkeypatch):
+    # the scan and every iteration, each one batched call over all brackets
     from varheat import spectrum
 
-    def stall(*args, **kwargs):
-        raise RuntimeError("Failed to converge after 100 iterations")
+    calls = []
+    plain = spectrum._delta_from_tables
 
-    monkeypatch.setattr(spectrum, "brentq", stall)
+    def counting(tables, ks):
+        calls.append(ks)
+        return plain(tables, ks)
+
+    monkeypatch.setattr(spectrum, "_delta_from_tables", counting)
+    assert len(find_eigenvalues(*parabolic, spec2, 30)) == 30
+    assert len(calls) <= 30
+
+
+def test_root_solver_failure_is_typed(parabolic, spec2, monkeypatch):
+    # every Delta after the scan is NaN, so no bracket can close
+    from varheat import spectrum
+
+    calls = []
+    plain = spectrum._delta_from_tables
+
+    def stall(tables, ks):
+        calls.append(ks)
+        vals = plain(tables, ks)
+        return vals if len(calls) == 1 else np.full_like(vals, np.nan)
+
+    monkeypatch.setattr(spectrum, "_delta_from_tables", stall)
     with pytest.raises(NoConvergence, match="mode 1"):
         find_eigenvalues(*parabolic, spec2, 3)
 
@@ -92,9 +115,31 @@ def test_roots_increase_with_tiny_residuals(c):
     assert max(p.residual for p in pairs) <= 1e-12
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(c=profiles)
+def test_roots_match_brent_per_bracket(c):
+    # the batched iteration stops on Brent's tolerances, so each root agrees
+    # with a scalar Brent solve of the same scan bracket to a few eps
+    tt = build_travel_time(c)
+    spec = SeriesSpec(truncation_N=2)
+    pairs = find_eigenvalues(c, tt, spec, 10)
+    # the scan grid of find_eigenvalues for 10 roots
+    step = math.pi / (4.0 * tt.total)
+    grid = np.arange(step * 0.25, 13 * math.pi / tt.total, step)
+    signs = np.sign(delta_values(c, tt, grid, spec))
+    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0][:10]
+    eps = np.finfo(float).eps
+    for p, i in zip(pairs, flips):
+        ref = brentq(lambda k: float(delta_values(c, tt, np.array([k]), spec)[0]),
+                     grid[i], grid[i + 1], xtol=1e-15, rtol=4.0 * eps)
+        assert abs(p.kappa - ref) <= 4.0 * eps * ref
+        assert p.residual <= 1e-12
+
+
 def test_count_validation(parabolic, spec2):
-    with pytest.raises(DomainError):
-        find_eigenvalues(*parabolic, spec2, 0)
+    for bad in (0, 2.5):
+        with pytest.raises(DomainError):
+            find_eigenvalues(*parabolic, spec2, bad)
 
 
 def test_truncation_convergence_pattern(parabolic):
