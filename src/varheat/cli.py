@@ -65,7 +65,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     c = cfg.conductivity()
     tt = build_travel_time(c)
     spec = cfg.series_spec()
-    q0 = cfg.profile()
+    q0, q0_knots = cfg.profile()
     xs = np.linspace(0.0, 1.0, cfg.solve_x_points)
     exact = _exact_solution(cfg)
 
@@ -73,7 +73,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     svg_series = []
     max_err = {}
     # One contour and one Phi batch serve every requested time.
-    batch = solve_grid(c, tt, q0, xs, cfg.solve_times, spec, all_orders=True)
+    batch = solve_grid(c, tt, q0, xs, cfg.solve_times, spec, all_orders=True,
+                       q0_knots=q0_knots)
     for t in cfg.solve_times:
         res = batch[float(t)]
         for n in sorted(res):

@@ -81,7 +81,10 @@ class RunConfig:
         return make_conductivity(self.sigma_kind)
 
     def profile(self):
-        return named_profile(self.profile_kind, self.profile_table)
+        """(q0, knots): the initial profile, and the abscissae of a table
+        profile, where its PCHIP interpolant is not smooth (else empty)."""
+        q0 = named_profile(self.profile_kind, self.profile_table)
+        return q0, (q0.x if self.profile_kind == "table" else ())
 
     def is_parabolic_benchmark(self) -> bool:
         return self.sigma_kind == "parabolic24" and self.profile_kind == "quadratic"
@@ -156,6 +159,8 @@ def _validate(cfg: RunConfig):
             cfg.conductivity()
         except NonPositiveConductivity as exc:
             raise ConfigError(f"sigma.value: {exc}") from exc
+    if cfg.profile_kind == "table":
+        cfg.profile()
     if cfg.solve_x_points < 2:
         raise ConfigError("solve.x_points must be >= 2")
     if not all(math.isfinite(t) and t > 0 for t in cfg.solve_times):
@@ -167,7 +172,11 @@ def _validate(cfg: RunConfig):
 
 
 def named_profile(kind: str, table: str = ""):
-    """Initial-profile evaluator by name: quadratic x(1-x), sine, or table."""
+    """Initial-profile evaluator by name: quadratic x(1-x), sine, or table.
+
+    A table is a CSV of finite 'x,q0' rows with x strictly increasing from 0
+    to 1; its evaluator is the PCHIP interpolant, whose knots are its ``x``.
+    """
     if kind == "quadratic":
         return lambda x: x * (1.0 - x)
     if kind == "sine":
@@ -181,6 +190,12 @@ def named_profile(kind: str, table: str = ""):
             raise ConfigError(f"cannot read profile table {table!r}: {exc}") from exc
         if data.shape[1] != 2 or np.any(np.diff(data[:, 0]) <= 0):
             raise ConfigError("profile table needs strictly increasing 'x,q0' rows")
-        interp = PchipInterpolator(data[:, 0], data[:, 1], extrapolate=False)
-        return lambda x: np.nan_to_num(interp(x), nan=0.0)
+        if not np.all(np.isfinite(data)):
+            raise ConfigError(f"profile.table {table!r}: x and q0 must be finite")
+        x = data[:, 0]
+        # the end check of coefficients._check_table for sigma^2 tables
+        if abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12:
+            raise ConfigError(
+                f"profile.table {table!r}: x must cover [0, 1] (got [{x[0]:g}, {x[-1]:g}])")
+        return PchipInterpolator(x, data[:, 1])
     raise ConfigError(f"unknown profile kind {kind!r}")

@@ -20,7 +20,9 @@ because e^{ik tau(y)} sin(kA) splits into two exponentials of twice the even
 and twice the odd gaps, each of modulus <= 1.  The suffix terms S_n(y, 1; k)
 are the same recursion on the reflected profile sigma(1 - x).  The solver
 (``transform.solve_grid``) and the eigenfunctions (``spectrum``) both use it,
-with max(32, ceil(|k| tau(1))) panels rounded up to a power of two.
+on the panel rule of ``_panel_count``: max(16, ceil(2 |k| tau(1) / 6)) panels,
+rounded up to a power of two, so that each panel carries at most 6 rad of
+the kernel phase 2|k| tau.
 
 The quadrature tuples serve Delta_N on (0, 1), its real roots and the scalar
 references.  Since tau enters linearly, A(y) = c + sum_p 2*(-1)**(p+1)
@@ -115,8 +117,10 @@ class SeriesSpec:
 
 # Gauss nodes per panel of the prefix recursion.
 _PREFIX_ORDER = 12
-# Fewest panels of the prefix recursion (see _panel_count).
-_MIN_PANELS = 32
+# Kernel phase that one panel of the prefix recursion resolves, in radians,
+# and the fewest panels (see _panel_count).
+_PANEL_PHASE = 6.0
+_MIN_PANELS = 16
 # Largest growth Im(omega) (tau(s) - tau_ref) of a phase factor inside one
 # block of a cumulative integral (twice that for the squared factors of the
 # recursion at 2k; e^64 ~ 6e27 is far from overflow).
@@ -144,9 +148,26 @@ def _unit_cumulative(order):
 
 
 def _panel_count(k, total):
-    """Panels of the prefix recursion at wavenumbers k: max(32, ceil(|k| tau(1))),
-    rounded up to a power of two so that nearby wavenumbers share a grid."""
-    wanted = np.maximum(_MIN_PANELS, np.ceil(np.abs(k) * total))
+    """Panels of the prefix recursion at wavenumbers k: max(16, ceil(2 |k| tau(1) / 6))
+    rounded up to a power of two, so that nearby wavenumbers share a grid.
+
+    The kernels e^{2ik (tau(y) - tau(s))} turn through 2 |k| tau(1) radians
+    over [0, 1], and one 12-node Gauss panel resolves _PANEL_PHASE = 6 of
+    them.  Against 8x the panels, at 32, 256 and 2048 panels (|k| from 10
+    to 4000), real k and arg k = pi/8, with tau integrated exactly, the
+    worst relative error of regDelta_4 on parabolic24, rational9000 and two
+    exp-sine tables is 1e-14 at 4 rad per panel, 4e-13 at 6, 1e-11 at 7,
+    2e-10 at 8 and 7e-7 at 12; rational9000, whose uniform-x panels share
+    the phase least evenly, is the worst.  The floor _MIN_PANELS = 16 is set
+    by mu, the table knots and q0, not by k: on 4 panels rational9000's
+    regDelta_4 at k <= 3 is off by up to 1e-9 and a single-x solve (x = 0.5,
+    t from 0.01 to 4) by 4e-12; on 8 panels those solves are within 7e-13
+    on every profile, and 16 keeps one halving of margin.  The C^1 Hermite
+    spline of ``build_travel_time`` adds its own error at real k, algebraic
+    in the panel width (2.5e-11 at k = 100 on 128 panels of a 33-knot
+    table, where exact tau gives 1e-15).
+    """
+    wanted = np.maximum(_MIN_PANELS, np.ceil(2.0 * np.abs(k) * total / _PANEL_PHASE))
     return 2 ** np.ceil(np.log2(wanted)).astype(int)
 
 
@@ -202,12 +223,13 @@ class _Cumulative:
         tau_edges = panels.tau_edges
         level = np.floor(max(0.0, omega.imag.max()) / _GROWTH * tau_edges[:-1])
         first = level.searchsorted(level)  # the first panel of each panel's block
-        self.starts = (first == np.arange(first.size)).nonzero()[0]
-        self.stops = np.append(self.starts[1:], first.size)
+        self.starts = (first == np.arange(first.size)).nonzero()[0].tolist()
+        self.stops = self.starts[1:] + [first.size]
         self.ref = tau_edges[first]
         self.width = panels.wts.sum(axis=1)[:, None, None]
         self.out_nodes = np.exp(1j * np.multiply.outer(panels.tau - self.ref[:, None], omega))
-        self.in_nodes = 1.0 / self.out_nodes
+        # for real omega |out_nodes| = 1
+        self.in_nodes = 1.0 / self.out_nodes if omega.imag.any() else self.out_nodes.conj()
         self.out_edges = np.exp(1j * np.multiply.outer(tau_edges[1:] - self.ref, omega))
 
     def squared(self):
@@ -230,21 +252,22 @@ class _Cumulative:
         rows = _unit_cumulative(_PREFIX_ORDER)[None if nodes else -1:]
         part = self.width * (rows @ f.view(float)).view(complex)  # real products
         whole = part[..., -1, :]
-        left = np.empty_like(whole)
-        carry = 0.0
+        at_edges = np.empty(whole.shape[:-2] + (whole.shape[-2] + 1, whole.shape[-1]),
+                            dtype=complex)
+        at_edges[..., 0, :] = 0.0
+        run = at_edges[..., 1:, :]  # the panel ends, in each block's frame until phased
         for lo, hi in zip(self.starts, self.stops):
-            run = carry + np.cumsum(whole[..., lo:hi, :], axis=-2)
-            left[..., lo:hi, :] = run - whole[..., lo:hi, :]
-            carry = run[..., -1:, :]
-            carry[phased] *= self.out_edges[hi - 1 : hi]
-        at_edges = left + whole
-        at_edges[phased] *= self.out_edges
-        at_edges = np.concatenate([np.zeros_like(at_edges[..., :1, :]), at_edges], axis=-2)
-        if not nodes:
-            return at_edges
-        at_nodes = left[..., None, :] + part[..., :-1, :]
-        at_nodes[phased] *= self.out_nodes
-        return at_nodes, at_edges
+            whole[..., lo:hi, :].cumsum(axis=-2, out=run[..., lo:hi, :])
+            if lo:
+                run[..., lo:hi, :] += carry
+            if hi < whole.shape[-2]:
+                carry = run[..., hi - 1 : hi, :].copy()
+                carry[phased] *= self.out_edges[hi - 1 : hi]
+        if nodes:
+            at_nodes = (run - whole)[..., None, :] + part[..., :-1, :]
+            at_nodes[phased] *= self.out_nodes
+        run[phased] *= self.out_edges
+        return (at_nodes, at_edges) if nodes else at_edges
 
 
 def _prefix_series(panels, k, N, cumulative=None):
@@ -274,7 +297,7 @@ def _prefix_series(panels, k, N, cumulative=None):
     panel nodes and (N + 1, P + 1, K) at the edges; real k gives
     S_n = Re(e^{-ik tau} R_n).
     """
-    k = np.atleast_1d(np.asarray(k, dtype=complex))
+    k = np.array(k, dtype=complex, ndmin=1)
     if k.imag.min() < -1e-12:
         raise DomainError("the prefix recursion requires Im k >= 0")
     cumulative = cumulative or _Cumulative(panels, 2.0 * k)
@@ -282,13 +305,17 @@ def _prefix_series(panels, k, N, cumulative=None):
     first = (np.exp(2j * np.multiply.outer(cumulative.ref, k))[:, None] * cumulative.out_nodes,
              np.exp(2j * np.multiply.outer(panels.tau_edges, k)))
     real = not k.imag.any()
-    G = [np.array([g, np.ones_like(g)][: 2 - real]) for g in first]
+    G = [np.array([g] if real else [g, np.ones_like(g)]) for g in first]
     half_mu = 0.5 * panels.mu[..., None]  # one factor of the 2**-n per order
-    orders = [G]
-    for n in range(1, N + 1):
-        orders.append(cumulative(half_mu * orders[-1][0], phased=slice(n % 2, n % 2 + 1)))
-    return tuple((g[:, 0] - (e * g[:, 0].conj() if real else g[:, 1])) / 2j
-                 for g, e in zip(map(np.array, zip(*orders)), first))
+    out = tuple(np.empty((N + 1,) + g.shape, dtype=complex) for g in first)
+    for n in range(N + 1):
+        if n:
+            G = cumulative(half_mu * G[0], phased=slice(n % 2, n % 2 + 1))
+        for o, g, e in zip(out, G, first):
+            np.subtract(g[0], e * g[0].conj() if real else g[1], out=o[n])
+    for o in out:
+        o *= -0.5j  # 1 / 2i
+    return out
 
 
 def _phase_const(tt, a, b, n):

@@ -17,11 +17,11 @@ Eigenfunctions are evaluated from the explicit series
 normalized to unit L^2 norm with positive slope at x = 0.  Every term of
 the series is evaluated at the mode's own root kappa_m, for all x at once by
 the prefix recursion ``simplex._prefix_series`` that the solver also uses,
-on its panel rule: max(32, ceil(kappa_m tau(1))) composite 12-node Gauss
-panels rounded up to a power of two, with the knots of a tabulated profile
-and the requested x merged into the panel edges.  Eigenfunction accuracy is
-set by that panel grid, not by ``quad_order``, which only the root finder
-uses.
+on its panel rule ``simplex._panel_count``: max(16, ceil(2 kappa_m tau(1) / 6))
+composite 12-node Gauss panels rounded up to a power of two, with the knots
+of a tabulated profile and the requested x merged into the panel edges.
+Eigenfunction accuracy is set by that panel grid, not by ``quad_order``,
+which only the root finder uses.
 """
 
 from __future__ import annotations
@@ -168,12 +168,13 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
     quadrature (|X(1)| up to 6.7e-4 for modes 1-8 of a 33-node tabulated
     profile at quad_order = 32).  Unit L^2 norm, sign fixed by a positive
     slope at the left boundary.  The series comes from the prefix recursion
-    on the solver's panel rule, max(32, ceil(kappa tau(1))) panels rounded
-    up to a power of two (32 for the first ten modes), with the table knots
-    and every evaluated x merged into the edges; on ``parabolic24`` and
-    ``rational9000`` its values for modes 1-8 agree with 2048 panels to
-    about 1e-14.  The evaluator raises :class:`DomainError` for x outside
-    [0, 1].
+    on the solver's panel rule, max(16, ceil(2 kappa tau(1) / 6)) panels
+    rounded up to a power of two (16 for the first 15 modes of
+    ``parabolic24`` and ``rational9000``), with the table knots and every
+    evaluated x merged into the edges; at 101 x its values for modes 1-8
+    agree with 2048 panels to 5.2e-13 on ``parabolic24`` and 1.2e-14 on
+    ``rational9000``.  The evaluator raises :class:`DomainError` for x
+    outside [0, 1].
     """
     if pair.truncation_N != spec.truncation_N:
         raise DomainError("pair was produced with a different truncation")

@@ -282,20 +282,22 @@ def _series_and_integral(panels, k, N, weight):
     """R(y) = e^{ik tau(y)} S(0, y), cumulative in n, and its y-integral
     int_0^x e^{ik (tau(x) - tau(y))} R(y) weight(y) dy, both at the edges."""
     integral = _Cumulative(panels, k)  # its blocks also serve the recursion at 2k
-    nodes, at_edges = (np.cumsum(r, axis=0)
+    nodes, at_edges = (r.cumsum(axis=0, out=r)
                        for r in _prefix_series(panels, k, N, integral.squared()))
     return at_edges, integral(nodes * weight, nodes=False)
 
 
-def _phi_batch(c, tt, q0, ks, xs, spec):
+def _phi_batch(c, tt, q0, ks, xs, spec, q0_knots=()):
     """Regularized Phi_n(k, x) and Delta_n(k) for all orders n <= N.
 
     Returns (phi, regD) of shapes (N+1, X, K) and (N+1, K): exp(ik tau(1))
     times Phi and Delta, with the series *cumulative* in n (entry n is the
     truncation-N=n value).
 
-    Wavenumbers with the same ``simplex._panel_count`` share one panel grid,
-    whose edges include every x and the table knots.  On it the prefix
+    Wavenumbers with the same ``simplex._panel_count`` (at least 16 panels,
+    at most 6 rad of kernel phase in each) share one panel grid, whose edges
+    also include every x, the knots of a tabulated sigma and ``q0_knots``,
+    where q0 is not smooth.  On it the prefix
     recursion gives R(y) = e^{ik tau(y)} S(0, y), and on the reflected grid
     R~(y) = e^{ik (tau(1) - tau(y))} S(y, 1).  Each y-integral is one more
     cumulative integral, with omega = k:
@@ -315,7 +317,7 @@ def _phi_batch(c, tt, q0, ks, xs, spec):
     counts = _panel_count(ks, tt.total)
     for count in np.unique(counts):
         group = counts == count
-        edges = _panel_edges(c, count, xs)
+        edges = _panel_edges(c, count, np.concatenate([xs, q0_knots]))
         at_x = np.searchsorted(edges, xs)
         panels = _panels(c, tt, edges)
         weight = _q0_weights(c, q0, panels.pts)[..., None]
@@ -362,7 +364,7 @@ def _check_quadrature(cont, integrand, weighted, ts, tol):
 
 def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
                contour: Contour | None = None, tail_tol: float = DEFAULT_TAIL_TOL,
-               all_orders: bool = False):
+               all_orders: bool = False, q0_knots=()):
     """Evaluate q_N on a grid of x values for a batch of times; {t: [samples]}.
 
     One contour serves the whole batch: unless ``contour`` is given,
@@ -382,6 +384,9 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
     of the regularized characteristic function, :class:`TailTooLarge` if the
     truncation bound at the last node exceeds ``tail_tol`` at some t, and
     :class:`ToleranceNotReached` if the trapezoid error estimate does.
+    ``q0_knots`` lists the points of [0, 1] where q0 is not smooth, such as
+    the abscissae of a tabulated q0 (else :class:`DomainError`); they become
+    panel edges, as the x values do.
 
     On ``parabolic24`` with q0 = x(1 - x) and N = 2 the error against the
     exact x(1 - x) exp(-t) is about 1.6e-6 at t = 0.01 (truncation: 5.8e-8
@@ -398,11 +403,14 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
             raise DomainError(f"solve requires x in [0, 1], got x={x!r}")
     if not (math.isfinite(tail_tol) and tail_tol > 0.0):
         raise DomainError(f"tail_tol must be finite and positive, got {tail_tol!r}")
+    q0_knots = np.asarray(q0_knots, dtype=float).ravel()
+    if not np.all((q0_knots >= 0.0) & (q0_knots <= 1.0)):
+        raise DomainError("q0_knots must lie in [0, 1]")
     N = spec.truncation_N
     cont = contour if contour is not None else Contour.for_times(ts, tail_tol)
     ks, ws = cont.nodes()
     # The vertex and the Re k > 0 nodes; node j mirrors node 2M - j.
-    phi, regD = _phi_batch(c, tt, q0, ks[cont.half_count:], xs, spec)
+    phi, regD = _phi_batch(c, tt, q0, ks[cont.half_count:], xs, spec, q0_knots)
     # |regDelta| is mirror invariant, so the half decides the check.
     dscale = np.abs(regD[N])
     floor = _DENOMINATOR_FLOOR * max(1.0, float(dscale.max()))

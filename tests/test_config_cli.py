@@ -1,6 +1,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from varheat.cli import main
 from varheat.config import parse_config_text, named_profile
 from varheat.errors import ConfigError
 
+# a q0 table on [0.2, 0.8] only
+PARTIAL_Q0_TABLE = Path(__file__).parent / "data" / "q0_partial.csv"
 
 BASE_CFG = """
 sigma.kind = parabolic24
@@ -61,6 +64,8 @@ def test_bad_values_rejected():
     ("sigma.kind = constant\nsigma.value = nan", "sigma.value"),
     ("sigma.kind = constant\nsigma.value = 0", "sigma.value"),
     ("sigma.kind = constant\nsigma.value = -1", "sigma.value"),
+    pytest.param(f"profile.kind = table\nprofile.table = {PARTIAL_Q0_TABLE}", "profile.table",
+                 id="profile.table = q0_partial.csv-profile.table"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, capsys, text, where):
     # range errors in the file are configuration errors, not numerical failures
@@ -97,6 +102,34 @@ def test_cli_solve_csv(tmp_path, capsys):
     assert len([ln for ln in lines if ln]) == 1 + 33
     report = capsys.readouterr().out
     assert "max |q_N - exact|" in report
+
+
+def test_cli_solve_merges_table_profile_knots(tmp_path):
+    # A rough 15-knot q0 table: the CLI solve takes its abscissae as panel
+    # edges (q0_knots), which moves the samples by far more than roundoff.
+    from varheat import build_travel_time, make_conductivity
+    from varheat.transform import solve_grid
+
+    rng = np.random.default_rng(7)
+    x = np.concatenate([[0.0], np.sort(rng.uniform(0.02, 0.98, 13)), [1.0]])
+    q = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, 13), [0.0]])
+    table = tmp_path / "q0.csv"
+    table.write_text("".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(x, q)))
+    cfg = _write_cfg(tmp_path, BASE_CFG + f"profile.kind = table\nprofile.table = {table}\n")
+    out = tmp_path / "s.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    got = np.array([float(r[2]) for r in rows if r[4] == "2"])
+    c = make_conductivity("parabolic24")
+    tt = build_travel_time(c)
+    q0 = named_profile("table", str(table))
+    xs = np.linspace(0.0, 1.0, 11)
+    spec = parse_config_text(BASE_CFG).series_spec()
+    merged, plain = ([s.value for s in solve_grid(c, tt, q0, xs, [1.0], spec,
+                                                  q0_knots=knots)[1.0]]
+                     for knots in (x, ()))
+    assert np.max(np.abs(got - merged)) <= 1e-15
+    assert np.max(np.abs(got - plain)) > 1e-8
 
 
 def test_cli_solve_constant_matches_fourier(tmp_path):

@@ -386,3 +386,20 @@ def test_prefix_recursion_requires_upper_half_plane(parabolic):
     panels = _panels(c, tt, np.linspace(0.0, 1.0, 33))
     with pytest.raises(DomainError, match="Im k"):
         _prefix_series(panels, [1.0 - 0.5j], 2)
+
+
+def test_panel_count_rule(parabolic):
+    # max(16, ceil(2 |k| tau(1) / 6)) rounded up to a power of two, for any
+    # direction of k; the figure-2 contour then needs one panel grid
+    c, tt = parabolic
+    mods = np.concatenate([[0.0], np.geomspace(1e-3, 3e3, 400)])
+    wanted = np.maximum(simplex._MIN_PANELS,
+                        np.ceil(2.0 * mods * tt.total / simplex._PANEL_PHASE))
+    for arg in (0.0, math.pi / 8, math.pi / 2):
+        counts = simplex._panel_count(mods * np.exp(1j * arg), tt.total)
+        assert np.all(counts & (counts - 1) == 0)  # powers of two
+        assert counts.min() == simplex._MIN_PANELS == 16
+        assert np.all(np.diff(counts) >= 0)
+        assert np.all((wanted <= counts) & (counts < 2 * wanted))
+    ks = Contour.for_times([0.25, 1.0, 4.0]).nodes()[0]
+    assert set(simplex._panel_count(ks, tt.total)) == {16}

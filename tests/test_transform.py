@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -298,6 +299,88 @@ def test_solve_small_times_match_exact(parabolic, spec2, t, tol):
     for s in res:
         assert math.isfinite(s.value)
         assert abs(s.value - quadratic(s.x) * math.exp(-t)) <= tol, s.x
+
+
+@pytest.mark.parametrize("t, bound", [(1e-4, 1.63714e-8), (1e-5, 1.69902e-9)])
+def test_small_time_errors_kept_by_panel_rule(parabolic, spec2, t, bound):
+    # The N = 2 error at these times, max over x, as the panel rule
+    # max(32, ceil(|k| tau(1))) (2-4x more panels) gave it, rounded up at
+    # the sixth digit: the phase rule adds no panel error to it.
+    c, tt = parabolic
+    res = solve_grid(c, tt, quadratic, [0.1, 0.3, 0.5], [t], spec2)[t]
+    assert max(abs(s.value - quadratic(s.x) * math.exp(-t)) for s in res) <= bound
+
+
+def _quadrature_travel_time(c, order=30):
+    """tau(x) by Gauss-Legendre quadrature of 1/sigma from the nearest of 64
+    uniform pieces, split at the table knots: exact to roundoff, where the
+    C^1 Hermite spline of build_travel_time adds its own panel error at
+    real k (up to 3e-11 of regDelta), whatever the phase per panel."""
+    from varheat.coefficients import TravelTimeMap, _panel_gauss, _unit_gauss
+
+    edges = np.union1d(np.linspace(0.0, 1.0, 65), c.params.get("knots", ()))
+    pts, wts = _panel_gauss(edges, order)
+    cum = np.concatenate([[0.0], np.cumsum(np.sum(wts / c.sigma(pts), axis=1))])
+    u, w = _unit_gauss(order)
+
+    def tau(x):
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        j = np.clip(np.searchsorted(edges, flat, side="right") - 1, 0, edges.size - 2)
+        span = (flat - edges[j])[:, None]
+        inner = np.sum(span * w / c.sigma(edges[j][:, None] + span * u), axis=1)
+        return (cum[j] + inner).reshape(x.shape)
+
+    return TravelTimeMap(tau=tau, total=float(cum[-1]))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(c=profiles,
+       ks=st.lists(st.builds(lambda r, a: r * np.exp(1j * a), st.floats(0.5, 300.0),
+                             st.just(0.0) | st.floats(0.0, math.pi / 2)),
+                   min_size=1, max_size=4))
+def test_panel_rule_resolves_phi_and_delta(c, ks):
+    # At the panel count the rule picks, Phi_4 and regDelta_4 agree with 4x
+    # the panels to 1e-12 of their largest value, on the real axis and in
+    # the upper half plane.  The 1e-15 floor is the roundoff of Phi's O(1)
+    # factors: at real |k| = 300 Phi falls to about 5e-5, so its 3e-16 of
+    # roundoff alone is 6e-12 of it.
+    tt = _quadrature_travel_time(c)
+    ks = np.array(ks, dtype=complex)
+    spec = SeriesSpec(truncation_N=4)
+    xs = [0.3, 0.71]
+    got = _phi_batch(c, tt, quadratic, ks, xs, spec)
+    rule = simplex._panel_count
+    with unittest.mock.patch.object(transform, "_panel_count",
+                                    lambda k, total: 4 * rule(k, total)):
+        ref = _phi_batch(c, tt, quadratic, ks, xs, spec)
+    for a, b in zip(got, ref):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)) + 1e-15
+
+
+def test_table_q0_knots_make_panel_edges(parabolic, monkeypatch):
+    # A rough 15-knot PCHIP q0 is only C^1 at its knots.  Merged into the
+    # panel edges, they make the solve agree with 8x the panels to 1e-12;
+    # left inside panels they cost about 1e-4.
+    from scipy.interpolate import PchipInterpolator
+
+    c, tt = parabolic
+    rng = np.random.default_rng(7)
+    knots = np.concatenate([[0.0], np.sort(rng.uniform(0.02, 0.98, 13)), [1.0]])
+    q0 = PchipInterpolator(knots, np.concatenate([[0.0], rng.uniform(-1.0, 1.0, 13), [0.0]]))
+    xs, ts, spec = np.linspace(0.0, 1.0, 11), [0.01, 0.25, 1.0], SeriesSpec(truncation_N=4)
+
+    def values(q0_knots):
+        res = solve_grid(c, tt, q0, xs, ts, spec, q0_knots=q0_knots)
+        return np.array([[s.value for s in res[t]] for t in ts])
+
+    merged, plain = values(knots), values(())
+    rule = simplex._panel_count
+    monkeypatch.setattr(transform, "_panel_count", lambda k, total: 8 * rule(k, total))
+    assert np.max(np.abs(merged - values(knots))) <= 1e-12
+    assert np.max(np.abs(plain - values(()))) > 1e-6
+    with pytest.raises(DomainError, match="q0_knots"):
+        solve_grid(c, tt, q0, xs, ts, spec, q0_knots=[0.5, math.nan])
 
 
 def test_solve_high_order_matches_exact(parabolic):
