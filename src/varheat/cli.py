@@ -14,21 +14,21 @@ significant digits; JSON round-trips exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 import numpy as np
 
-from .config import RunConfig, parse_config
+from .config import RunConfig, _validate, parse_config
 from .coefficients import build_travel_time
 from .errors import ConfigError, VarheatError
 from .oracles import fd_eigenvalues, fd_eigenvector
-from .simplex import SeriesSpec
 from .spectrum import eigenfunction, find_eigenvalues
 from .svg import LineSeries, write_line_plot
 from .transform import solve_grid
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 __all__ = ["main", "cmd_solve", "cmd_eigs", "cmd_eigfuns", "cmd_verify"]
 
@@ -37,18 +37,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path, header, rows):
+def _write_table(path, fmt, header, rows):
+    """``rows`` under ``header``: CSV, or for ``fmt`` json a list of objects."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
-
-
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        if fmt == "csv":
+            handle.write(",".join(header) + "\n")
+            for row in rows:
+                handle.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                                      for v in row) + "\n")
+        else:
+            json.dump([dict(zip(header, row)) for row in rows], handle, indent=2,
+                      sort_keys=True)
+            handle.write("\n")
 
 
 def _exact_solution(cfg: RunConfig):
@@ -92,12 +92,7 @@ def cmd_solve(cfg: RunConfig) -> int:
                 xs, [exact(x, t) for x in xs], f"exact, t={t:g}", dashed=True))
 
     out_path = cfg.output_path or f"solve.{cfg.output_format}"
-    if cfg.output_format == "csv":
-        _write_csv(out_path, ["x", "t", "q", "imag_residual", "N"], rows)
-    else:
-        payload = [{"x": r[0], "t": r[1], "q": r[2], "imag_residual": r[3],
-                    "N": r[4]} for r in rows]
-        _write_json(out_path, payload)
+    _write_table(out_path, cfg.output_format, ["x", "t", "q", "imag_residual", "N"], rows)
     print(f"wrote {out_path} ({len(rows)} rows)")
     if exact is not None:
         for n in sorted(max_err):
@@ -123,11 +118,9 @@ def cmd_eigs(cfg: RunConfig) -> int:
             rec["abs_diff"] = abs(rec["lambda"] - ref)
 
     out_path = cfg.output_path or f"eigs.{cfg.output_format}"
-    if cfg.output_format == "json":
-        _write_json(out_path, records)
-    else:
-        header = list(records[0].keys())
-        _write_csv(out_path, header, [tuple(r[h] for h in header) for r in records])
+    header = list(records[0])
+    _write_table(out_path, cfg.output_format, header,
+                 [tuple(r[h] for h in header) for r in records])
     print(f"wrote {out_path} ({len(records)} modes)")
     for rec in records:
         line = f"m={rec['m']}  lambda={rec['lambda']:.6f}  residual={rec['residual']:.2e}"
@@ -146,8 +139,7 @@ def cmd_eigfuns(cfg: RunConfig) -> int:
     columns = {}
     svg_series = []
     for N in truncations:
-        spec_n = SeriesSpec(truncation_N=N, quad_order=cfg.series_quad_order,
-                            tol=cfg.series_tol)
+        spec_n = dataclasses.replace(cfg.series_spec(), truncation_N=N)
         pairs = find_eigenvalues(c, tt, spec_n, max(cfg.eigfuns_modes))
         for m in cfg.eigfuns_modes:
             ef = eigenfunction(c, tt, pairs[m - 1], spec_n)
@@ -164,10 +156,7 @@ def cmd_eigfuns(cfg: RunConfig) -> int:
     header = ["x"] + list(columns.keys())
     rows = [tuple([x] + [float(columns[h][i]) for h in header[1:]])
             for i, x in enumerate(xs)]
-    if cfg.output_format == "csv":
-        _write_csv(out_path, header, rows)
-    else:
-        _write_json(out_path, [dict(zip(header, row)) for row in rows])
+    _write_table(out_path, cfg.output_format, header, rows)
     print(f"wrote {out_path} ({len(rows)} rows, {len(columns)} eigenfunctions)")
     if cfg.output_svg:
         write_line_plot(cfg.output_svg, svg_series, title="eigenfunctions",
@@ -181,7 +170,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
         results = run_suite(suite, seed=cfg.verify_seed)
     except KeyError:
         raise ConfigError(f"unknown verify suite {suite!r}; "
-                          "choose table1|figure2|determinant|convergence|all")
+                          f"choose {'|'.join([*SUITES, 'all'])}")
     for res in results:
         print(res.line())
     failed = sum(0 if r.passed else 1 for r in results)
@@ -204,9 +193,7 @@ def _build_parser():
         if name == "eigs":
             p.add_argument("--count", type=int, default=None)
         if name == "verify":
-            p.add_argument("suite", nargs="?", default="all",
-                           choices=("table1", "figure2", "determinant",
-                                    "convergence", "all"))
+            p.add_argument("suite", nargs="?", default="all", choices=(*SUITES, "all"))
     return parser
 
 
@@ -215,17 +202,14 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config) if args.config else RunConfig()
         if args.N is not None:
-            if args.N < 0:
-                raise ConfigError("--N must be >= 0")
             cfg.series_N = args.N
         if args.out is not None:
             cfg.output_path = args.out
         if args.format is not None:
             cfg.output_format = args.format
         if getattr(args, "count", None) is not None:
-            if args.count < 1:
-                raise ConfigError("--count must be >= 1")
             cfg.eigs_count = args.count
+        _validate(cfg)  # the overrides take the file's range checks
 
         if args.command == "solve":
             return cmd_solve(cfg)

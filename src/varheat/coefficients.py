@@ -96,6 +96,14 @@ def _rational9000_dsq(x):
     return -(dcubic * lin - cubic) / (12.0 * lin**2)
 
 
+# The closed-form profiles as (sigma^2, (sigma^2)') evaluators.
+_CLOSED_FORMS = {
+    "parabolic24": (lambda x: (3.0 - (2.0 * x - 1.0) ** 2) / 24.0,
+                    lambda x: -(2.0 * x - 1.0) / 6.0),
+    "rational9000": (_rational9000_sq, _rational9000_dsq),
+}
+
+
 @dataclass(frozen=True)
 class Conductivity:
     """A validated conductivity profile on [0, 1].
@@ -213,36 +221,20 @@ def make_conductivity(kind, **params) -> Conductivity:
 
         return Conductivity("constant", sigma, dsigma, c, {"c": c})
 
-    if kind == "parabolic24":
+    if kind in _CLOSED_FORMS:
         if params:
-            raise DomainError(f"parabolic24: unknown params {sorted(params)}")
+            raise DomainError(f"{kind}: unknown params {sorted(params)}")
+        sq, dsq = _CLOSED_FORMS[kind]
 
         def sigma(x):
-            x = np.asarray(x, dtype=float)
-            return np.sqrt((3.0 - (2.0 * x - 1.0) ** 2) / 24.0)
+            return np.sqrt(sq(np.asarray(x, dtype=float)))
 
         def dsigma(x):
             x = np.asarray(x, dtype=float)
-            # (sigma^2)' = -(2x-1)/6, then sigma' = (sigma^2)'/(2 sigma)
-            return -(2.0 * x - 1.0) / 6.0 / (2.0 * sigma(x))
+            # sigma' = (sigma^2)' / (2 sigma)
+            return dsq(x) / (2.0 * sigma(x))
 
-        smin = _validate_positive(sigma, kind)
-        return Conductivity("parabolic24", sigma, dsigma, smin, {})
-
-    if kind == "rational9000":
-        if params:
-            raise DomainError(f"rational9000: unknown params {sorted(params)}")
-
-        def sigma(x):
-            x = np.asarray(x, dtype=float)
-            return np.sqrt(_rational9000_sq(x))
-
-        def dsigma(x):
-            x = np.asarray(x, dtype=float)
-            return _rational9000_dsq(x) / (2.0 * sigma(x))
-
-        smin = _validate_positive(sigma, kind)
-        return Conductivity("rational9000", sigma, dsigma, smin, {})
+        return Conductivity(kind, sigma, dsigma, _validate_positive(sigma, kind), {})
 
     if kind == "tabulated":
         if "table" in params:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .coefficients import make_conductivity
+from .coefficients import KINDS, make_conductivity
 from .errors import ConfigError, DomainError, NonPositiveConductivity
 from .simplex import SeriesSpec
 
@@ -91,7 +91,7 @@ class RunConfig:
 
 
 _SCHEMA = {
-    "sigma.kind": ("sigma_kind", lambda s: s, ("constant", "parabolic24", "rational9000", "tabulated")),
+    "sigma.kind": ("sigma_kind", lambda s: s, KINDS),
     "sigma.value": ("sigma_value", float, None),
     "sigma.table": ("sigma_table", lambda s: s, None),
     "profile.kind": ("profile_kind", lambda s: s, ("quadratic", "sine", "table")),
@@ -169,6 +169,10 @@ def _validate(cfg: RunConfig):
         raise ConfigError("eigs.count must be >= 1")
     if not cfg.eigfuns_modes or any(m < 1 for m in cfg.eigfuns_modes):
         raise ConfigError("eigfuns.modes must be positive mode indices")
+    if any(N < 0 for N in cfg.eigfuns_truncations):
+        raise ConfigError("eigfuns.truncations must be >= 0")
+    if cfg.eigfuns_x_points < 2:
+        raise ConfigError("eigfuns.x_points must be >= 2")
 
 
 def named_profile(kind: str, table: str = ""):

@@ -20,9 +20,9 @@ because e^{ik tau(y)} sin(kA) splits into two exponentials of twice the even
 and twice the odd gaps, each of modulus <= 1.  The suffix terms S_n(y, 1; k)
 are the same recursion on the reflected profile sigma(1 - x).  The solver
 (``transform.solve_grid``) and the eigenfunctions (``spectrum``) both use it,
-on the panel rule of ``_panel_count``: max(16, ceil(2 |k| tau(1) / 6)) panels,
-rounded up to a power of two, so that each panel carries at most 6 rad of
-the kernel phase 2|k| tau.
+on the panels of ``_grid``, whose count follows the rule of ``_panel_count``:
+max(16, ceil(2 |k| tau(1) / 6)) panels, rounded up to a power of two, so
+that each panel carries at most 6 rad of the kernel phase 2|k| tau.
 
 The quadrature tuples serve Delta_N on (0, 1), its real roots and the scalar
 references.  Since tau enters linearly, A(y) = c + sum_p 2*(-1)**(p+1)
@@ -171,13 +171,6 @@ def _panel_count(k, total):
     return 2 ** np.ceil(np.log2(wanted)).astype(int)
 
 
-def _panel_edges(c, count, points=()):
-    """``count`` uniform panels on [0, 1], split at ``points`` and at the knots
-    of a tabulated profile (the quadrature is smooth only between them)."""
-    return np.unique(np.concatenate([np.linspace(0.0, 1.0, count + 1),
-                                     c.params.get("knots", ()), points]))
-
-
 class _Panels(NamedTuple):
     """Composite Gauss panels: nodes and weights, mu and tau at the nodes, all
     shaped (P, _PREFIX_ORDER), and tau at the P + 1 edges."""
@@ -188,20 +181,30 @@ class _Panels(NamedTuple):
     tau: np.ndarray
     tau_edges: np.ndarray
 
-    def reflected(self, total):
+    def reflected(self):
         """The panels of x -> 1 - x, on which sigma(1 - x) has mu -> -mu and
-        tau -> tau(1) - tau, so S_n(y, 1; sigma) = S_n(0, 1 - y; sigma(1 - .))."""
+        tau -> tau(1) - tau, so S_n(y, 1; sigma) = S_n(0, 1 - y; sigma(1 - .)).
+        tau(1) is the last edge's."""
+        total = self.tau_edges[-1]
         pts, wts, mu, tau = (a[::-1, ::-1] for a in self[:4])
         return _Panels(1.0 - pts, wts, -mu, total - tau, total - self.tau_edges[::-1])
 
 
-def _panels(c, tt, edges):
-    """:class:`_Panels` between ``edges`` (increasing, from 0 to at most 1)."""
-    edges = np.asarray(edges, dtype=float)
+def _grid(c, tt, count, points=()):
+    """``count`` uniform panels on [0, 1], split at the knots of a tabulated
+    profile (the quadrature is smooth only between them) and at ``points``.
+
+    Returns the :class:`_Panels` and, for each point, the index of its edge.
+    Raises :class:`DomainError` unless every point lies in [0, 1].
+    """
+    points = np.asarray(points, dtype=float).ravel()
+    edges = np.unique(np.concatenate([np.linspace(0.0, 1.0, count + 1),
+                                      c.params.get("knots", ()), points]))
     if not (edges[0] == 0.0 and edges[-1] <= 1.0):
         raise DomainError(f"series points must lie in [0, 1], got {edges[0]:g}..{edges[-1]:g}")
     pts, wts = _panel_gauss(edges, _PREFIX_ORDER)
-    return _Panels(pts, wts, log_derivative(c, pts), tt.tau(pts), tt.tau(edges))
+    panels = _Panels(pts, wts, log_derivative(c, pts), tt.tau(pts), tt.tau(edges))
+    return panels, edges.searchsorted(points)
 
 
 class _Cumulative:
@@ -289,7 +292,7 @@ def _prefix_series(panels, k, N, cumulative=None):
     :class:`_Cumulative` integral of both branches, stacked on a leading
     axis (for real k the second branch is e^{2ik tau} times the conjugate of
     the first, so only the first runs).  S_n(y, 1; k) is the same recursion
-    on ``panels.reflected(tau(1))``.
+    on ``panels.reflected()``.
 
     ``k`` holds K wavenumbers with Im k >= 0 (else :class:`DomainError`);
     ``cumulative``, if given, is the :class:`_Cumulative` for omega = 2k on
@@ -352,14 +355,14 @@ def _check_regularized(k, shift, span):
         )
 
 
-def _expand_level(lo, up, W, T, sign, mu_vals_fn, tau_vals_fn, x01, w01):
+def _expand_level(lo, up, W, T, sign, c, tt, x01, w01):
     """Add one inner simplex variable; upper limits shrink to current nodes."""
     span = up - lo
     y = lo[:, None] + span[:, None] * x01[None, :]
     jac = span[:, None] * w01[None, :]
     yf = y.ravel()
-    Wf = (W[:, None] * jac).ravel() * mu_vals_fn(yf)
-    Tf = T[:, None].repeat(x01.size, axis=1).ravel() + (2.0 * sign) * tau_vals_fn(yf)
+    Wf = (W[:, None] * jac).ravel() * log_derivative(c, yf)
+    Tf = T[:, None].repeat(x01.size, axis=1).ravel() + (2.0 * sign) * tt.tau(yf)
     lof = lo[:, None].repeat(x01.size, axis=1).ravel()
     return lof, yf, Wf, Tf
 
@@ -394,8 +397,6 @@ def _fold_simplex(c, tt, n, a, b, quad_order, k, shift=None):
     _check_order(n, quad_order)
     const = _phase_const(tt, a, b, n)
     x01, w01 = _unit_gauss(quad_order)
-    mu = lambda y: np.asarray(log_derivative(c, y))
-    tau = lambda y: np.asarray(tt.tau(y))
     scale = 0.5**n
 
     def recurse(lo, up, W, T, level):
@@ -408,7 +409,7 @@ def _fold_simplex(c, tt, n, a, b, quad_order, k, shift=None):
                 lo[half:], up[half:], W[half:], T[half:], level
             )
         sign = (-1.0) ** (level + 1)
-        lof, yf, Wf, Tf = _expand_level(lo, up, W, T, sign, mu, tau, x01, w01)
+        lof, yf, Wf, Tf = _expand_level(lo, up, W, T, sign, c, tt, x01, w01)
         return recurse(lof, yf, Wf, Tf, level - 1)
 
     lo0 = np.array([a], dtype=float)
@@ -538,9 +539,7 @@ def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b,
         raise DomainError("batched intervals must satisfy 0 <= a <= b <= 1")
     M = a.size
     x01, w01 = _unit_gauss(spec.quad_order)
-    mu = lambda y: np.asarray(log_derivative(c, y))
-    tau = lambda y: np.asarray(tt.tau(y))
-    span = tau(b) - tau(a)
+    span = tt.tau(b) - tt.tau(a)
 
     # quad_order**n grows with n, so the top order decides before any expansion.
     N = spec.truncation_N
@@ -557,7 +556,7 @@ def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b,
         T = np.zeros(M)
         for level in range(n, 0, -1):
             sign = (-1.0) ** (level + 1)
-            lo, up, W, T = _expand_level(lo, up, W, T, sign, mu, tau, x01, w01)
+            lo, up, W, T = _expand_level(lo, up, W, T, sign, c, tt, x01, w01)
         J = spec.quad_order**n
         tables.append(TermTable(n, W.reshape(M, J), T.reshape(M, J),
                                 _phase_const(tt, a, b, n), span))

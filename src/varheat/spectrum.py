@@ -14,14 +14,17 @@ Eigenfunctions are evaluated from the explicit series
 
     X_m(x) = sigma(x)^(-1/2) * sum_{n<=N} S_n(0, x; kappa_m),
 
-normalized to unit L^2 norm with positive slope at x = 0.  Every term of
-the series is evaluated at the mode's own root kappa_m, for all x at once by
-the prefix recursion ``simplex._prefix_series`` that the solver also uses,
-on its panel rule ``simplex._panel_count``: max(16, ceil(2 kappa_m tau(1) / 6))
-composite 12-node Gauss panels rounded up to a power of two, with the knots
-of a tabulated profile and the requested x merged into the panel edges.
-Eigenfunction accuracy is set by that panel grid, not by ``quad_order``,
-which only the root finder uses.
+normalized to unit L^2 norm.  The sign needs no choice: the n = 0 term
+S_0(0, x; kappa) = sin(kappa tau(x)) has slope kappa / sigma(0) > 0 at
+x = 0, and every S_n with n >= 1 is O(x^(n+1)) there, so X_m'(0) > 0 at
+every N.  Every term of the series is evaluated at the mode's own root
+kappa_m, for all x at once by the prefix recursion
+``simplex._prefix_series`` that the solver also uses, on the panels of
+``simplex._grid`` with the solver's rule ``simplex._panel_count``:
+max(16, ceil(2 kappa_m tau(1) / 6)) composite 12-node Gauss panels rounded
+up to a power of two, with the knots of a tabulated profile and the
+requested x merged into the panel edges.  Eigenfunction accuracy is set by
+that panel grid, not by ``quad_order``, which only the root finder uses.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ import numpy as np
 
 from .coefficients import Conductivity, TravelTimeMap
 from .errors import DomainError, NoConvergence, RootMissed
-from .simplex import (SeriesSpec, _panel_count, _panel_edges, _panels, _prefix_series,
-                      build_term_tables)
+from .simplex import SeriesSpec, _grid, _panel_count, _prefix_series, build_term_tables
 # delta_values is not called here; it stays bound as spectrum.delta_values,
 # a name the benchmark tracer rebinds and its tests check.
 from .transform import _delta_from_tables, delta_values  # noqa: F401
@@ -64,13 +66,6 @@ class Eigenfunction:
 
     def __call__(self, x):
         return self.evaluator(x)
-
-
-def _series(c, tt, edges, kappa, N):
-    """Panels between ``edges`` and sum_{n<=N} e^{i kappa tau} S_n(0, y; kappa)
-    at their nodes and edges; S_n = Re(e^{-i kappa tau} ...) for real kappa."""
-    panels = _panels(c, tt, edges)
-    return (panels,) + tuple(r.sum(axis=0)[..., 0] for r in _prefix_series(panels, kappa, N))
 
 
 # scipy's default iteration cap for Brent's method, per bracket
@@ -166,42 +161,43 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
     sqrt(sigma(1)) evaluated accurately, so it vanishes only up to the error
     of the root, which ``find_eigenvalues`` takes from the quad_order
     quadrature (|X(1)| up to 6.7e-4 for modes 1-8 of a 33-node tabulated
-    profile at quad_order = 32).  Unit L^2 norm, sign fixed by a positive
-    slope at the left boundary.  The series comes from the prefix recursion
-    on the solver's panel rule, max(16, ceil(2 kappa tau(1) / 6)) panels
-    rounded up to a power of two (16 for the first 15 modes of
-    ``parabolic24`` and ``rational9000``), with the table knots and every
-    evaluated x merged into the edges; at 101 x its values for modes 1-8
-    agree with 2048 panels to 5.2e-13 on ``parabolic24`` and 1.2e-14 on
-    ``rational9000``.  The evaluator raises :class:`DomainError` for x
-    outside [0, 1].
+    profile at quad_order = 32).  Unit L^2 norm, taken on the panel grid
+    without the evaluated x.  The scale is positive and fixes the sign:
+    S_0(0, x; kappa) = sin(kappa tau(x)) has slope kappa / sigma(0) > 0 at
+    x = 0 and each S_n with n >= 1 is O(x^(n+1)) there, so X'(0) > 0 at
+    every N.  The series
+    comes from the prefix recursion on the solver's panel rule,
+    max(16, ceil(2 kappa tau(1) / 6)) panels rounded up to a power of two
+    (16 for the first 15 modes of ``parabolic24`` and ``rational9000``),
+    with the table knots and every evaluated x merged into the edges; at
+    101 x its values for modes 1-8 agree with 2048 panels to 7.7e-13 on
+    ``parabolic24`` and 4.8e-15 on ``rational9000``.  The evaluator raises
+    :class:`DomainError` for x outside [0, 1].
     """
     if pair.truncation_N != spec.truncation_N:
         raise DomainError("pair was produced with a different truncation")
     kappa = pair.kappa
     N = spec.truncation_N
-    grid = _panel_edges(c, _panel_count(kappa, tt.total))
+    count = _panel_count(kappa, tt.total)
 
-    # Positive slope at 0: probe inside the first quarter oscillation.
-    probe = min(0.25, 0.5 * c.sigma_min / kappa)
-    edges = np.union1d(grid, [probe])
-    panels, at_nodes, at_edges = _series(c, tt, edges, kappa, N)
-    # |e^{i kappa tau} S| = |S| for real kappa
-    norm_sq = float(np.sum(panels.wts * np.abs(at_nodes) ** 2 / c.sigma(panels.pts)))
+    def series(points=()):
+        # the panels, R = e^{i kappa tau} sum_{n<=N} S_n(0, .; kappa) at their
+        # nodes, and the sum S = Re(e^{-i kappa tau} R) at ``points``
+        panels, at = _grid(c, tt, count, points)
+        nodes, at_edges = (r.sum(axis=0)[..., 0] for r in _prefix_series(panels, kappa, N))
+        return panels, nodes, (np.exp(-1j * kappa * panels.tau_edges[at]) * at_edges[at]).real
+
+    panels, nodes, _ = series()
+    # |R| = |S| for real kappa
+    norm_sq = float(np.sum(panels.wts * np.abs(nodes) ** 2 / c.sigma(panels.pts)))
     if norm_sq <= 0.0:
         raise NoConvergence("eigenfunction has zero norm")
-    at = np.searchsorted(edges, probe)
-    slope = (np.exp(-1j * kappa * panels.tau_edges[at]) * at_edges[at]).real
-    scale = math.copysign(1.0 / math.sqrt(norm_sq), slope)
+    scale = 1.0 / math.sqrt(norm_sq)
 
-    def evaluator(x, _scale=scale):
+    def evaluator(x):
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
-        edges = np.union1d(grid, flat)
-        panels, _, at_edges = _series(c, tt, edges, kappa, N)
-        at = np.searchsorted(edges, flat)
-        series = (np.exp(-1j * kappa * panels.tau_edges[at]) * at_edges[at]).real
-        vals = _scale * series / np.sqrt(c.sigma(flat))
+        vals = scale * series(flat)[2] / np.sqrt(c.sigma(flat))
         return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
 
-    return Eigenfunction(pair=pair, evaluator=evaluator, normalization=abs(scale))
+    return Eigenfunction(pair=pair, evaluator=evaluator, normalization=scale)

@@ -64,8 +64,8 @@ from .errors import (
     TailTooLarge,
     ToleranceNotReached,
 )
-from .simplex import (SeriesSpec, _Cumulative, _panel_count, _panel_edges, _panels,
-                      _prefix_series, _tuple_sum, build_term_tables, series_sum)
+from .simplex import (SeriesSpec, _Cumulative, _grid, _panel_count, _prefix_series,
+                      _tuple_sum, build_term_tables, series_sum)
 
 __all__ = [
     "Contour",
@@ -77,7 +77,8 @@ __all__ = [
 ]
 
 DEFAULT_TAIL_TOL = 1e-8
-# Asymptote angle; pi/8 maximizes the strip half-width min(delta, pi/4 - delta).
+# Asymptote angle delta of every contour; pi/8 maximizes the strip
+# half-width min(delta, pi/4 - delta), which is then delta itself.
 _DELTA = math.pi / 8.0
 # Largest contour scale: the vertex sits at Im k = s tan(delta) ~ 0.5.
 _S_MAX = 1.2
@@ -91,7 +92,8 @@ _DENOMINATOR_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class Contour:
-    """Hyperbola k(u) = s (sinh u + i tan(delta) cosh u), trapezoid rule in u.
+    """Hyperbola k(u) = s (sinh u + i tan(delta) cosh u), trapezoid rule in u,
+    with delta = _DELTA = pi/8.
 
     The hyperbolic contour of Weideman & Trefethen (Math. Comp. 76, 2007)
     mapped to the k-plane, sampled by the exponentially convergent trapezoid
@@ -108,30 +110,22 @@ class Contour:
     step: float
     end: float
     s: float = _S_MAX
-    delta: float = _DELTA
 
     def __post_init__(self):
         if not (self.step > 0.0 and self.end > 0.0):
             raise DomainError("contour needs step > 0 and end > 0")
         if not self.s > 0.0:
             raise DomainError("contour scale s must be positive")
-        if not 0.0 < self.delta < math.pi / 4.0:
-            raise DomainError("contour needs 0 < delta < pi/4")
 
     @property
     def half_count(self) -> int:
         """M: the nodes are u_j = j * step for j = -M..M (M even)."""
         return 2 * math.ceil(self.end / (2.0 * self.step))
 
-    @property
-    def strip(self) -> float:
-        """Half-width of the strip |Im u| < d where the integrand is analytic."""
-        return min(self.delta, math.pi / 4.0 - self.delta)
-
     def nodes(self):
         """Directed nodes and weights (k_j, w_j) with sum_j f(k_j) w_j ~ int f dk."""
         u = self.step * np.arange(-self.half_count, self.half_count + 1)
-        tan_d = math.tan(self.delta)
+        tan_d = math.tan(_DELTA)
         k = self.s * (np.sinh(u) + 1j * tan_d * np.cosh(u))
         w = self.step * self.s * (np.cosh(u) + 1j * tan_d * np.sinh(u))
         return k, w
@@ -160,7 +154,6 @@ class Contour:
         s = min(_S_MAX, math.sqrt(2.0 * cos2 * _MU_T_MAX / t_max))
         mu = s * s / (2.0 * cos2)
         log_budget = math.log(20.0 / tol)
-        # the strip half-width is _DELTA itself
         step = 2.0 * math.pi * _DELTA / (
             log_budget + math.log1p(math.exp(mu * t_max)))
         end = 0.5 * math.acosh(
@@ -295,12 +288,12 @@ def _phi_batch(c, tt, q0, ks, xs, spec, q0_knots=()):
     truncation-N=n value).
 
     Wavenumbers with the same ``simplex._panel_count`` (at least 16 panels,
-    at most 6 rad of kernel phase in each) share one panel grid, whose edges
-    also include every x, the knots of a tabulated sigma and ``q0_knots``,
-    where q0 is not smooth.  On it the prefix
-    recursion gives R(y) = e^{ik tau(y)} S(0, y), and on the reflected grid
-    R~(y) = e^{ik (tau(1) - tau(y))} S(y, 1).  Each y-integral is one more
-    cumulative integral, with omega = k:
+    at most 6 rad of kernel phase in each) share one panel grid of
+    ``simplex._grid``, whose edges also include every x, the knots of a
+    tabulated sigma and ``q0_knots``, where q0 is not smooth.  On it the
+    prefix recursion gives R(y) = e^{ik tau(y)} S(0, y), and on the
+    reflected grid R~(y) = e^{ik (tau(1) - tau(y))} S(y, 1).  Each
+    y-integral is one more cumulative integral, with omega = k:
 
         L(x) = int_0^x e^{ik (tau(x) - tau(y))} R(y) q0(y) / sqrt(sigma(y)) dy,
 
@@ -317,12 +310,11 @@ def _phi_batch(c, tt, q0, ks, xs, spec, q0_knots=()):
     counts = _panel_count(ks, tt.total)
     for count in np.unique(counts):
         group = counts == count
-        edges = _panel_edges(c, count, np.concatenate([xs, q0_knots]))
-        at_x = np.searchsorted(edges, xs)
-        panels = _panels(c, tt, edges)
+        panels, at_x = _grid(c, tt, count, np.concatenate([xs, q0_knots]))
+        at_x = at_x[:xs.size]
         weight = _q0_weights(c, q0, panels.pts)[..., None]
         (R, L), (R_, L_) = (_series_and_integral(side, ks[group], N, w) for side, w in (
-            (panels, weight), (panels.reflected(tt.total), weight[::-1, ::-1])))
+            (panels, weight), (panels.reflected(), weight[::-1, ::-1])))
         phi[..., group] = R_[:, -1 - at_x] * L[:, at_x] + R[:, at_x] * L_[:, -1 - at_x]
         regD[:, group] = R[:, -1]
     return phi / np.sqrt(c.sigma(xs))[:, None], regD
@@ -343,7 +335,7 @@ def _check_quadrature(cont, integrand, weighted, ts, tol):
     ends = [0, -1]
     f_end = np.abs(integrand[:, ends, None] * weighted[ends][None]).sum(axis=1) / cont.step
     end_u = cont.half_count * cont.step
-    rate = cont.s**2 * (1.0 - math.tan(cont.delta) ** 2) * math.sinh(2.0 * end_u)
+    rate = cont.s**2 * (1.0 - math.tan(_DELTA) ** 2) * math.sinh(2.0 * end_u)
     tail = f_end.max(axis=0) / (math.pi * ts * rate)
     worst = int(np.argmax(tail))
     if tail[worst] > tol:
@@ -353,7 +345,7 @@ def _check_quadrature(cont, integrand, weighted, ts, tol):
         )
     halved = integrand[:, ::2] @ (2.0 * weighted[::2])
     gap = np.abs(integrand @ weighted - halved).max(axis=0) / math.pi
-    disc = gap * math.exp(-math.pi * cont.strip / cont.step)
+    disc = gap * math.exp(-math.pi * _DELTA / cont.step)
     worst = int(np.argmax(disc))
     if disc[worst] > tol:
         raise ToleranceNotReached(

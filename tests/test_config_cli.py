@@ -64,6 +64,9 @@ def test_bad_values_rejected():
     ("sigma.kind = constant\nsigma.value = nan", "sigma.value"),
     ("sigma.kind = constant\nsigma.value = 0", "sigma.value"),
     ("sigma.kind = constant\nsigma.value = -1", "sigma.value"),
+    ("eigfuns.x_points = -3", "eigfuns.x_points"),
+    ("eigfuns.x_points = 0", "eigfuns.x_points"),
+    ("eigfuns.truncations = -1", "eigfuns.truncations"),
     pytest.param(f"profile.kind = table\nprofile.table = {PARTIAL_Q0_TABLE}", "profile.table",
                  id="profile.table = q0_partial.csv-profile.table"),
 ])
@@ -234,6 +237,13 @@ def test_cli_exit_code_2_on_bad_contour(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "contour.r = 9\ncontour.kmax = 2\nsolve.x_points = 3\n")
     assert main(["solve", "--config", cfg]) == 2
     assert "contour" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, where", [(["--N", "-1"], "truncation_N"),
+                                         (["--count", "0"], "eigs.count")])
+def test_cli_overrides_take_the_range_checks(capsys, args, where):
+    assert main(["eigs"] + args) == 2
+    assert where in capsys.readouterr().err
 
 
 def test_cli_exit_code_1_on_numerical_failure(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from varheat import SeriesSpec, make_conductivity, build_travel_time, simplex
 from varheat.errors import DomainError, OrderTooHigh, ShiftTooSmall
 from varheat.simplex import (
-    _panels,
+    _grid,
     _prefix_series,
     abs_log_derivative_integral,
     build_term_tables,
@@ -290,9 +290,9 @@ PREFIX_XS = np.array([0.1, 0.37, 0.5, 0.93, 1.0])
 
 def _prefix_terms_at(c, tt, panels, k, N, xs=PREFIX_XS):
     # S_n = Re(e^{-ik tau} R_n) at real k
-    edges = np.union1d(np.linspace(0.0, 1.0, panels + 1), xs)
-    at_edges = _prefix_series(_panels(c, tt, edges), k, N)[1][..., 0]
-    return (np.exp(-1j * k * tt.tau(edges)) * at_edges).real[:, np.searchsorted(edges, xs)]
+    grid, at_x = _grid(c, tt, panels, xs)
+    at_edges = _prefix_series(grid, k, N)[1][:, at_x, 0]
+    return (np.exp(-1j * k * grid.tau_edges[at_x]) * at_edges).real
 
 
 @pytest.mark.parametrize("profile", ["parabolic", "rational"])
@@ -350,11 +350,9 @@ def test_prefix_recursion_complex_k_and_reflection(profile, request):
     spec64 = SeriesSpec(truncation_N=3, quad_order=64)
     xs = np.array([0.1, 0.4, 0.77])
     ks = np.array([1.3, 5.0 + 3.0j, -4.0 + 6.0j])
-    edges = np.union1d(np.linspace(0.0, 1.0, 65), xs)
-    at_x = np.searchsorted(edges, xs)
-    panels = _panels(c, tt, edges)
+    panels, at_x = _grid(c, tt, 64, xs)
     left = _prefix_series(panels, ks, 3)[1][:, at_x]
-    right = _prefix_series(panels.reflected(tt.total), ks, 3)[1][:, -1 - at_x]
+    right = _prefix_series(panels.reflected(), ks, 3)[1][:, -1 - at_x]
     for n in range(4):
         for i, x in enumerate(xs):
             for j, k in enumerate(ks):
@@ -371,7 +369,7 @@ def test_prefix_recursion_blocks_match_one_block(parabolic, monkeypatch):
     # across [0, 1]: still finite, so one block is a reference for the
     # blocked carries (8 blocks at the default growth bound).
     c, tt = parabolic
-    panels = _panels(c, tt, np.linspace(0.0, 1.0, 257))
+    panels = _grid(c, tt, 256)[0]
     ks = np.array([5.0 + 40.0j, 40.0j, 1.0 + 1.0j])
     blocked = _prefix_series(panels, ks, 3)
     monkeypatch.setattr(simplex, "_GROWTH", 1e9)
@@ -383,7 +381,7 @@ def test_prefix_recursion_blocks_match_one_block(parabolic, monkeypatch):
 
 def test_prefix_recursion_requires_upper_half_plane(parabolic):
     c, tt = parabolic
-    panels = _panels(c, tt, np.linspace(0.0, 1.0, 33))
+    panels = _grid(c, tt, 32)[0]
     with pytest.raises(DomainError, match="Im k"):
         _prefix_series(panels, [1.0 - 0.5j], 2)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from varheat import SeriesSpec, build_travel_time, make_conductivity
+from varheat import SeriesSpec, build_travel_time, make_conductivity, simplex
 from varheat.errors import DomainError, NoConvergence
 from varheat.oracles import fd_eigenvalues
-from varheat.simplex import simplex_integral
-from varheat.spectrum import _series, eigenfunction, find_eigenvalues
+from varheat.simplex import _grid, _prefix_series, simplex_integral
+from varheat.spectrum import eigenfunction, find_eigenvalues
 from varheat.transform import delta_values
 from varheat.verify import TABLE1_VALUES as TABLE
 
@@ -205,16 +206,37 @@ def test_eigenfunction_panels_include_table_knots():
     tt = build_travel_time(c)
     spec = SeriesSpec(truncation_N=2)
     xs = np.linspace(0.0, 1.0, 101)
-    edges = np.union1d(np.linspace(0.0, 1.0, 2049), np.union1d(c.params["knots"], xs))
-    at_x = np.searchsorted(edges, xs)
+    panels, at_x = _grid(c, tt, 2048, xs)
     for pair in find_eigenvalues(c, tt, spec, 8):
-        panels, at_nodes, at_edges = _series(c, tt, edges, pair.kappa, 2)
+        at_nodes, at_edges = (r.sum(axis=0)[..., 0]
+                              for r in _prefix_series(panels, pair.kappa, 2))
         real = [(np.exp(-1j * pair.kappa * tau) * r).real
                 for tau, r in ((panels.tau, at_nodes), (panels.tau_edges, at_edges))]
         raw = real[0] / np.sqrt(c.sigma(panels.pts))
         ref = real[1][at_x] / np.sqrt(c.sigma(xs) * np.sum(panels.wts * raw**2))
         vals = eigenfunction(c, tt, pair, spec)(xs)
         assert np.max(np.abs(vals - np.sign(ref @ vals) * ref)) <= 1e-10
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(c=profiles)
+def test_eigenfunction_sign_and_norm_at_every_order(c):
+    # The positive scale fixes the sign: S_0(0, x; kappa) = sin(kappa tau(x))
+    # rises with slope kappa / sigma(0) and each S_n, n >= 1, is O(x^(n+1)),
+    # so X is positive at least until kappa tau(x) reaches 1/2.  The argument
+    # holds at any kappa > 0, so the N = 2 roots serve every N.
+    tt = build_travel_time(c)
+    pairs = find_eigenvalues(c, tt, SeriesSpec(truncation_N=2), 6)
+    for N in (0, 2, 4):
+        spec = SeriesSpec(truncation_N=N)
+        for pair in pairs:
+            pair = dataclasses.replace(pair, truncation_N=N)
+            ef = eigenfunction(c, tt, pair, spec)
+            assert ef(0.0) == 0.0
+            near = min(0.25, c.sigma_min / (2.0 * pair.kappa)) * np.geomspace(1e-6, 1.0, 13)
+            assert np.all(ef(near) > 0.0), (N, pair.m)
+            fine = _grid(c, tt, 4 * simplex._panel_count(pair.kappa, tt.total))[0]
+            assert abs(np.sum(fine.wts * ef(fine.pts) ** 2) - 1.0) <= 1e-10, (N, pair.m)
 
 
 def test_eigenfunction_boundary_norm_slope(parabolic, spec2):

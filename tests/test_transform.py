@@ -124,8 +124,7 @@ def test_phi_regularized_consistency(parabolic, spec2):
 
 def test_contour_validation():
     for bad in ({"step": 0.0, "end": 3.0}, {"step": 0.1, "end": 0.0},
-                {"step": 0.1, "end": 3.0, "s": 0.0},
-                {"step": 0.1, "end": 3.0, "delta": math.pi / 4.0}):
+                {"step": 0.1, "end": 3.0, "s": 0.0}):
         with pytest.raises(DomainError):
             Contour(**bad)
     with pytest.raises(DomainError):
@@ -149,7 +148,7 @@ def test_contour_mirror_symmetry():
     assert np.allclose(ks[::-1], -np.conj(ks), rtol=0.0, atol=1e-14)
     assert np.allclose(ws[::-1], np.conj(ws), rtol=0.0, atol=1e-14)
     # the vertex is the lowest point and keeps off the real axis
-    assert ks.imag.min() == pytest.approx(cont.s * math.tan(cont.delta), rel=1e-14)
+    assert ks.imag.min() == pytest.approx(cont.s * math.tan(transform._DELTA), rel=1e-14)
     assert np.all(np.diff(ks.real) > 0.0)
 
 
