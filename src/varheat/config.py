@@ -65,6 +65,8 @@ class RunConfig:
     output_path: str = ""
     output_svg: str = ""
     verify_seed: int = 1234
+    # (profile kind, table) -> profile(); a table is read once per config
+    _profile: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def series_spec(self) -> SeriesSpec:
         return SeriesSpec(truncation_N=self.series_N,
@@ -82,9 +84,16 @@ class RunConfig:
 
     def profile(self):
         """(q0, knots): the initial profile, and the abscissae of a table
-        profile, where its PCHIP interpolant is not smooth (else empty)."""
-        q0 = named_profile(self.profile_kind, self.profile_table)
-        return q0, (q0.x if self.profile_kind == "table" else ())
+        profile, where its PCHIP interpolant is not smooth (else empty).
+
+        The profile is built on first use and kept while ``profile.kind``
+        and ``profile.table`` stay the same, so the table that validation
+        reads is the one the commands use."""
+        key = (self.profile_kind, self.profile_table)
+        if self._profile is None or self._profile[0] != key:
+            q0 = named_profile(*key)
+            self._profile = key, (q0, q0.x if self.profile_kind == "table" else ())
+        return self._profile[1]
 
     def is_parabolic_benchmark(self) -> bool:
         return self.sigma_kind == "parabolic24" and self.profile_kind == "quadratic"

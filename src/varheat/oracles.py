@@ -4,14 +4,16 @@ Four families, none of which share code with the production path:
 
 * the piecewise-constant interface model: the conductivity is frozen on N
   cells, transforms of the cell problems yield a 2N x 2N linear system
-  A(k) X = Y, and one LU solve per contour node gives the interface
-  unknowns, which by Cramer's rule are the ratios det A_j / det A.
+  A(k) X = Y, and the interface unknowns are the ratios det A_j / det A
+  (Cramer's rule).  Ordered by interface, A(k) is banded with two bands
+  either side of the diagonal, so one LAPACK band solve per contour node
+  costs O(N) and the model runs at thousands of cells.
   Scaled determinants D_N = (i/2) det A / prod(Lambda_p^+) admit an exact
   binary-vector sum and an equivalent switch-location sum whose truncation
   costs only O(N * max_switches), which is what makes the large-N
   convergence studies feasible;
 * a conservative Crank-Nicolson discretization of the PDE itself;
-* a symmetric tridiagonal eigensolver (LAPACK ``stebz`` bisection with
+* a symmetric tridiagonal eigensolver (shift-invert Lanczos, ARPACK, with
   Richardson extrapolation across two grids) for the spectrum;
 * the classical Fourier sine series for constant conductivity.
 
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from .coefficients import Conductivity, _panel_gauss
 from .errors import (
     DenominatorNearZero,
     DomainError,
+    NoConvergence,
     SingularPartition,
     TooManyTerms,
 )
@@ -151,27 +156,67 @@ def lambda_factors(part: InterfacePartition) -> LambdaFactors:
 
 # Row blocks of A(k): the cell relations at +k, then the mirror at -k.
 _SIGNS = np.array([[1.0], [-1.0]])
+# Band form of A(k): the rows interleave each cell's +k and -k relations and
+# the unknowns run by interface, g1[0], (g0[p], g1[p]) for p = 1..N-1, g1[N],
+# so no entry lies more than two places off the diagonal.  Both reorderings
+# have N(N-1)/2 inversions, so the band form has the same determinant.
+_KL = _KU = 2
+# The four entries of a cell's row: the flux unknowns at its left and right
+# interfaces, then the value unknowns at the same two.
+_ENDS = np.array([0, 1, 0, 1])
+_FLUX = np.array([True, True, False, False])
+_RIGHT_NEGATIVE = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def _system_matrix(part: InterfacePartition, kc: complex) -> np.ndarray:
-    """A(k) alone; its columns are ordered as in :class:`GlobalRelationSystem`."""
-    if kc == 0:
+class _Layout(NamedTuple):
+    """Flat places of the structural entries of :func:`_entries`."""
+
+    entries: np.ndarray  # the 4N - 2 per sign block, within the (2, N, 4) array
+    dense: np.ndarray    # their places in the (2N, 2N) GlobalRelationSystem A
+    band: np.ndarray     # their places in the (2 KL + KU + 1, 2N) band storage
+
+
+@lru_cache(maxsize=16)
+def _layout(N: int) -> _Layout:
+    a, r, e = np.meshgrid(np.arange(2), np.arange(N), np.arange(4), indexing="ij")
+    p, flux = r + _ENDS[e], _FLUX[e]  # entry e of cell r: its interface and kind
+    mask = flux | ((p >= 1) & (p <= N - 1))  # ik g0 is zero at x = 0 and 1
+    dense_row, band_row = a * N + r, 2 * r + a
+    dense_col = np.where(flux, N - 1 + p, p - 1)
+    band_col = np.where(flux, np.minimum(2 * p, 2 * N - 1), 2 * p - 1)
+    # LAPACK band storage keeps A[i, j] at row KL + KU + i - j, column j
+    band = (_KL + _KU + band_row - band_col) * 2 * N + band_col
+    return _Layout(np.flatnonzero(mask), (dense_row * 2 * N + dense_col)[mask], band[mask])
+
+
+def _entries(part: InterfacePartition, ks: np.ndarray) -> np.ndarray:
+    """The entries of A(k) for each k in ``ks``, shape (K, 2, N, 4).
+
+    Cell j = r + 1 at +-k couples, in this order, the flux unknowns
+    sigma^2 g1 at interfaces r and r + 1 and the value unknowns ik g0 at
+    the same two.  The value unknowns at the outer boundaries are zero
+    (Dirichlet), so their two entries are structural zeros.
+    """
+    if (ks == 0).any():
         raise DomainError("the interface system requires k != 0")
-    N = part.n_cells
     s = part.sigmas
-    nu = kc / s
-    left = np.exp(-1j * _SIGNS * nu * part.nodes[:-1])  # e^{-+i nu_j x_{j-1}}
-    right = np.exp(-1j * _SIGNS * nu * part.nodes[1:])  # e^{-+i nu_j x_j}
-    r = np.arange(N)
-    A = np.zeros((2, N, 2 * N), dtype=complex)
-    # flux sigma^2 g1 at interfaces j-1 and j, columns N-1+p for p = 0..N
-    A[:, r, N - 1 + r] = left
-    A[:, r, N + r] = -right
-    # value ik g0 at interior interfaces, columns p-1 for p = 1..N-1; the
-    # mirrored relation flips the sign of ik g0
-    A[:, r[1:], r[:-1]] = _SIGNS * s[1:] * left[:, 1:]
-    A[:, r[:-1], r[:-1]] = -_SIGNS * s[:-1] * right[:, :-1]
-    return A.reshape(2 * N, 2 * N)
+    x = part.nodes[np.arange(s.size)[:, None] + _ENDS]
+    # the mirrored relation flips the sign of ik g0
+    scale = np.where(_FLUX, 1.0, _SIGNS[:, :, None] * s[:, None]) * _RIGHT_NEGATIVE
+    nu = ks[:, None, None, None] / s[:, None]
+    E = -1j * _SIGNS[:, :, None] * nu * x
+    np.exp(E, out=E)  # e^{-+i nu_j x}
+    E *= scale
+    return E
+
+
+def _band(part: InterfacePartition, ks: np.ndarray) -> np.ndarray:
+    """A(k) for each k in LAPACK band storage, shape (K, 2 KL + KU + 1, 2N)."""
+    lay = _layout(part.n_cells)
+    entries = _entries(part, ks).reshape(ks.size, -1)[:, lay.entries]
+    ab = np.zeros((ks.size, (2 * _KL + _KU + 1) * 2 * part.n_cells), dtype=complex)
+    ab[:, lay.band] = entries
+    return ab.reshape(ks.size, 2 * _KL + _KU + 1, -1)
 
 
 def _weighted_profile(part: InterfacePartition, q0):
@@ -180,11 +225,22 @@ def _weighted_profile(part: InterfacePartition, q0):
     return pts, wts * q0(pts.ravel()).reshape(pts.shape)
 
 
-def _system_rhs(part: InterfacePartition, kc: complex, pts, wq) -> np.ndarray:
-    """Y(k): q0 half-transforms int_{cell_j} e^{-+i nu_j y} q0(y) dy at +-k."""
-    nu = kc / part.sigmas
-    phase = np.exp(-1j * _SIGNS[:, :, None] * nu[:, None] * pts)
-    return np.sum(wq * phase, axis=-1).ravel()
+def _system_rhs(part: InterfacePartition, ks: np.ndarray, pts, wq) -> np.ndarray:
+    """Y(k) for each k in ``ks``, shape (K, 2, N): the q0 half-transforms
+    int_{cell_j} e^{-+i nu_j y} q0(y) dy at +-k."""
+    nu = ks[:, None, None] / part.sigmas[:, None]
+    Y = np.empty((ks.size, 2, part.n_cells), dtype=complex)
+    phase = np.empty((ks.size,) + pts.shape, dtype=complex)  # one (K, N, 16) buffer
+    for row, sign in enumerate(_SIGNS[:, 0]):
+        np.exp(np.multiply(-1j * sign * nu, pts, out=phase), out=phase)
+        Y[:, row] = np.einsum("kjq,jq->kj", phase, wq)
+    return Y
+
+
+def _log_scale(part: InterfacePartition) -> float:
+    """log prod_p Lambda_p^+, which is positive since every sigma_j is."""
+    s = part.sigmas
+    return float(np.log(s[1:] + s[:-1]).sum())
 
 
 def assemble_system(part: InterfacePartition, k, q0) -> GlobalRelationSystem:
@@ -195,25 +251,34 @@ def assemble_system(part: InterfacePartition, k, q0) -> GlobalRelationSystem:
     unknowns at the outer boundaries are zero (Dirichlet) and drop out.
     """
     kc = complex(k)
-    A = _system_matrix(part, kc)
+    ks = np.array([kc])
     N = part.n_cells
+    lay = _layout(N)
+    A = np.zeros(4 * N * N, dtype=complex)
+    A[lay.dense] = _entries(part, ks).ravel()[lay.entries]
+    A = A.reshape(2 * N, 2 * N)
     labels = tuple(
         [f"ik*g0[{p}]" for p in range(1, N)] + [f"s2*g1[{p}]" for p in range(N + 1)]
     )
-    Y = _system_rhs(part, kc, *_weighted_profile(part, q0))
+    Y = _system_rhs(part, ks, *_weighted_profile(part, q0))[0].ravel()
     return GlobalRelationSystem(k=kc, matrix=A, rhs=Y, labels=labels)
 
 
 def dn_det(part: InterfacePartition, k, q0=None) -> complex:
-    """(i/2) det A(k) * prod_p 1/Lambda_p^+ straight from the matrix.
+    """(i/2) det A(k) * prod_p 1/Lambda_p^+ from a band LU of A(k).
 
-    A(k) does not depend on the initial profile, so ``q0`` is ignored.
+    log det A is the sum of the complex logs of the diagonal of U, with the
+    parity of the row interchanges; the band reordering leaves det A
+    unchanged.  A(k) does not depend on the initial profile, so ``q0`` is
+    ignored.
     """
-    sign, logdet = np.linalg.slogdet(_system_matrix(part, complex(k)))
-    lam = lambda_factors(part)
-    logscale = float(np.sum(np.log(np.abs(lam.plus)))) if lam.plus.size else 0.0
-    sgnscale = float(np.prod(np.sign(lam.plus))) if lam.plus.size else 1.0
-    return 0.5j * sign * np.exp(logdet - logscale) / sgnscale
+    from scipy.linalg.lapack import zgbtrf
+
+    lu, piv, info = zgbtrf(_band(part, np.array([complex(k)]))[0], _KL, _KU)
+    if info > 0:
+        return 0j  # an exactly zero pivot: det A = 0
+    swaps = np.count_nonzero(piv != np.arange(piv.size))
+    return 0.5j * (-1) ** swaps * np.exp(np.log(lu[_KL + _KU]).sum() - _log_scale(part))
 
 
 def _dn_sum(cell_times, rhos, k):
@@ -300,10 +365,7 @@ def en_det(part: InterfacePartition, k, j: int, q0) -> complex:
     Aj = system.matrix.copy()
     Aj[:, j - 1] = system.rhs
     sign, logdet = np.linalg.slogdet(Aj)
-    lam = lambda_factors(part)
-    logscale = float(np.sum(np.log(np.abs(lam.plus))))
-    sgnscale = float(np.prod(np.sign(lam.plus)))
-    return 0.5 * sign * np.exp(logdet - logscale) / sgnscale
+    return 0.5 * sign * np.exp(logdet - _log_scale(part))
 
 
 def psi_entry(part: InterfacePartition, k, j: int, m: int) -> complex:
@@ -374,9 +436,13 @@ def interface_solution(part: InterfacePartition, q0, j: int, t: float,
     q(x_j, t) = Re[-(1/pi) int det(A_j)/det(A) e^{-k^2 t} dk] over the same
     hyperbolic contour the continuum solver uses (sized for t unless
     ``contour`` is given).  By Cramer's rule the ratio is the unknown
-    X_{j-1} of A X = Y, so each node costs one LU solve and the overall
-    transform scale cancels exactly.
+    ik g0[j] of A X = Y, so the overall transform scale cancels exactly.
+    A(k) and Y(k) are built for every contour node at once, A in band form
+    (bandwidth 2 either side), and each node costs one LAPACK ``zgbsv``
+    band solve: O(N) work per node.
     """
+    from scipy.linalg.lapack import zgbsv
+
     N = part.n_cells
     if not 1 <= j <= N - 1:
         raise DomainError("interface index j must satisfy 1 <= j <= N-1")
@@ -384,15 +450,17 @@ def interface_solution(part: InterfacePartition, q0, j: int, t: float,
         raise DomainError("t must be positive")
     cont = contour if contour is not None else Contour.for_times([t], _CONTOUR_TOL)
     ks, ws = cont.nodes()
-    pts, wq = _weighted_profile(part, q0)
-    acc = 0j
-    for kc, wc in zip(ks, ws):
-        try:
-            ratio = np.linalg.solve(_system_matrix(part, kc),
-                                    _system_rhs(part, kc, pts, wq))[j - 1]
-        except np.linalg.LinAlgError as exc:
-            raise DenominatorNearZero("det A vanished on the contour") from exc
-        acc += wc * ratio * np.exp(-(kc**2) * t)
+    # Y in the band row order, cell by cell with +k before -k
+    rhs = _system_rhs(part, ks, *_weighted_profile(part, q0)).transpose(0, 2, 1)
+    rhs = rhs.reshape(ks.size, 2 * N, 1)
+    ab = _band(part, ks)
+    ratios = np.empty(ks.size, dtype=complex)
+    for i in range(ks.size):
+        _, _, x, info = zgbsv(_KL, _KU, ab[i], rhs[i])
+        if info > 0:
+            raise DenominatorNearZero("det A vanished on the contour")
+        ratios[i] = x[2 * j - 1, 0]  # ik g0[j] in the band order
+    acc = np.sum(ws * ratios * np.exp(-(ks**2) * t))
     return float((-acc / math.pi).real)
 
 
@@ -446,20 +514,45 @@ def crank_nicolson(c: Conductivity, q0, t_final: float, nx: int, nt: int):
 
 
 def _tridiag_eigs_top(c: Conductivity, count: int, nx: int) -> np.ndarray:
-    """Largest `count` eigenvalues of the FD operator on an nx grid, largest first."""
+    """Largest `count` eigenvalues of the FD operator T on an nx grid, largest first.
+
+    -T is symmetric positive definite and tridiagonal, so it is factored
+    once (LAPACK ``pttrf``) and ARPACK's implicitly restarted Lanczos runs
+    on v -> (-T)^{-1} v, shift-invert about 0 (Lehoucq, Sorensen & Yang,
+    ARPACK Users' Guide, SIAM 1998): the eigenvalues of T nearest 0 are the
+    largest of the inverse, and the work is linear in M.  The fixed start
+    vector makes the result deterministic.  ARPACK cannot return all M
+    eigenvalues, so count = M takes one ``stebz`` bisection over the whole
+    spectrum.
+    """
     from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     diag, off = _fd_operator(c, nx)
     M = diag.size
-    vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                            select_range=(M - count, M - 1))
-    return vals[::-1]
+    if count == M:
+        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=(0, M - 1))[::-1]
+    d, e, info = dpttrf(-diag, -off)
+    if info != 0:
+        raise DomainError(f"the FD operator is not negative definite (info={info})")
+    inverse = LinearOperator((M, M), matvec=lambda v: dpttrs(d, e, v)[0], dtype=float)
+    try:
+        mu = eigsh(inverse, k=count, tol=0, v0=np.random.default_rng(0).standard_normal(M),
+                   ncv=min(M, max(2 * count + 1, 20)), return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise NoConvergence(f"Lanczos found {len(exc.eigenvalues)} of {count} "
+                            f"FD eigenvalues on the nx = {nx} grid") from exc
+    return -1.0 / np.sort(mu)[::-1]
 
 
 def fd_eigenvalues(c: Conductivity, count: int, nx: int) -> list:
-    """Reference eigenvalues by LAPACK ``stebz`` bisection, Richardson-extrapolated.
+    """Reference eigenvalues of the FD operator, Richardson-extrapolated.
 
-    The symmetric second-order discretization carries an O(h^2) eigenvalue
+    Each grid's eigenvalues come from shift-invert Lanczos on its tridiagonal
+    matrix (:func:`_tridiag_eigs_top`), in work linear in nx.  The
+    symmetric second-order discretization carries an O(h^2) eigenvalue
     error; combining grids nx and 2 nx cancels the leading term.  The coarse
     grid has only nx - 1 eigenvalues, so ``count`` may not exceed that.
     """

@@ -135,6 +135,19 @@ def test_cli_solve_merges_table_profile_knots(tmp_path):
     assert np.max(np.abs(got - plain)) > 1e-8
 
 
+def test_cli_solve_reads_a_table_profile_once(tmp_path, monkeypatch):
+    # validation in parse_config, the re-validation after the overrides and
+    # the solve itself share one read of the q0 table
+    table = tmp_path / "q0.csv"
+    table.write_text("0,0\n0.5,0.25\n1,0\n")
+    cfg = _write_cfg(tmp_path, BASE_CFG + f"profile.kind = table\nprofile.table = {table}\n")
+    reads = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: reads.append(a) or loadtxt(*a, **kw))
+    assert main(["solve", "--config", cfg, "--N", "1", "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(reads) == 1
+
+
 def test_cli_solve_constant_matches_fourier(tmp_path):
     from varheat.oracles import fourier_solution
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from varheat import SeriesSpec, make_conductivity
-from varheat.errors import DomainError, SingularPartition, TooManyTerms
-from varheat.oracles import _fd_operator
+from varheat.errors import DomainError, NoConvergence, SingularPartition, TooManyTerms
+from varheat.oracles import _fd_operator, _tridiag_eigs_top
 from varheat.oracles import (
     InterfacePartition,
     assemble_system,
@@ -112,6 +112,17 @@ def test_determinant_forms_agree_on_partition_family(part, k):
     scale = max(1.0, abs(brute))
     assert abs(dn_det(part, k) - brute) <= 1e-10 * scale
     assert abs(dn_switchform(part, k, part.n_cells - 1) - brute) <= 1e-10 * scale
+
+
+def test_band_determinant_matches_switchform_up_to_40_cells():
+    # the band LU, its pivots and the sign of the band reordering, at every
+    # cell count from 1 to 40 (the Hypothesis family stops at 10)
+    rng = np.random.default_rng(11)
+    for n_cells in range(1, 41):
+        part = _random_partition(rng, n_cells)
+        for k in (complex(rng.uniform(-6, 6), rng.uniform(-2, 2)), rng.uniform(0.5, 6.0)):
+            ref = dn_switchform(part, k, n_cells - 1)
+            assert abs(dn_det(part, k) - ref) <= 1e-10 * max(1.0, abs(ref)), n_cells
 
 
 def test_bruteforce_cap():
@@ -269,6 +280,20 @@ def test_interface_solution_parabolic_benchmark(parabolic):
     assert abs(val - exact) < 1e-4  # measured ~8.6e-6
 
 
+def test_interface_model_converges_at_second_order(parabolic):
+    # the paper's limit: the piecewise-constant model tends to the
+    # variable-coefficient solution x(1-x) e^{-t}, its error falling 4x per
+    # halving of the cell width (measured 8.610e-6, 2.153e-6, 5.381e-7,
+    # 1.345e-7 at x = 1/2, t = 1)
+    c, _ = parabolic
+    exact = 0.25 * math.exp(-1.0)
+    errs = [abs(interface_solution(uniform_partition(c, n), quadratic, n // 2, 1.0) - exact)
+            for n in (64, 128, 256, 512)]
+    assert errs[0] < 1e-5
+    for e0, e1 in zip(errs, errs[1:]):
+        assert e0 / e1 == pytest.approx(4.0, abs=0.05)
+
+
 def test_interface_solution_matches_transform_solver(parabolic, spec2):
     from varheat.transform import solve
 
@@ -283,7 +308,7 @@ def test_interface_solution_matches_transform_solver(parabolic, spec2):
 
 
 def test_interface_solution_is_cramer_ratio(parabolic):
-    # The LU solve must equal the Cramer ratio det A_j / det A, which is
+    # The band solve must equal the Cramer ratio det A_j / det A, which is
     # i E_N / D_N in scaled determinants, node for node on the same contour.
     c, _ = parabolic
     part = uniform_partition(c, 48)
@@ -392,6 +417,53 @@ def test_fd_eigenvalues_count_limited_by_coarse_grid(parabolic):
     for nx in (1, 63):
         with pytest.raises(DomainError, match="nx >= 64"):
             fd_eigenvector(parabolic[0], -10.0, nx)
+
+
+def _count_below(diag, off, shifts):
+    """Eigenvalues of the symmetric tridiagonal (diag, off) below each shift:
+    the negative pivots of T - s = L D L^T (Sylvester), in long double."""
+    diag, off, shifts = (np.asarray(v, dtype=np.longdouble) for v in (diag, off, shifts))
+    q = diag[0] - shifts
+    below = (q < 0).astype(int)
+    for d, e in zip(diag[1:], off**2):
+        q = (d - shifts) - e / q
+        below += q < 0
+    return below
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the certificate needs extended-precision Sturm counts")
+@pytest.mark.parametrize("nx", [1024, 2048])
+@pytest.mark.parametrize("name", ["parabolic24", "rational9000"])
+def test_fd_top_eigenvalues_certified_to_1e11(name, nx):
+    # Each of the 30 Lanczos eigenvalues is within 1e-11 relative of the
+    # matrix's own: the m-th largest lies between lam(1 +- 1e-11) by Sturm
+    # counts.  Default stebz bisection is off by up to 7.9e-10 here, and
+    # bisection run to tol=1e-300 by up to 1.5e-11.
+    c = make_conductivity(name)
+    vals = _tridiag_eigs_top(c, 30, nx)
+    diag, off = _fd_operator(c, nx)
+    m = np.arange(30)
+    below = _count_below(diag, off, np.concatenate([vals * (1 + 1e-11), vals * (1 - 1e-11)]))
+    assert np.all(below[:30] <= diag.size - 1 - m)
+    assert np.all(below[30:] >= diag.size - m)
+
+
+def test_fd_lanczos_is_deterministic(parabolic):
+    a = _tridiag_eigs_top(parabolic[0], 30, 1024)
+    b = _tridiag_eigs_top(parabolic[0], 30, 1024)
+    assert np.array_equal(a, b)
+
+
+def test_fd_lanczos_failure_is_typed(parabolic, monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    def stalled(*args, **kwargs):
+        raise sla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(sla, "eigsh", stalled)
+    with pytest.raises(NoConvergence, match="0 of 4"):
+        fd_eigenvalues(parabolic[0], 4, 64)
 
 
 def test_fd_eigenvalues_rational_stability(rational):
