@@ -11,9 +11,10 @@ two derived quantities:
   length scale (for constant sigma the characteristic function is
   ``sin(k*tau(1))``).
 
-``tau`` is expensive to recompute inside every sine argument, so
-:func:`build_travel_time` caches it once as a C^1 monotone spline built from
-panelwise Gauss-Legendre quadrature on a dyadically refined grid.
+``tau`` is needed at every quadrature node of the series, so
+:func:`build_travel_time` tabulates it once, exact to roundoff, as the
+piecewise-polynomial antiderivative of a composite Gauss-Legendre
+interpolant of 1/sigma.
 
 The catalog holds two closed-form benchmark coefficients (``parabolic24``
 with sigma^2 = (3 - (2x-1)^2)/24, and the rational ``rational9000`` profile),
@@ -28,7 +29,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from .errors import (
     DomainError,
@@ -50,6 +51,13 @@ KINDS = ("constant", "parabolic24", "rational9000", "tabulated")
 
 # Number of samples used for positivity / exactness audits at build time.
 _VALIDATION_SAMPLES = 2001
+
+# The travel-time table: Gauss panels, nodes per panel, the check rule's
+# nodes and its tolerance relative to tau(1) (see build_travel_time).
+_TAU_PANELS = 64
+_TAU_ORDER = 16
+_TAU_CHECK_ORDER = 12
+_TAU_RTOL = 1e-13
 
 _SQRT111 = math.sqrt(111.0)
 # The rational profile's numerator and denominator share the root
@@ -128,8 +136,9 @@ class Conductivity:
 class TravelTimeMap:
     """Cached antiderivative tau(x) = int_0^x dxi/sigma(xi).
 
-    ``tau`` is a strictly increasing C^1 evaluator with tau(0) = 0 and
-    tau(1) = ``total``.
+    ``tau`` is a vectorized evaluator on [0, 1] (else :class:`DomainError`)
+    with tau(0) = 0 and tau(1) = ``total``, exact to roundoff (see
+    :func:`build_travel_time`).
     """
 
     tau: Callable[[np.ndarray], np.ndarray]
@@ -138,7 +147,7 @@ class TravelTimeMap:
 
 def _check_domain(x, name="x"):
     x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
+    if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):  # NaN fails too
         raise DomainError(f"{name} must lie in [0, 1]")
     return np.clip(x, 0.0, 1.0)
 
@@ -263,7 +272,7 @@ def make_conductivity(kind, **params) -> Conductivity:
             return dinterp(xq) / (2.0 * np.sqrt(interp(xq)))
 
         smin = _validate_positive(sigma, kind)
-        knots = np.array(x)
+        knots = np.clip(x, 0.0, 1.0)  # the ends may miss 0 and 1 by 1e-12
         knots.flags.writeable = False
         return Conductivity("tabulated", sigma, dsigma, smin, {"knots": knots})
 
@@ -294,52 +303,42 @@ def _panel_gauss(edges, order):
     return pts, width[:, None] * w01[None, :]
 
 
-def _panel_integrals(c, edges):
-    """10-node Gauss-Legendre integral of 1/sigma over each panel between edges."""
-    pts, wts = _panel_gauss(edges, 10)
-    return np.sum(wts / c.sigma(pts), axis=1)
+def build_travel_time(c: Conductivity) -> TravelTimeMap:
+    """The travel-time map tau for a conductivity, exact to roundoff.
 
-
-def build_travel_time(c: Conductivity, tol: float = 1e-10, max_level: int = 14) -> TravelTimeMap:
-    """Build the cached travel-time map tau for a conductivity.
-
-    Panels are refined dyadically until two successive levels agree to
-    ``tol`` at all shared nodes (raises :class:`ToleranceNotReached` at the
-    cap).  The result interpolates panel-boundary values with a cubic
-    Hermite spline whose slopes are the exact derivative 1/sigma, so tau is
-    C^1 and strictly increasing.
+    On each of _TAU_PANELS uniform panels, split at the knots of a tabulated
+    profile (where sigma is smooth only piecewise), 1/sigma is interpolated
+    at _TAU_ORDER Gauss nodes; tau is the antiderivative of that piecewise
+    polynomial, so its value at each edge is the composite Gauss sum of
+    1/sigma.  Raises :class:`ToleranceNotReached` when a panel's integral
+    by _TAU_CHECK_ORDER nodes differs from it by more than
+    _TAU_RTOL * tau(1), i.e. when 1/sigma is not resolved.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    level = 6
-    edges = np.linspace(0.0, 1.0, 2**level + 1)
-    cum = np.concatenate(([0.0], np.cumsum(_panel_integrals(c, edges))))
-    while True:
-        if level >= max_level:
-            raise ToleranceNotReached(
-                f"travel-time cache did not reach tol={tol:g} by level {max_level}"
-            )
-        level += 1
-        fine_edges = np.linspace(0.0, 1.0, 2**level + 1)
-        fine_cum = np.concatenate(([0.0], np.cumsum(_panel_integrals(c, fine_edges))))
-        # Quadrature agreement at shared nodes plus the coarse spline's
-        # interpolation error at the new nodes; both must sit below tol.
-        err_nodes = float(np.max(np.abs(fine_cum[::2] - cum)))
-        coarse_spline = CubicHermiteSpline(edges, cum, 1.0 / c.sigma(edges))
-        err_interp = float(np.max(np.abs(coarse_spline(fine_edges) - fine_cum)))
-        edges, cum = fine_edges, fine_cum
-        if max(err_nodes, err_interp) <= tol:
-            break
+    edges = np.union1d(np.linspace(0.0, 1.0, _TAU_PANELS + 1), c.params.get("knots", ()))
+    pts, wts = _panel_gauss(edges, _TAU_ORDER)
+    inv = 1.0 / c.sigma(pts)
+    check_pts, check_wts = _panel_gauss(edges, _TAU_CHECK_ORDER)
+    integrals = np.sum(wts * inv, axis=1)
+    gap = np.max(np.abs(integrals - np.sum(check_wts / c.sigma(check_pts), axis=1)))
+    if not gap <= _TAU_RTOL * integrals.sum():
+        raise ToleranceNotReached(
+            f"travel time: panel integrals of 1/sigma by {_TAU_ORDER} and {_TAU_CHECK_ORDER} "
+            f"Gauss nodes differ by {gap:.3g}; sigma is not resolved"
+        )
+    width = np.diff(edges)[:, None]
+    # The interpolant in powers of t = (x - edge) / width, by a solve: LU is
+    # backward stable, so it meets 1/sigma at the nodes to roundoff, and
+    # Gauss nodes keep it as close between them.  A precomputed inverse
+    # loses up to 2e-7, a discrete Legendre transform 3.6e-15 of tau.
+    powers = np.linalg.solve(np.vander(_unit_gauss(_TAU_ORDER)[0], increasing=True), inv.T).T
+    # tau on a panel: the cumulative Gauss sum at its left edge, then the
+    # integral (PPoly.antiderivative chains the edge values less exactly).
+    tau_t = np.hstack([np.cumsum(integrals)[:, None] - integrals[:, None],
+                       width * powers / np.arange(1, _TAU_ORDER + 1)])
+    # PPoly wants the highest power first, in powers of x - edge.
+    antiderivative = PPoly((tau_t / width ** np.arange(_TAU_ORDER + 1)).T[::-1], edges)
 
-    spline = CubicHermiteSpline(edges, cum, 1.0 / c.sigma(edges))
-    # Positive slope at every node does not by itself force monotonicity of
-    # a Hermite cubic; audit on a fine grid.
-    probe = np.linspace(0.0, 1.0, 4 * edges.size)
-    if np.any(np.diff(spline(probe)) <= 0.0):
-        raise ToleranceNotReached("travel-time spline is not monotone; refine the table")
+    def tau(x, antiderivative=antiderivative):
+        return antiderivative(_check_domain(x))
 
-    def tau(x, spline=spline):
-        x = _check_domain(x)
-        return spline(x)
-
-    return TravelTimeMap(tau=tau, total=float(cum[-1]))
+    return TravelTimeMap(tau=tau, total=float(antiderivative(1.0)))

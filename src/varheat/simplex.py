@@ -162,10 +162,7 @@ def _panel_count(k, total):
     by mu, the table knots and q0, not by k: on 4 panels rational9000's
     regDelta_4 at k <= 3 is off by up to 1e-9 and a single-x solve (x = 0.5,
     t from 0.01 to 4) by 4e-12; on 8 panels those solves are within 7e-13
-    on every profile, and 16 keeps one halving of margin.  The C^1 Hermite
-    spline of ``build_travel_time`` adds its own error at real k, algebraic
-    in the panel width (2.5e-11 at k = 100 on 128 panels of a 33-knot
-    table, where exact tau gives 1e-15).
+    on every profile, and 16 keeps one halving of margin.
     """
     wanted = np.maximum(_MIN_PANELS, np.ceil(2.0 * np.abs(k) * total / _PANEL_PHASE))
     return 2 ** np.ceil(np.log2(wanted)).astype(int)

@@ -170,8 +170,8 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
     max(16, ceil(2 kappa tau(1) / 6)) panels rounded up to a power of two
     (16 for the first 15 modes of ``parabolic24`` and ``rational9000``),
     with the table knots and every evaluated x merged into the edges; at
-    101 x its values for modes 1-8 agree with 2048 panels to 7.7e-13 on
-    ``parabolic24`` and 4.8e-15 on ``rational9000``.  The evaluator raises
+    101 x its values for modes 1-8 agree with 2048 panels to 6.7e-16 on
+    ``parabolic24`` and on ``rational9000``.  The evaluator raises
     :class:`DomainError` for x outside [0, 1].
     """
     if pair.truncation_N != spec.truncation_N:

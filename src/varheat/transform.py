@@ -112,10 +112,8 @@ class Contour:
     s: float = _S_MAX
 
     def __post_init__(self):
-        if not (self.step > 0.0 and self.end > 0.0):
-            raise DomainError("contour needs step > 0 and end > 0")
-        if not self.s > 0.0:
-            raise DomainError("contour scale s must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.step, self.end, self.s)):
+            raise DomainError(f"contour needs finite step, end and s > 0, got {self}")
 
     @property
     def half_count(self) -> int:
@@ -358,6 +356,7 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
                contour: Contour | None = None, tail_tol: float = DEFAULT_TAIL_TOL,
                all_orders: bool = False, q0_knots=()):
     """Evaluate q_N on a grid of x values for a batch of times; {t: [samples]}.
+    Neither may be empty (else :class:`DomainError`).
 
     One contour serves the whole batch: unless ``contour`` is given,
     :meth:`Contour.for_times` sizes it from the smallest and largest t and
@@ -387,6 +386,8 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
     """
     xs = [float(x) for x in np.atleast_1d(xs)]
     ts = [float(t) for t in np.atleast_1d(ts)]
+    if not (xs and ts):
+        raise DomainError(f"solve requires at least one x and one t, got xs={xs}, ts={ts}")
     for t in ts:
         if not (math.isfinite(t) and t > 0.0):
             raise DomainError(f"solve requires finite t > 0, got t={t!r}")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from varheat import build_travel_time, log_derivative, make_conductivity
+from varheat import SeriesSpec, build_travel_time, log_derivative, make_conductivity
 from varheat.coefficients import _rational9000_raw_sq
+from varheat.transform import solve_grid
 from varheat.errors import (
     DomainError,
     MalformedTable,
@@ -179,17 +180,45 @@ def test_travel_time_derivative_is_inverse_sigma(parabolic):
     assert np.max(np.abs(fd - 1.0 / c.sigma(xs))) < 1e-8
 
 
-def test_travel_time_refinement_stable(parabolic):
-    c, _ = parabolic
-    tt_tight = build_travel_time(c, tol=1e-12)
-    tt_loose = build_travel_time(c, tol=1e-8)
-    xs = np.linspace(0, 1, 313)
-    assert np.max(np.abs(tt_tight.tau(xs) - tt_loose.tau(xs))) < 1e-8
+def test_travel_time_matches_closed_form(parabolic):
+    # tau(x) = sqrt(6) (asin((2x - 1)/sqrt(3)) + asin(1/sqrt(3))) on
+    # parabolic24: the Gauss table is exact to roundoff.
+    c, tt = parabolic
+    xs = np.random.default_rng(0).uniform(0.0, 1.0, 100_000)
+    exact = math.sqrt(6.0) * (np.arcsin((2.0 * xs - 1.0) / math.sqrt(3.0))
+                              + math.asin(1.0 / math.sqrt(3.0)))
+    assert np.max(np.abs(tt.tau(xs) - exact)) <= 1e-14
 
 
-def test_travel_time_tolerance_cap(parabolic):
-    c, _ = parabolic
+def test_travel_time_unresolved_table_raises():
+    # sigma^2 = 1 on 9 knots except a dip at x = 0.5.  At 1e-4 the 16- and
+    # 12-node panel integrals of 1/sigma differ by 7.6e-5: a typed error,
+    # not a silently wrong tau.  At 1e-2 the table is resolved.
+    x = np.linspace(0.0, 1.0, 9)
     with pytest.raises(ToleranceNotReached):
-        build_travel_time(c, tol=1e-30, max_level=10)
-    with pytest.raises(DomainError):
-        build_travel_time(c, tol=-1.0)
+        build_travel_time(make_conductivity("tabulated", x=x, sigma_sq=np.where(x == 0.5, 1e-4, 1.0)))
+    c = make_conductivity("tabulated", x=x, sigma_sq=np.where(x == 0.5, 1e-2, 1.0))
+    ref = sum(quad(lambda s: 1.0 / float(c.sigma(s)), a, b, epsabs=1e-14, epsrel=1e-14)[0]
+              for a, b in zip(x[:-1], x[1:]))
+    assert build_travel_time(c).total == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_table_ends_within_tolerance_of_unit_interval():
+    # The table check lets the end knots miss 0 and 1 by up to 1e-12; they
+    # become panel edges clipped to [0, 1], so tau(0) = 0 and a solve runs.
+    x = np.linspace(0.0, 1.0, 9) + np.r_[-5e-13, np.zeros(7), 5e-13]
+    c = make_conductivity("tabulated", x=x, sigma_sq=1.0 + 0.2 * np.sin(3.0 * x))
+    assert c.params["knots"][0] == 0.0 and c.params["knots"][-1] == 1.0
+    tt = build_travel_time(c)
+    assert tt.tau(0.0) == 0.0
+    res = solve_grid(c, tt, lambda s: s * (1.0 - s), [0.5], [1.0], SeriesSpec(truncation_N=2))
+    assert math.isfinite(res[1.0][0].value)
+
+
+def test_domain_checks_refuse_nan(parabolic):
+    c, tt = parabolic
+    table = make_conductivity("tabulated", x=np.linspace(0.0, 1.0, 5), sigma_sq=np.ones(5))
+    for evaluate in (tt.tau, lambda x: log_derivative(c, x), table.sigma):
+        for bad in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(DomainError):
+                evaluate(bad)

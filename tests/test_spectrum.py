@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from varheat import SeriesSpec, build_travel_time, make_conductivity, simplex
+from varheat import SeriesSpec, build_travel_time, make_conductivity, simplex, spectrum
 from varheat.errors import DomainError, NoConvergence
 from varheat.oracles import fd_eigenvalues
 from varheat.simplex import _grid, _prefix_series, simplex_integral
@@ -216,6 +216,19 @@ def test_eigenfunction_panels_include_table_knots():
         ref = real[1][at_x] / np.sqrt(c.sigma(xs) * np.sum(panels.wts * raw**2))
         vals = eigenfunction(c, tt, pair, spec)(xs)
         assert np.max(np.abs(vals - np.sign(ref @ vals) * ref)) <= 1e-10
+
+
+def test_eigenfunctions_resolved_by_panel_rule(parabolic, rational, spec2, monkeypatch):
+    # Modes 1-8 at 101 x on the rule's 16 panels agree with 2048 panels to
+    # roundoff; tau is exact, so the panel width adds no error.
+    xs = np.linspace(0.0, 1.0, 101)
+    for c, tt in (parabolic, rational):
+        pairs = find_eigenvalues(c, tt, spec2, 8)
+        got = [eigenfunction(c, tt, pair, spec2)(xs) for pair in pairs]
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum, "_panel_count", lambda k, total: 2048)
+            ref = [eigenfunction(c, tt, pair, spec2)(xs) for pair in pairs]
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-14, c.kind
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

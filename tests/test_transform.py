@@ -124,7 +124,8 @@ def test_phi_regularized_consistency(parabolic, spec2):
 
 def test_contour_validation():
     for bad in ({"step": 0.0, "end": 3.0}, {"step": 0.1, "end": 0.0},
-                {"step": 0.1, "end": 3.0, "s": 0.0}):
+                {"step": 0.1, "end": 3.0, "s": 0.0}, {"step": 0.1, "end": math.inf},
+                {"step": math.inf, "end": 3.0}, {"step": 0.1, "end": 3.0, "s": math.inf}):
         with pytest.raises(DomainError):
             Contour(**bad)
     with pytest.raises(DomainError):
@@ -300,37 +301,22 @@ def test_solve_small_times_match_exact(parabolic, spec2, t, tol):
         assert abs(s.value - quadratic(s.x) * math.exp(-t)) <= tol, s.x
 
 
-@pytest.mark.parametrize("t, bound", [(1e-4, 1.63714e-8), (1e-5, 1.69902e-9)])
-def test_small_time_errors_kept_by_panel_rule(parabolic, spec2, t, bound):
-    # The N = 2 error at these times, max over x, as the panel rule
-    # max(32, ceil(|k| tau(1))) (2-4x more panels) gave it, rounded up at
-    # the sixth digit: the phase rule adds no panel error to it.
+@pytest.mark.parametrize("t", [1e-4, 1e-5])
+def test_small_time_errors_kept_by_panel_rule(parabolic, t, monkeypatch):
+    # The contours of these times reach |k| ~ 2000.  The panel rule adds no
+    # error there: the production solve agrees with 8x the panels.  And the
+    # solve is exact but for its truncation: at N = 8 it is within 2e-13
+    # of x(1-x) e^{-t}, so the N = 2 error of the same solve is the
+    # truncation's alone.
     c, tt = parabolic
-    res = solve_grid(c, tt, quadratic, [0.1, 0.3, 0.5], [t], spec2)[t]
-    assert max(abs(s.value - quadratic(s.x) * math.exp(-t)) for s in res) <= bound
-
-
-def _quadrature_travel_time(c, order=30):
-    """tau(x) by Gauss-Legendre quadrature of 1/sigma from the nearest of 64
-    uniform pieces, split at the table knots: exact to roundoff, where the
-    C^1 Hermite spline of build_travel_time adds its own panel error at
-    real k (up to 3e-11 of regDelta), whatever the phase per panel."""
-    from varheat.coefficients import TravelTimeMap, _panel_gauss, _unit_gauss
-
-    edges = np.union1d(np.linspace(0.0, 1.0, 65), c.params.get("knots", ()))
-    pts, wts = _panel_gauss(edges, order)
-    cum = np.concatenate([[0.0], np.cumsum(np.sum(wts / c.sigma(pts), axis=1))])
-    u, w = _unit_gauss(order)
-
-    def tau(x):
-        x = np.asarray(x, dtype=float)
-        flat = x.ravel()
-        j = np.clip(np.searchsorted(edges, flat, side="right") - 1, 0, edges.size - 2)
-        span = (flat - edges[j])[:, None]
-        inner = np.sum(span * w / c.sigma(edges[j][:, None] + span * u), axis=1)
-        return (cum[j] + inner).reshape(x.shape)
-
-    return TravelTimeMap(tau=tau, total=float(cum[-1]))
+    xs, spec = [0.1, 0.3, 0.5], SeriesSpec(truncation_N=8)
+    res = solve_grid(c, tt, quadratic, xs, [t], spec, tail_tol=1e-11, all_orders=True)[t]
+    production = solve_grid(c, tt, quadratic, xs, [t], SeriesSpec(truncation_N=2))[t]
+    rule = simplex._panel_count
+    monkeypatch.setattr(transform, "_panel_count", lambda k, total: 8 * rule(k, total))
+    fine = solve_grid(c, tt, quadratic, xs, [t], SeriesSpec(truncation_N=2))[t]
+    assert max(abs(a.value - b.value) for a, b in zip(production, fine)) <= 1e-13
+    assert max(abs(s.value - quadratic(s.x) * math.exp(-t)) for s in res[8]) <= 2e-13
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -344,7 +330,7 @@ def test_panel_rule_resolves_phi_and_delta(c, ks):
     # the upper half plane.  The 1e-15 floor is the roundoff of Phi's O(1)
     # factors: at real |k| = 300 Phi falls to about 5e-5, so its 3e-16 of
     # roundoff alone is 6e-12 of it.
-    tt = _quadrature_travel_time(c)
+    tt = build_travel_time(c)
     ks = np.array(ks, dtype=complex)
     spec = SeriesSpec(truncation_N=4)
     xs = [0.3, 0.71]
@@ -446,6 +432,14 @@ def test_solve_rejects_nan_x(parabolic, spec2):
     c, tt = parabolic
     with pytest.raises(DomainError, match="x="):
         solve_grid(c, tt, quadratic, [0.5, math.nan], [1.0], spec2)
+
+
+def test_solve_rejects_empty_grid(parabolic, spec2):
+    c, tt = parabolic
+    with pytest.raises(DomainError, match="at least one x"):
+        solve_grid(c, tt, quadratic, [], [1.0], spec2)
+    with pytest.raises(DomainError, match="at least one x"):
+        solve_grid(c, tt, quadratic, [0.5], [], spec2, contour=Contour(step=0.3, end=3.0))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
