@@ -52,7 +52,6 @@ class RunConfig:
     profile_kind: str = "quadratic"   # quadratic | sine | table
     profile_table: str = ""
     series_N: int = 2
-    series_quad_order: int = 32
     series_tol: float = 1e-10
     solve_x_points: int = 101
     solve_times: list = field(default_factory=lambda: [0.25, 1.0, 4.0])
@@ -69,9 +68,7 @@ class RunConfig:
     _profile: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def series_spec(self) -> SeriesSpec:
-        return SeriesSpec(truncation_N=self.series_N,
-                          quad_order=self.series_quad_order,
-                          tol=self.series_tol)
+        return SeriesSpec(truncation_N=self.series_N, tol=self.series_tol)
 
     def conductivity(self):
         if self.sigma_kind == "constant":
@@ -106,7 +103,6 @@ _SCHEMA = {
     "profile.kind": ("profile_kind", lambda s: s, ("quadratic", "sine", "table")),
     "profile.table": ("profile_table", lambda s: s, None),
     "series.N": ("series_N", int, None),
-    "series.quad_order": ("series_quad_order", int, None),
     "series.tol": ("series_tol", float, None),
     "solve.x_points": ("solve_x_points", int, None),
     "solve.times": ("solve_times", _parse_float_list, None),

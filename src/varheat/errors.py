@@ -27,7 +27,7 @@ class ToleranceNotReached(VarheatError):
 
 
 class OrderTooHigh(VarheatError, ValueError):
-    """A simplex-integral order exceeds the configured cap (cost ~ Q**n)."""
+    """A term table would exceed its tuple limit (cost ~ quad_order**n)."""
 
 
 class ShiftTooSmall(VarheatError, ValueError):

@@ -12,32 +12,36 @@ where mu = sigma'/sigma and the phase A(y) alternates travel-time gaps:
 
 Two evaluators compute it.
 
-The prefix recursion (``_prefix_series``) gives every term S_n(0, y; k) for
-all upper limits y at once, for any k with Im k >= 0, in n cumulative
-integrations on composite 12-node Gauss panels, at a cost linear in n.  It
-returns e^{ik tau(y)} S_n, which stays bounded in the upper half plane,
-because e^{ik tau(y)} sin(kA) splits into two exponentials of twice the even
-and twice the odd gaps, each of modulus <= 1.  The suffix terms S_n(y, 1; k)
-are the same recursion on the reflected profile sigma(1 - x).  The solver
-(``transform.solve_grid``) and the eigenfunctions (``spectrum``) both use it,
-on the panels of ``_grid``, whose count follows the rule of ``_panel_count``:
-max(16, ceil(2 |k| tau(1) / 6)) panels, rounded up to a power of two, so
-that each panel carries at most 6 rad of the kernel phase 2|k| tau.
+The prefix recursion (``_prefix_series``) is the one production engine.  It
+gives every term S_n(0, y; k) for all upper limits y at once, for any k with
+Im k >= 0, in n cumulative integrations on composite 12-node Gauss panels,
+at a cost linear in n.  It returns e^{ik tau(y)} S_n, which stays bounded in
+the upper half plane, because e^{ik tau(y)} sin(kA) splits into two
+exponentials of twice the even and twice the odd gaps, each of modulus
+<= 1.  The suffix terms S_n(y, 1; k) are the same recursion on the
+reflected profile sigma(1 - x).  The solver and Delta_N
+(``transform``), the roots and the eigenfunctions (``spectrum``) all use
+it, on the panels of ``_grid``, whose count follows the rule of
+``_panel_count``: max(16, ceil(2 |k| tau(1) / 6)) panels, rounded up to a
+power of two, so that each panel carries at most 6 rad of the kernel phase
+2|k| tau.  The knots of a tabulated sigma are panel edges.
 
-The quadrature tuples serve Delta_N on (0, 1), its real roots and the scalar
-references.  Since tau enters linearly, A(y) = c + sum_p 2*(-1)**(p+1)
-tau(y_p) with the constant c = -tau(a) + (-1)**n tau(b), so a quadrature
-rule for the simplex reduces to a list of (weight, phase) pairs that are
-*independent of k*: nested Gauss-Legendre nodes are expanded once
-(innermost limits shrink with the outer variable) and then any number of k
-values can be swept as dot products against the tuple arrays.
+The quadrature tuples are the independent reference.  Since tau enters
+linearly, A(y) = c + sum_p 2*(-1)**(p+1) tau(y_p) with the constant
+c = -tau(a) + (-1)**n tau(b), so a quadrature rule for the simplex reduces
+to a list of (weight, phase) pairs that are *independent of k*:
+:func:`build_term_tables` expands nested Gauss-Legendre nodes once
+(innermost limits shrink with the outer variable), and any number of k
+values are then swept as dot products against the tuple arrays.  The
+scalar references (``simplex_integral`` and its siblings) are one-interval
+tables.  Their Gauss rules do not split at the knots of a tabulated sigma,
+so they converge only algebraically there: they are references for smooth
+sigma only.
 
 One function, ``_tuple_sum``, evaluates every tuple sum
-sum_j W_j exp(ik*shift) sin(k*(c + T_j)): for the scalar references
-(``simplex_integral`` and its siblings), for the batched :class:`TermTable`
-and for Delta_N on (0, 1).  Without a shift (the plain series, fine for real
-and moderately complex k) a real k takes the real sine; every other sum
-takes the two-exponential form
+sum_j W_j exp(ik*shift) sin(k*(c + T_j)).  Without a shift (the plain
+series, fine for real and moderately complex k) a real k takes the real
+sine; every other sum takes the two-exponential form
 
     exp(ik*shift) sin(kP) = (exp(ik(shift + P)) - exp(ik(shift - P))) / 2i.
 
@@ -46,7 +50,8 @@ both exponents have real part <= 0 and no intermediate exceeds magnitude 1
 per sample (up to the mu product); it stays bounded high in the upper half
 plane, where the plain sine overflows.
 
-Tuple cost grows as quad_order**n; orders above ORDER_CAP are refused.
+Tuple cost grows as quad_order**n; a table of more than _TABLE_LIMIT tuples
+per interval is refused before any expansion.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -64,7 +69,6 @@ from .coefficients import Conductivity, TravelTimeMap, _panel_gauss, _unit_gauss
 from .errors import DomainError, OrderTooHigh, ShiftTooSmall
 
 __all__ = [
-    "ORDER_CAP",
     "SeriesSpec",
     "simplex_integral",
     "regularized_simplex_integral",
@@ -74,13 +78,10 @@ __all__ = [
     "abs_log_derivative_integral",
 ]
 
-ORDER_CAP = 6
-
-# State arrays larger than this are split before expanding the next level, and
-# the wavenumbers of a tuple sum are taken in chunks of at most this many
+# The wavenumbers of a tuple sum are taken in chunks of at most this many
 # (tuple, wavenumber) pairs.
 _CHUNK_LIMIT = 1 << 22
-# Stored term tables refuse orders whose per-interval tuple count exceeds this.
+# Term tables refuse orders whose per-interval tuple count exceeds this.
 _TABLE_LIMIT = 1 << 24
 
 
@@ -90,9 +91,11 @@ class SeriesSpec:
 
     truncation_N: series cut at n <= N (N >= 0).
     quad_order:   Gauss-Legendre nodes per simplex dimension (>= 2) of the
-                  quadrature tuples: the roots, ``delta_values`` and the
-                  scalar references.  The solve and the eigenfunctions use
-                  the prefix recursion, whose panels follow |k| instead.
+                  quadrature tuples, which only the references use
+                  (:func:`build_term_tables`, the scalar evaluators and
+                  ``transform.phi_fn``).  The solve, Delta_N, the roots and
+                  the eigenfunctions use the prefix recursion, whose panels
+                  follow |k| instead.
     tol:          target absolute accuracy per term (used by audits).
     """
 
@@ -227,10 +230,10 @@ class _Cumulative:
         self.stops = self.starts[1:] + [first.size]
         self.ref = tau_edges[first]
         self.width = panels.wts.sum(axis=1)[:, None, None]
-        self.out_nodes = np.exp(1j * np.multiply.outer(panels.tau - self.ref[:, None], omega))
+        self.out_nodes = np.exp(np.multiply.outer(panels.tau - self.ref[:, None], 1j * omega))
         # for real omega |out_nodes| = 1
         self.in_nodes = 1.0 / self.out_nodes if omega.imag.any() else self.out_nodes.conj()
-        self.out_edges = np.exp(1j * np.multiply.outer(tau_edges[1:] - self.ref, omega))
+        self.out_edges = np.exp(np.multiply.outer(tau_edges[1:] - self.ref, 1j * omega))
 
     def squared(self):
         """The integral for 2 omega on the same blocks: every factor squared
@@ -270,7 +273,7 @@ class _Cumulative:
         return (at_nodes, at_edges) if nodes else at_edges
 
 
-def _prefix_series(panels, k, N, cumulative=None):
+def _prefix_series(panels, k, N, cumulative=None, nodes=True):
     """R_n(0, y; k) = e^{ik tau(y)} S_n(0, y; k), n <= N, by prefix recursion.
 
     With A the alternating sum of travel-time gaps (module docstring),
@@ -295,27 +298,34 @@ def _prefix_series(panels, k, N, cumulative=None):
     ``cumulative``, if given, is the :class:`_Cumulative` for omega = 2k on
     these panels.  Returns complex arrays of shapes (N + 1, P, q, K) at the
     panel nodes and (N + 1, P + 1, K) at the edges; real k gives
-    S_n = Re(e^{-ik tau} R_n).
+    S_n = Re(e^{-ik tau} R_n).  With ``nodes`` false it returns the edge
+    array alone and never forms the node values of order N, which no edge
+    needs.
     """
     k = np.array(k, dtype=complex, ndmin=1)
     if k.imag.min() < -1e-12:
         raise DomainError("the prefix recursion requires Im k >= 0")
     cumulative = cumulative or _Cumulative(panels, 2.0 * k)
-    # G_0 = e^{2ik tau}: e^{2ik tau_ref} times the kernel's outer factor at the nodes
-    first = (np.exp(2j * np.multiply.outer(cumulative.ref, k))[:, None] * cumulative.out_nodes,
+    # G_0 = e^{2ik tau}: e^{2ik tau_ref} times the kernel's outer factor at the
+    # nodes, which is that factor alone where every reference is tau(0) = 0
+    first = (np.exp(2j * np.multiply.outer(cumulative.ref, k))[:, None] * cumulative.out_nodes
+             if cumulative.ref.any() else cumulative.out_nodes,
              np.exp(2j * np.multiply.outer(panels.tau_edges, k)))
     real = not k.imag.any()
-    G = [np.array([g] if real else [g, np.ones_like(g)]) for g in first]
+    G = [g[None] if real else np.array([g, np.ones_like(g)]) for g in first]
     half_mu = 0.5 * panels.mu[..., None]  # one factor of the 2**-n per order
-    out = tuple(np.empty((N + 1,) + g.shape, dtype=complex) for g in first)
+    kept = slice(None) if nodes else slice(1, None)  # nodes and edges, or edges
+    out = tuple(np.empty((N + 1,) + g.shape, dtype=complex) for g in first[kept])
     for n in range(N + 1):
         if n:
-            G = cumulative(half_mu * G[0], phased=slice(n % 2, n % 2 + 1))
-        for o, g, e in zip(out, G, first):
+            at_nodes = nodes or n < N
+            G = cumulative(half_mu * G[0], phased=slice(n % 2, n % 2 + 1), nodes=at_nodes)
+            G = G if at_nodes else (None, G)
+        for o, g, e in zip(out, G[kept], first[kept]):
             np.subtract(g[0], e * g[0].conj() if real else g[1], out=o[n])
     for o in out:
         o *= -0.5j  # 1 / 2i
-    return out
+    return out if nodes else out[0]
 
 
 def _phase_const(tt, a, b, n):
@@ -327,16 +337,6 @@ def _check_interval(a, b):
         if a > b:
             raise DomainError(f"interval must satisfy a <= b, got ({a}, {b})")
         raise DomainError(f"interval must lie in [0, 1], got ({a}, {b})")
-
-
-def _check_order(n, quad_order):
-    if n < 0:
-        raise DomainError("order n must be >= 0")
-    if n > ORDER_CAP:
-        raise OrderTooHigh(
-            f"order n={n} exceeds cap {ORDER_CAP} (cost grows as quad_order**n)"
-        )
-    return quad_order**n
 
 
 def _check_regularized(k, shift, span):
@@ -389,34 +389,12 @@ def _tuple_sum(W, P, k, shift=None):
     return out
 
 
-def _fold_simplex(c, tt, n, a, b, quad_order, k, shift=None):
-    """:func:`_tuple_sum` of S_n at one k over all quadrature tuples, chunked."""
-    _check_order(n, quad_order)
-    const = _phase_const(tt, a, b, n)
-    x01, w01 = _unit_gauss(quad_order)
-    scale = 0.5**n
-
-    def recurse(lo, up, W, T, level):
-        # level = index p of the variable being added next (n down to 1)
-        if level == 0:
-            return complex(_tuple_sum(W * scale, T + const, k, shift)[0])
-        if up.size * quad_order > _CHUNK_LIMIT and up.size > 1:
-            half = up.size // 2
-            return recurse(lo[:half], up[:half], W[:half], T[:half], level) + recurse(
-                lo[half:], up[half:], W[half:], T[half:], level
-            )
-        sign = (-1.0) ** (level + 1)
-        lof, yf, Wf, Tf = _expand_level(lo, up, W, T, sign, c, tt, x01, w01)
-        return recurse(lof, yf, Wf, Tf, level - 1)
-
-    lo0 = np.array([a], dtype=float)
-    up0 = np.array([b], dtype=float)
-    return recurse(lo0, up0, np.array([1.0]), np.array([0.0]), n)
-
-
-def _sum_orders(c, tt, a, b, spec, k, shift=None):
-    return complex(sum(_fold_simplex(c, tt, n, a, b, spec.quad_order, k, shift)
-                       for n in range(spec.truncation_N + 1)))
+def _one_interval(c, tt, a, b, k, spec, orders, shift=None):
+    """Sum over ``orders`` (a slice of 0..N) of the (a, b) term tables at one k."""
+    _check_interval(a, b)
+    tables = build_term_tables(c, tt, a, b, spec)[orders]
+    return complex(sum((tab.eval_plain(k) if shift is None else tab.eval_regularized(k, shift))
+                       [0, 0] for tab in tables))
 
 
 def simplex_integral(c: Conductivity, tt: TravelTimeMap, n: int, a: float, b: float,
@@ -426,8 +404,8 @@ def simplex_integral(c: Conductivity, tt: TravelTimeMap, n: int, a: float, b: fl
     Odd in k, real for real k, and bounded by :func:`term_bound`.  For
     large Im k prefer :func:`regularized_simplex_integral`.
     """
-    _check_interval(a, b)
-    return _fold_simplex(c, tt, n, a, b, spec.quad_order, k)
+    spec = replace(spec, truncation_N=n)
+    return _one_interval(c, tt, a, b, k, spec, slice(n, None))
 
 
 def regularized_simplex_integral(c: Conductivity, tt: TravelTimeMap, n: int, a: float,
@@ -437,24 +415,20 @@ def regularized_simplex_integral(c: Conductivity, tt: TravelTimeMap, n: int, a: 
     Requires Im k >= 0 and a finite shift >= tau(b) - tau(a); every
     combined exponent then decays in the upper half k-plane.
     """
-    _check_interval(a, b)
-    _check_regularized(k, shift, tt.tau(b) - tt.tau(a))
-    return _fold_simplex(c, tt, n, a, b, spec.quad_order, k, shift)
+    spec = replace(spec, truncation_N=n)
+    return _one_interval(c, tt, a, b, k, spec, slice(n, None), shift)
 
 
 def series_sum(c: Conductivity, tt: TravelTimeMap, a: float, b: float, k,
                spec: SeriesSpec) -> complex:
     """Partial sum over n <= truncation_N of the simplex integrals."""
-    _check_interval(a, b)
-    return _sum_orders(c, tt, a, b, spec, k)
+    return _one_interval(c, tt, a, b, k, spec, slice(None))
 
 
 def regularized_series_sum(c: Conductivity, tt: TravelTimeMap, a: float, b: float, k,
                            spec: SeriesSpec, shift: float) -> complex:
     """Regularized counterpart of :func:`series_sum` (same shift every term)."""
-    _check_interval(a, b)
-    _check_regularized(k, shift, tt.tau(b) - tt.tau(a))
-    return _sum_orders(c, tt, a, b, spec, k, shift)
+    return _one_interval(c, tt, a, b, k, spec, slice(None), shift)
 
 
 def abs_log_derivative_integral(c: Conductivity, a: float, b: float) -> float:
@@ -525,7 +499,9 @@ def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b,
 
     ``a`` and ``b`` broadcast to a common length M; returns one
     :class:`TermTable` per order.  Memory is M * quad_order**n tuples per
-    order, so high orders are refused here (use the scalar evaluators).
+    order, so an order N with more than _TABLE_LIMIT tuples per interval
+    raises :class:`OrderTooHigh` before anything is expanded.  This is the
+    one tuple expander: the scalar references are its one-interval tables.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -540,10 +516,10 @@ def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b,
 
     # quad_order**n grows with n, so the top order decides before any expansion.
     N = spec.truncation_N
-    if _check_order(N, spec.quad_order) > _TABLE_LIMIT:
+    if spec.quad_order**N > _TABLE_LIMIT:
         raise OrderTooHigh(
             f"order {N} at quad_order {spec.quad_order} needs {spec.quad_order**N} "
-            "stored tuples per interval; lower quad_order or use the scalar path"
+            f"tuples per interval, more than {_TABLE_LIMIT}; lower quad_order"
         )
     tables = []
     for n in range(N + 1):

@@ -8,7 +8,9 @@ pi / tau(1), so a bracketing scan with step <= pi/(4 tau(1)) cannot skip a
 zero.  All brackets are then solved together to machine precision by
 Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971)), one batched
 Delta_N evaluation per iteration, stopping on the tolerances scipy's Brent
-solver was run with (1e-15 absolute, 4 eps relative).
+solver was run with (1e-15 absolute, 4 eps relative).  Delta_N comes from
+the solver's prefix recursion (``transform._delta_evaluator``), so the
+roots are those of the function whose series gives the solution, at any N.
 
 Eigenfunctions are evaluated from the explicit series
 
@@ -24,7 +26,7 @@ kappa_m, for all x at once by the prefix recursion
 max(16, ceil(2 kappa_m tau(1) / 6)) composite 12-node Gauss panels rounded
 up to a power of two, with the knots of a tabulated profile and the
 requested x merged into the panel edges.  Eigenfunction accuracy is set by
-that panel grid, not by ``quad_order``, which only the root finder uses.
+that panel grid; ``quad_order`` plays no part.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ import numpy as np
 
 from .coefficients import Conductivity, TravelTimeMap
 from .errors import DomainError, NoConvergence, RootMissed
-from .simplex import SeriesSpec, _grid, _panel_count, _prefix_series, build_term_tables
-# delta_values is not called here; it stays bound as spectrum.delta_values,
-# a name the benchmark tracer rebinds and its tests check.
-from .transform import _delta_from_tables, delta_values  # noqa: F401
+from .simplex import SeriesSpec, _grid, _panel_count, _prefix_series
+# build_term_tables and delta_values are not called here; they stay bound as
+# spectrum.build_term_tables and spectrum.delta_values, names the benchmark
+# tracer rebinds and its tests check.
+from .transform import _delta_evaluator, build_term_tables, delta_values  # noqa: F401
 
 __all__ = ["EigenPair", "Eigenfunction", "find_eigenvalues", "eigenfunction"]
 
@@ -131,9 +134,9 @@ def find_eigenvalues(c: Conductivity, tt: TravelTimeMap, spec: SeriesSpec,
     # Generous ceiling: roots sit near m*pi/tau(1).
     ceiling = (count + 3) * math.pi / total
     grid = np.arange(step * 0.25, ceiling, step)
-    # One table build serves the scan and every iteration.
-    tables = build_term_tables(c, tt, 0.0, 1.0, spec)
-    vals = _delta_from_tables(tables, grid)
+    # One evaluator, and so one set of panel grids, serves the scan and every iteration.
+    delta = _delta_evaluator(c, tt, spec.truncation_N)
+    vals = delta(grid)
 
     signs = np.sign(vals)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
@@ -143,8 +146,7 @@ def find_eigenvalues(c: Conductivity, tt: TravelTimeMap, spec: SeriesSpec,
         )
 
     flips = flips[:count]
-    kappas, residuals = _bracket_roots(lambda k: _delta_from_tables(tables, k),
-                                       grid[flips], grid[flips + 1],
+    kappas, residuals = _bracket_roots(delta, grid[flips], grid[flips + 1],
                                        vals[flips], vals[flips + 1])
     if np.any(np.diff(kappas) <= 0.0):
         raise NoConvergence("roots are not strictly increasing")
@@ -158,10 +160,10 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
     """Normalized eigenfunction for a root produced with the same spec.
 
     X(0) = 0 exactly by construction.  X(1) equals Delta_N(kappa_m) /
-    sqrt(sigma(1)) evaluated accurately, so it vanishes only up to the error
-    of the root, which ``find_eigenvalues`` takes from the quad_order
-    quadrature (|X(1)| up to 6.7e-4 for modes 1-8 of a 33-node tabulated
-    profile at quad_order = 32).  Unit L^2 norm, taken on the panel grid
+    sqrt(sigma(1)), and ``find_eigenvalues`` takes kappa_m from the same
+    recursion, so X(1) vanishes to the precision of the root: below 5e-15
+    for modes 1-8 of ``parabolic24``, ``rational9000`` and a 33-knot
+    tabulated profile.  Unit L^2 norm, taken on the panel grid
     without the evaluated x.  The scale is positive and fixes the sign:
     S_0(0, x; kappa) = sin(kappa tau(x)) has slope kappa / sigma(0) > 0 at
     x = 0 and each S_n with n >= 1 is O(x^(n+1)) there, so X'(0) > 0 at
@@ -180,15 +182,9 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
     N = spec.truncation_N
     count = _panel_count(kappa, tt.total)
 
-    def series(points=()):
-        # the panels, R = e^{i kappa tau} sum_{n<=N} S_n(0, .; kappa) at their
-        # nodes, and the sum S = Re(e^{-i kappa tau} R) at ``points``
-        panels, at = _grid(c, tt, count, points)
-        nodes, at_edges = (r.sum(axis=0)[..., 0] for r in _prefix_series(panels, kappa, N))
-        return panels, nodes, (np.exp(-1j * kappa * panels.tau_edges[at]) * at_edges[at]).real
-
-    panels, nodes, _ = series()
-    # |R| = |S| for real kappa
+    panels = _grid(c, tt, count)[0]
+    # R = e^{i kappa tau} sum_{n<=N} S_n(0, .; kappa) at the nodes; |R| = |S| for real kappa
+    nodes = _prefix_series(panels, kappa, N)[0].sum(axis=0)[..., 0]
     norm_sq = float(np.sum(panels.wts * np.abs(nodes) ** 2 / c.sigma(panels.pts)))
     if norm_sq <= 0.0:
         raise NoConvergence("eigenfunction has zero norm")
@@ -197,7 +193,11 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
     def evaluator(x):
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
-        vals = scale * series(flat)[2] / np.sqrt(c.sigma(flat))
+        # S = Re(e^{-i kappa tau} R) at the x, which are edges of their grid
+        grid, at = _grid(c, tt, count, flat)
+        at_x = _prefix_series(grid, kappa, N, nodes=False).sum(axis=0)[at, 0]
+        series = (np.exp(-1j * kappa * grid.tau_edges[at]) * at_x).real
+        vals = scale * series / np.sqrt(c.sigma(flat))
         return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
 
     return Eigenfunction(pair=pair, evaluator=evaluator, normalization=scale)

@@ -44,10 +44,12 @@ mirrored pair then sums to a purely imaginary raw integral, so
 
 Truncation of the series at n <= N gives the computable approximation; all
 operations accept the truncation via :class:`~varheat.simplex.SeriesSpec`.
-Delta_N is evaluated for arrays of wavenumbers by :func:`delta_values`; its
-pointwise reference is :func:`~varheat.simplex.series_sum` over (0, 1).
-Phi_N has the pointwise reference :func:`phi_fn` and the batched path that
-:func:`solve_grid` uses.
+Delta_N is evaluated for arrays of wavenumbers by :func:`delta_values`, on
+the same recursion: e^{-ik tau(1)} times the y = 1 edge of the left series,
+the value whose regularized form :func:`solve_grid` divides by.  Its
+pointwise reference is :func:`~varheat.simplex.series_sum` over (0, 1), and
+Phi_N has the pointwise reference :func:`phi_fn`; both are quadrature
+tuples, for smooth sigma only.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .errors import (
     ToleranceNotReached,
 )
 from .simplex import (SeriesSpec, _Cumulative, _grid, _panel_count, _prefix_series,
-                      _tuple_sum, build_term_tables, series_sum)
+                      build_term_tables)
 
 __all__ = [
     "Contour",
@@ -176,15 +178,47 @@ class SolutionSample:
 
 
 def delta_values(c: Conductivity, tt: TravelTimeMap, ks, spec: SeriesSpec) -> np.ndarray:
-    """Vectorized Delta_N over an array of wavenumbers (real arrays stay real)."""
-    return _delta_from_tables(build_term_tables(c, tt, 0.0, 1.0, spec), ks)
+    """Vectorized Delta_N over an array of wavenumbers (real arrays stay real).
+
+    Computed on the solver's prefix recursion (:func:`_delta_evaluator`) for
+    any finite complex k; a NaN or infinite k raises :class:`DomainError`.
+    """
+    return _delta_evaluator(c, tt, spec.truncation_N)(ks)
 
 
-def _delta_from_tables(tables, ks) -> np.ndarray:
-    """Delta_N over ``ks`` from the (0, 1) term tables of :func:`build_term_tables`."""
-    ks = np.asarray(ks)
-    vals = sum(_tuple_sum(tab.weights[0], tab.const[0] + tab.phases[0], ks) for tab in tables)
-    return vals.reshape(ks.shape)
+def _delta_evaluator(c, tt, N):
+    """Delta_N as a function of an array of wavenumbers, on the prefix recursion.
+
+    Delta_N(k) = e^{-ik tau(1)} sum_{n<=N} R_n(1; k), the y = 1 edge of the
+    left series of :func:`_phi_batch`, from the edges-only form of
+    ``simplex._prefix_series``; real k takes the real part.  Wavenumbers with
+    the same ``simplex._panel_count`` share one panel grid of
+    ``simplex._grid``, built on first use and kept for later calls, so one
+    evaluator serves a root scan and every iteration after it.  k with
+    Im k < 0 goes through Delta(k) = -Delta(-k).  A NaN or infinite k raises
+    :class:`DomainError`.
+    """
+    grids = {}
+
+    def delta(ks):
+        ks = np.asarray(ks)
+        k = ks.astype(complex).ravel()
+        if not np.all(np.isfinite(k)):
+            raise DomainError("Delta_N needs finite wavenumbers")
+        lower = k.imag < 0.0
+        k[lower] *= -1.0
+        vals = np.empty(k.shape, dtype=complex)
+        counts = _panel_count(k, tt.total)
+        for count in np.unique(counts):
+            if count not in grids:
+                grids[count] = _grid(c, tt, count)[0]
+            group = counts == count
+            edge = _prefix_series(grids[count], k[group], N, nodes=False)[:, -1].sum(axis=0)
+            vals[group] = np.exp(-1j * k[group] * tt.total) * edge
+        vals[lower] *= -1.0
+        return (vals if np.iscomplexobj(ks) else vals.real).reshape(ks.shape)
+
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +231,8 @@ def phi_fn(c: Conductivity, tt: TravelTimeMap, k, x: float, q0, spec: SeriesSpec
     """Phi_N(k, x) = int_0^1 Psi_N(k,x,y) q0(y) / sqrt(sigma(x) sigma(y)) dy.
 
     Pointwise reference path: composite Gauss-Legendre in y, split at y = x
-    where the kernel has a derivative kink.  ``regularized`` multiplies by
+    where the kernel has a derivative kink, and the series of each side from
+    one term table over all its y nodes and x.  ``regularized`` multiplies by
     exp(i k tau(1)) with every exponent kept decaying, so it stays bounded
     high in the upper half plane.  The production solver uses the prefix
     recursion in :func:`solve_grid`; the two are cross-checked in tests.
@@ -207,39 +242,22 @@ def phi_fn(c: Conductivity, tt: TravelTimeMap, k, x: float, q0, spec: SeriesSpec
     kc = complex(k)
     if x in (0.0, 1.0):
         return 0j
-    from .simplex import regularized_series_sum
-
-    total = tt.total
-    per_unit = max(24.0, 0.9 * abs(kc) * total)
-
-    def one_side(lo, hi, series_a, series_b):
-        # integrand factor sum S(series interval depending on y) * q0 / sqrt(sigma)
+    # Left side: S(0, y) at the y nodes of (0, x), then the factor S(0, x);
+    # right side: S(y, 1) at the y nodes of (x, 1), then the factor S(x, 1).
+    per_unit = max(24.0, 0.9 * abs(kc) * tt.total)
+    tau_x = float(tt.tau(x))
+    sums = []
+    for lo, hi, shift in ((0.0, x, tau_x), (x, 1.0, tt.total - tau_x)):
         pts, wts = _segment_weights(c, q0, lo, hi, per_unit)
-        acc = 0j
-        for y, wq in zip(pts, wts):
-            if regularized:
-                sval = regularized_series_sum(c, tt, *series_a(y), kc, spec,
-                                              shift=series_b(y))
-            else:
-                sval = series_sum(c, tt, *series_a(y), kc, spec)
-            acc += wq * sval
-        return acc
-
-    if regularized:
-        # Left part: exp(ik tau(x)) S(0,y); right part: exp(ik(tau(1)-tau(x))) S(y,1).
-        tau_x = float(tt.tau(x))
-        left = one_side(0.0, x, lambda y: (0.0, y), lambda y: tau_x)
-        right = one_side(x, 1.0, lambda y: (y, 1.0), lambda y: total - tau_x)
-        right_factor = regularized_series_sum(c, tt, x, 1.0, kc, spec, shift=total - tau_x)
-        left_factor = regularized_series_sum(c, tt, 0.0, x, kc, spec, shift=tau_x)
-        # Each product then carries the full shift tau(1) exactly once.
-        val = right_factor * left + left_factor * right
-    else:
-        left = one_side(0.0, x, lambda y: (0.0, y), None)
-        right = one_side(x, 1.0, lambda y: (y, 1.0), None)
-        right_factor = series_sum(c, tt, x, 1.0, kc, spec)
-        left_factor = series_sum(c, tt, 0.0, x, kc, spec)
-        val = right_factor * left + left_factor * right
+        ends = np.append(pts, x)
+        a, b = (0.0, ends) if lo == 0.0 else (ends, 1.0)
+        tables = build_term_tables(c, tt, a, b, spec)
+        rows = sum(tab.eval_regularized(kc, shift) if regularized else tab.eval_plain(kc)
+                   for tab in tables)[:, 0]
+        sums.append((wts @ rows[:-1], rows[-1]))
+    (left, left_factor), (right, right_factor) = sums
+    # Regularized, each product carries the full shift tau(1) exactly once.
+    val = right_factor * left + left_factor * right
     return val / math.sqrt(float(c.sigma(x)))
 
 

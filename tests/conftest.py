@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -43,6 +45,34 @@ def spec2():
 @pytest.fixture(scope="session")
 def spec3():
     return SeriesSpec(truncation_N=3, quad_order=32)
+
+
+@functools.lru_cache(maxsize=None)
+def parabolic_exact_kappas(count):
+    """The first ``count`` roots kappa_m of parabolic24, exact to double precision.
+
+    With z = (2x - 1)/sqrt(3) the operator (sigma^2 y')' becomes
+    (1/6) d/dz((1 - z^2) y_z) on |z| <= 1/sqrt(3), a Legendre equation, so
+    kappa^2 = nu(nu + 1)/6, where nu is a root of 2F1(-nu/2, (nu+1)/2; 1/2; 1/3)
+    for odd m (eigenfunctions even in z) and of
+    2F1((1-nu)/2, (nu+2)/2; 3/2; 1/3) for even m (odd in z).  Each root is
+    solved at 30 digits from nu(nu + 1) = 6 (m pi / tau(1))^2.
+    """
+    with mpmath.workdps(30):
+        total = 2 * mpmath.sqrt(6) * mpmath.asin(1 / mpmath.sqrt(3))
+        third = mpmath.mpf(1) / 3
+        kappas = []
+        for m in range(1, count + 1):
+            if m % 2:
+                def f(nu):
+                    return mpmath.hyp2f1(-nu / 2, (nu + 1) / 2, mpmath.mpf(1) / 2, third)
+            else:
+                def f(nu):
+                    return mpmath.hyp2f1((1 - nu) / 2, (nu + 2) / 2, mpmath.mpf(3) / 2, third)
+            start = m * mpmath.pi / total
+            nu = mpmath.findroot(f, (mpmath.sqrt(1 + 24 * start**2) - 1) / 2)
+            kappas.append(float(mpmath.sqrt(nu * (nu + 1) / 6)))
+    return np.array(kappas)
 
 
 def quadratic(x):

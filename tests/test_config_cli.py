@@ -260,17 +260,30 @@ def test_cli_overrides_take_the_range_checks(capsys, args, where):
 
 
 def test_cli_exit_code_1_on_numerical_failure(tmp_path, capsys):
-    # series order above the tuple cap raises OrderTooHigh in the root finder
-    cfg = _write_cfg(tmp_path, """
-sigma.kind = parabolic24
-profile.kind = quadratic
-solve.x_points = 5
-solve.times = 0.05
-series.N = 7
-""")
+    # a sigma^2 table with a sharp dip that its knots do not resolve raises
+    # ToleranceNotReached in the travel-time build
+    x = np.linspace(0.0, 1.0, 9)
+    table = tmp_path / "dip.csv"
+    np.savetxt(table, np.column_stack([x, np.where(x == 0.5, 1e-4, 1.0)]), delimiter=",")
+    cfg = _write_cfg(tmp_path, f"sigma.kind = tabulated\nsigma.table = {table}\n")
     rc = main(["eigs", "--config", cfg, "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_exit_code_2_on_quad_order_key(tmp_path, capsys):
+    # the quadrature order is no configuration key: only the references use it
+    cfg = _write_cfg(tmp_path, "series.quad_order = 32\n")
+    assert main(["eigs", "--config", cfg]) == 2
+    assert "series.quad_order" in capsys.readouterr().err
+
+
+def test_cli_eigs_above_the_old_order_cap(tmp_path):
+    # the roots run on the prefix recursion, which has no order cap
+    cfg = _write_cfg(tmp_path, "series.N = 7\neigs.count = 3\neigs.oracle = false\n")
+    out = tmp_path / "eigs.csv"
+    assert main(["eigs", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text().count("\n") >= 3
 
 
 def test_cli_verify_table1(capsys):

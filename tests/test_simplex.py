@@ -325,8 +325,8 @@ def test_prefix_recursion_converged_on_pchip_profile():
 
 
 def test_term_tables_refuse_before_expanding(parabolic, monkeypatch):
-    # every order is checked against ORDER_CAP and the tuple limit first, so
-    # a refused request expands nothing
+    # the top order is checked against the tuple limit first, so a refused
+    # request expands nothing
     c, tt = parabolic
     expanded = []
 
@@ -336,7 +336,7 @@ def test_term_tables_refuse_before_expanding(parabolic, monkeypatch):
 
     expand = simplex._expand_level
     monkeypatch.setattr(simplex, "_expand_level", counting)
-    for N in (7, 5):  # above ORDER_CAP; 32**5 tuples exceed _TABLE_LIMIT
+    for N in (7, 5):  # 32**5 tuples already exceed _TABLE_LIMIT
         with pytest.raises(OrderTooHigh):
             build_term_tables(c, tt, 0.0, np.linspace(0.0, 1.0, 67), SeriesSpec(truncation_N=N))
     assert expanded == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from varheat import SeriesSpec, build_travel_time, make_conductivity, simplex, spectrum
+from varheat import SeriesSpec, build_travel_time, make_conductivity, simplex, spectrum, transform
 from varheat.errors import DomainError, NoConvergence
 from varheat.oracles import fd_eigenvalues
 from varheat.simplex import _grid, _prefix_series, simplex_integral
@@ -15,7 +15,7 @@ from varheat.spectrum import eigenfunction, find_eigenvalues
 from varheat.transform import delta_values
 from varheat.verify import TABLE1_VALUES as TABLE
 
-from conftest import exp_sine_profile, profiles
+from conftest import exp_sine_profile, parabolic_exact_kappas, profiles
 
 
 def test_constant_sigma_eigenvalues(const1):
@@ -41,67 +41,64 @@ def test_residuals_are_tiny(parabolic, spec2):
         assert p.residual <= 1e-12
 
 
-def test_find_eigenvalues_builds_term_tables_once(parabolic, spec2, monkeypatch):
-    from varheat import spectrum
+def test_find_eigenvalues_builds_no_term_tables(parabolic, spec2, monkeypatch):
+    # the roots come from the prefix recursion, and one evaluator builds each
+    # panel grid once for the scan and every iteration
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_eigenvalues built term tables")
 
-    calls = []
-    plain = spectrum.build_term_tables
+    grids = []
+    plain_grid = transform._grid
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return plain(*args, **kwargs)
+    def counting_grid(c, tt, count, *args):
+        grids.append(count)
+        return plain_grid(c, tt, count, *args)
 
-    monkeypatch.setattr(spectrum, "build_term_tables", counting)
-    monkeypatch.setattr("varheat.transform.build_term_tables", counting)
+    monkeypatch.setattr(spectrum, "build_term_tables", refuse)
+    monkeypatch.setattr(simplex, "build_term_tables", refuse)
+    monkeypatch.setattr(transform, "build_term_tables", refuse)
+    monkeypatch.setattr(transform, "_grid", counting_grid)
     assert len(spectrum.find_eigenvalues(*parabolic, spec2, 30)) == 30
-    assert len(calls) == 1
+    assert grids and len(grids) == len(set(grids))
+
+
+def _count_delta_calls(monkeypatch, replace=None):
+    """Record the wavenumbers of every call of the evaluators that
+    ``find_eigenvalues`` makes; ``replace(n, vals)`` may alter call n's values."""
+    calls = []
+    plain = spectrum._delta_evaluator
+
+    def evaluator(*args):
+        delta = plain(*args)
+
+        def counting(ks):
+            calls.append(ks)
+            vals = delta(ks)
+            return vals if replace is None else replace(len(calls), vals)
+
+        return counting
+
+    monkeypatch.setattr(spectrum, "_delta_evaluator", evaluator)
+    return calls
 
 
 def test_find_eigenvalues_delta_budget(parabolic, spec2, monkeypatch):
     # one scan plus a few Brent steps per root
-    from varheat import spectrum
-
-    calls = []
-    plain = spectrum._delta_from_tables
-
-    def counting(tables, ks):
-        calls.append(ks)
-        return plain(tables, ks)
-
-    monkeypatch.setattr(spectrum, "_delta_from_tables", counting)
+    calls = _count_delta_calls(monkeypatch)
     assert len(find_eigenvalues(*parabolic, spec2, 30)) == 30
     assert len(calls) <= 1 + 12 * 30
 
 
 def test_find_eigenvalues_call_count(parabolic, spec2, monkeypatch):
     # the scan and every iteration, each one batched call over all brackets
-    from varheat import spectrum
-
-    calls = []
-    plain = spectrum._delta_from_tables
-
-    def counting(tables, ks):
-        calls.append(ks)
-        return plain(tables, ks)
-
-    monkeypatch.setattr(spectrum, "_delta_from_tables", counting)
+    calls = _count_delta_calls(monkeypatch)
     assert len(find_eigenvalues(*parabolic, spec2, 30)) == 30
     assert len(calls) <= 30
 
 
 def test_root_solver_failure_is_typed(parabolic, spec2, monkeypatch):
     # every Delta after the scan is NaN, so no bracket can close
-    from varheat import spectrum
-
-    calls = []
-    plain = spectrum._delta_from_tables
-
-    def stall(tables, ks):
-        calls.append(ks)
-        vals = plain(tables, ks)
-        return vals if len(calls) == 1 else np.full_like(vals, np.nan)
-
-    monkeypatch.setattr(spectrum, "_delta_from_tables", stall)
+    _count_delta_calls(monkeypatch, lambda n, vals: vals if n == 1 else np.full_like(vals, np.nan))
     with pytest.raises(NoConvergence, match="mode 1"):
         find_eigenvalues(*parabolic, spec2, 3)
 
@@ -135,6 +132,30 @@ def test_roots_match_brent_per_bracket(c):
                      grid[i], grid[i + 1], xtol=1e-15, rtol=4.0 * eps)
         assert abs(p.kappa - ref) <= 4.0 * eps * ref
         assert p.residual <= 1e-12
+
+
+def test_parabolic_roots_at_N10_match_legendre_reference(parabolic):
+    # parabolic24 is a Legendre problem with exact roots (conftest), and the
+    # series has converged by N = 10, so all 30 roots agree to roundoff
+    exact = parabolic_exact_kappas(30)
+    assert np.all(np.diff(exact) > 0.0)
+    pairs = find_eigenvalues(*parabolic, SeriesSpec(truncation_N=10), 30)
+    lams = np.array([p.lam for p in pairs])
+    assert np.max(np.abs(lams + exact**2) / exact**2) <= 1e-13
+
+
+@pytest.mark.parametrize("profile", ["parabolic", "rational", "table33"])
+def test_eigenfunctions_vanish_at_the_right_end(profile, request, spec2):
+    # X_m(1) = Delta_N(kappa_m) / sqrt(sigma(1)) at every N, and the roots
+    # come from the recursion that gives the eigenfunctions, also between
+    # the knots of a tabulated profile
+    if profile == "table33":
+        c = exp_sine_profile(33, (0.25, -0.12, 0.08), (0.3, 1.9, 4.0))
+        tt = build_travel_time(c)
+    else:
+        c, tt = request.getfixturevalue(profile)
+    for pair in find_eigenvalues(c, tt, spec2, 8):
+        assert abs(eigenfunction(c, tt, pair, spec2)(1.0)) <= 1e-12, pair.m
 
 
 def test_count_validation(parabolic, spec2):

@@ -58,15 +58,56 @@ def test_delta_values_vectorized(parabolic, spec2):
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(c=profiles)
-def test_delta_values_odd_real_and_match_scalar_series(c):
+def test_delta_values_odd_real_and_resolved_by_panel_rule(c):
+    # The tuples' Gauss rules straddle the knots of a tabulated sigma and
+    # are off by up to 7.4e-4 there, so every drawn profile is checked
+    # against the same recursion on 8x the panels.
     tt = build_travel_time(c)
     spec = SeriesSpec(truncation_N=2)
     ks = np.linspace(0.5, 10.0 * math.pi / tt.total, 7)
     vals = delta_values(c, tt, ks, spec)
     assert vals.dtype == float
     assert np.max(np.abs(delta_values(c, tt, -ks, spec) + vals)) <= 1e-12
-    ref = np.array([series_sum(c, tt, 0.0, 1.0, k, spec) for k in ks])
-    assert np.max(np.abs(vals - ref)) <= 1e-12
+    with unittest.mock.patch.object(transform, "_panel_count",
+                                    lambda k, total: 8 * simplex._panel_count(k, total)):
+        ref = delta_values(c, tt, ks, spec)
+    assert np.max(np.abs(vals - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("profile", ["parabolic", "rational"])
+def test_delta_values_match_scalar_series(profile, request):
+    # on the closed-form profiles the tuples converge; q = 96 resolves them
+    # at k up to 10 pi / tau(1)
+    c, tt = request.getfixturevalue(profile)
+    spec = SeriesSpec(truncation_N=2, quad_order=96)
+    ks = np.linspace(0.5, 10.0 * math.pi / tt.total, 7)
+    ref = np.array([series_sum(c, tt, 0.0, 1.0, k, spec).real for k in ks])
+    assert np.max(np.abs(delta_values(c, tt, ks, spec) - ref)) <= 1e-12
+
+
+def test_delta_at_large_k_matches_high_order_tuples(parabolic):
+    # at k = 25.3 the q = 32 tuples give 0.8546; the recursion and q = 96
+    # agree on 0.7784
+    c, tt = parabolic
+    got = delta_values(c, tt, np.array([25.3]), SeriesSpec(truncation_N=2))[0]
+    ref = series_sum(c, tt, 0.0, 1.0, 25.3, SeriesSpec(truncation_N=2, quad_order=96))
+    assert abs(got - ref) <= 1e-12
+
+
+def test_delta_values_builds_no_term_tables(parabolic, spec2, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("delta_values built term tables")
+
+    for module in (transform, simplex):
+        monkeypatch.setattr(module, "build_term_tables", refuse)
+    ks = np.array([0.3, 40.0, 2.0 + 1.0j, -3.0 - 0.5j])
+    assert np.all(np.isfinite(delta_values(*parabolic, ks, spec2)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_delta_values_rejects_non_finite_k(parabolic, spec2, bad):
+    with pytest.raises(DomainError, match="finite"):
+        delta_values(*parabolic, np.array([1.0, bad]), spec2)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
