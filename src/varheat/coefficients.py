@@ -139,10 +139,17 @@ class TravelTimeMap:
     ``tau`` is a vectorized evaluator on [0, 1] (else :class:`DomainError`)
     with tau(0) = 0 and tau(1) = ``total``, exact to roundoff (see
     :func:`build_travel_time`).
+
+    ``grids`` is the profile's table of series panel grids, filled and read
+    by ``simplex._grid`` only: built on first use, shared by every Delta_N,
+    root, eigenfunction and solve on this map, and dropped with it.  It
+    holds one plain grid per edge set and the latest grid with points
+    merged in beside each.
     """
 
     tau: Callable[[np.ndarray], np.ndarray]
     total: float
+    grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _check_domain(x, name="x"):

@@ -24,7 +24,10 @@ reflected profile sigma(1 - x).  The solver and Delta_N
 it, on the panels of ``_grid``, whose count follows the rule of
 ``_panel_count``: max(16, ceil(2 |k| tau(1) / 6)) panels, rounded up to a
 power of two, so that each panel carries at most 6 rad of the kernel phase
-2|k| tau.  The knots of a tabulated sigma are panel edges.
+2|k| tau.  The knots of a tabulated sigma are panel edges.  A grid
+depends only on the profile and its edges, so each is built once and kept
+in the profile's table ``TravelTimeMap.grids``; wavenumbers are grouped by
+grid (``_grid_groups``), not by count.
 
 The quadrature tuples are the independent reference.  Since tau enters
 linearly, A(y) = c + sum_p 2*(-1)**(p+1) tau(y_p) with the constant
@@ -172,22 +175,33 @@ def _panel_count(k, total):
 
 
 class _Panels(NamedTuple):
-    """Composite Gauss panels: nodes and weights, mu and tau at the nodes, all
-    shaped (P, _PREFIX_ORDER), and tau at the P + 1 edges."""
+    """Composite Gauss panels: nodes and weights, mu, tau and sigma at the
+    nodes, all shaped (P, _PREFIX_ORDER), and tau and sigma at the P + 1 edges."""
 
     pts: np.ndarray
     wts: np.ndarray
     mu: np.ndarray
     tau: np.ndarray
     tau_edges: np.ndarray
+    sigma: np.ndarray
+    sigma_edges: np.ndarray
 
     def reflected(self):
         """The panels of x -> 1 - x, on which sigma(1 - x) has mu -> -mu and
         tau -> tau(1) - tau, so S_n(y, 1; sigma) = S_n(0, 1 - y; sigma(1 - .)).
         tau(1) is the last edge's."""
         total = self.tau_edges[-1]
-        pts, wts, mu, tau = (a[::-1, ::-1] for a in self[:4])
-        return _Panels(1.0 - pts, wts, -mu, total - tau, total - self.tau_edges[::-1])
+        pts, wts, mu, tau, sigma = (a[::-1, ::-1] for a in
+                                    (self.pts, self.wts, self.mu, self.tau, self.sigma))
+        return _Panels(1.0 - pts, wts, -mu, total - tau, total - self.tau_edges[::-1],
+                       sigma, self.sigma_edges[::-1])
+
+
+def _plain_edges(c, count):
+    """The edges of ``count`` uniform panels and the knots of a tabulated profile."""
+    uniform = np.linspace(0.0, 1.0, count + 1)
+    knots = c.params.get("knots")
+    return uniform if knots is None else np.union1d(uniform, knots)
 
 
 def _grid(c, tt, count, points=()):
@@ -196,15 +210,63 @@ def _grid(c, tt, count, points=()):
 
     Returns the :class:`_Panels` and, for each point, the index of its edge.
     Raises :class:`DomainError` unless every point lies in [0, 1].
+
+    A grid depends only on the profile and its edges, so it is built once and
+    shared through the profile's table ``tt.grids``: the plain grid (uniform
+    panels and knots) under its edge array, and beside it the latest grid
+    with points merged in, which the next call with the same edges reuses.
+    Counts whose plain edges coincide (16 and 32 panels on a 33-knot table)
+    get the same grid.  Each entry holds the :class:`Conductivity` it was
+    built for, so another profile with this ``tt`` rebuilds rather than
+    reads it.
     """
+    return _shared_grid(c, tt, _plain_edges(c, count), points)
+
+
+def _grid_groups(c, tt, counts, points=()):
+    """Wavenumbers grouped by panel grid, in ascending order of the grids.
+
+    ``counts`` holds the panel count of each wavenumber; for each plain edge
+    set this yields the grid of :func:`_grid` with ``points``, the edge
+    index of each point and the mask of ``counts`` on the grid.  A grid is
+    taken from the table only when the iteration reaches it.
+    """
+    groups = {}
+    for count in np.unique(counts):
+        plain = _plain_edges(c, count)
+        _, group = groups.setdefault(plain.tobytes(), (plain, np.zeros(counts.shape, bool)))
+        group[counts == count] = True
+    for plain, group in groups.values():
+        yield *_shared_grid(c, tt, plain, points), group
+
+
+def _shared_grid(c, tt, plain, points):
+    """:func:`_grid` on the plain edges ``plain``, from the table ``tt.grids``."""
     points = np.asarray(points, dtype=float).ravel()
-    edges = np.unique(np.concatenate([np.linspace(0.0, 1.0, count + 1),
-                                      c.params.get("knots", ()), points]))
-    if not (edges[0] == 0.0 and edges[-1] <= 1.0):
-        raise DomainError(f"series points must lie in [0, 1], got {edges[0]:g}..{edges[-1]:g}")
+    edges = plain
+    if points.size:
+        if not np.all((points >= 0.0) & (points <= 1.0)):  # NaN fails too
+            raise DomainError(
+                f"series points must lie in [0, 1], got {points.min():g}..{points.max():g}")
+        edges = np.union1d(plain, points)
+    merged = edges.size > plain.size
+    key = (plain.tobytes(), merged)  # the plain grid and the latest merged one
+    held = tt.grids.get(key)
+    if held is None or held[0] is not c or (merged and not np.array_equal(held[1], edges)):
+        held = tt.grids[key] = (c, edges, _panels(c, tt, edges))
+    return held[2], edges.searchsorted(points)
+
+
+def _panels(c, tt, edges):
+    """The :class:`_Panels` on ``edges``: sigma once at every node and edge,
+    and mu = sigma' / sigma from it."""
     pts, wts = _panel_gauss(edges, _PREFIX_ORDER)
-    panels = _Panels(pts, wts, log_derivative(c, pts), tt.tau(pts), tt.tau(edges))
-    return panels, edges.searchsorted(points)
+    at = np.concatenate([pts.ravel(), edges])
+    sigma, tau = c.sigma(at), tt.tau(at)
+    nodes = slice(pts.size)
+    mu = (c.dsigma(pts.ravel()) / sigma[nodes]).reshape(pts.shape)
+    return _Panels(pts, wts, mu, tau[nodes].reshape(pts.shape), tau[pts.size:],
+                   sigma[nodes].reshape(pts.shape), sigma[pts.size:])
 
 
 class _Cumulative:

@@ -11,6 +11,8 @@ Delta_N evaluation per iteration, stopping on the tolerances scipy's Brent
 solver was run with (1e-15 absolute, 4 eps relative).  Delta_N comes from
 the solver's prefix recursion (``transform._delta_evaluator``), so the
 roots are those of the function whose series gives the solution, at any N.
+The scan runs one panel grid at a time and stops at the last sign change
+it needs.
 
 Eigenfunctions are evaluated from the explicit series
 
@@ -27,6 +29,11 @@ max(16, ceil(2 kappa_m tau(1) / 6)) composite 12-node Gauss panels rounded
 up to a power of two, with the knots of a tabulated profile and the
 requested x merged into the panel edges.  Eigenfunction accuracy is set by
 that panel grid; ``quad_order`` plays no part.
+
+Every panel grid is built once per profile and kept in the table of its
+travel-time map (``TravelTimeMap.grids``): the roots, the norm of every
+mode with the same panel count and the values of every mode at the same x
+share it, and sharing changes no bit of any result.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import numpy as np
 
 from .coefficients import Conductivity, TravelTimeMap
 from .errors import DomainError, NoConvergence, RootMissed
-from .simplex import SeriesSpec, _grid, _panel_count, _prefix_series
+from .simplex import SeriesSpec, _grid, _grid_groups, _panel_count, _prefix_series
 # build_term_tables and delta_values are not called here; they stay bound as
 # spectrum.build_term_tables and spectrum.delta_values, names the benchmark
 # tracer rebinds and its tests check.
@@ -134,13 +141,16 @@ def find_eigenvalues(c: Conductivity, tt: TravelTimeMap, spec: SeriesSpec,
     # Generous ceiling: roots sit near m*pi/tau(1).
     ceiling = (count + 3) * math.pi / total
     grid = np.arange(step * 0.25, ceiling, step)
-    # One evaluator, and so one set of panel grids, serves the scan and every iteration.
     delta = _delta_evaluator(c, tt, spec.truncation_N)
-    vals = delta(grid)
-
-    signs = np.sign(vals)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    if flips.size < count:
+    # One panel grid at a time, in ascending k, until count sign changes are in.
+    vals = np.empty(0)
+    for _, _, group in _grid_groups(c, tt, _panel_count(grid, total)):
+        vals = np.concatenate([vals, delta(grid[group])])
+        signs = np.sign(vals)
+        flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+        if flips.size >= count:
+            break
+    else:
         raise RootMissed(
             f"found {flips.size} sign changes below k={ceiling:.3f}, need {count}"
         )
@@ -164,7 +174,10 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
     recursion, so X(1) vanishes to the precision of the root: below 5e-15
     for modes 1-8 of ``parabolic24``, ``rational9000`` and a 33-knot
     tabulated profile.  Unit L^2 norm, taken on the panel grid
-    without the evaluated x.  The scale is positive and fixes the sign:
+    without the evaluated x, which the roots and every mode with the same
+    panel count share through ``tt.grids``; the evaluator's grid, with the
+    x merged in, is shared by every mode evaluated at the same x.  sigma
+    comes off the grids.  The scale is positive and fixes the sign:
     S_0(0, x; kappa) = sin(kappa tau(x)) has slope kappa / sigma(0) > 0 at
     x = 0 and each S_n with n >= 1 is O(x^(n+1)) there, so X'(0) > 0 at
     every N.  The series
@@ -185,7 +198,7 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
     panels = _grid(c, tt, count)[0]
     # R = e^{i kappa tau} sum_{n<=N} S_n(0, .; kappa) at the nodes; |R| = |S| for real kappa
     nodes = _prefix_series(panels, kappa, N)[0].sum(axis=0)[..., 0]
-    norm_sq = float(np.sum(panels.wts * np.abs(nodes) ** 2 / c.sigma(panels.pts)))
+    norm_sq = float(np.sum(panels.wts * np.abs(nodes) ** 2 / panels.sigma))
     if norm_sq <= 0.0:
         raise NoConvergence("eigenfunction has zero norm")
     scale = 1.0 / math.sqrt(norm_sq)
@@ -197,7 +210,7 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
         grid, at = _grid(c, tt, count, flat)
         at_x = _prefix_series(grid, kappa, N, nodes=False).sum(axis=0)[at, 0]
         series = (np.exp(-1j * kappa * grid.tau_edges[at]) * at_x).real
-        vals = scale * series / np.sqrt(c.sigma(flat))
+        vals = scale * series / np.sqrt(grid.sigma_edges[at])
         return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
 
     return Eigenfunction(pair=pair, evaluator=evaluator, normalization=scale)

@@ -66,7 +66,7 @@ from .errors import (
     TailTooLarge,
     ToleranceNotReached,
 )
-from .simplex import (SeriesSpec, _Cumulative, _grid, _panel_count, _prefix_series,
+from .simplex import (SeriesSpec, _Cumulative, _grid_groups, _panel_count, _prefix_series,
                       build_term_tables)
 
 __all__ = [
@@ -191,14 +191,14 @@ def _delta_evaluator(c, tt, N):
 
     Delta_N(k) = e^{-ik tau(1)} sum_{n<=N} R_n(1; k), the y = 1 edge of the
     left series of :func:`_phi_batch`, from the edges-only form of
-    ``simplex._prefix_series``; real k takes the real part.  Wavenumbers with
-    the same ``simplex._panel_count`` share one panel grid of
-    ``simplex._grid``, built on first use and kept for later calls, so one
-    evaluator serves a root scan and every iteration after it.  k with
-    Im k < 0 goes through Delta(k) = -Delta(-k).  A NaN or infinite k raises
+    ``simplex._prefix_series``; real k takes the real part.  Wavenumbers are
+    grouped by the panel grid their ``simplex._panel_count`` makes
+    (``simplex._grid_groups``), one recursion call per grid, and the grids
+    come from the profile's table ``tt.grids``, so a root scan, every
+    iteration after it and the eigenfunctions share them.  k with Im k < 0
+    goes through Delta(k) = -Delta(-k).  A NaN or infinite k raises
     :class:`DomainError`.
     """
-    grids = {}
 
     def delta(ks):
         ks = np.asarray(ks)
@@ -208,12 +208,8 @@ def _delta_evaluator(c, tt, N):
         lower = k.imag < 0.0
         k[lower] *= -1.0
         vals = np.empty(k.shape, dtype=complex)
-        counts = _panel_count(k, tt.total)
-        for count in np.unique(counts):
-            if count not in grids:
-                grids[count] = _grid(c, tt, count)[0]
-            group = counts == count
-            edge = _prefix_series(grids[count], k[group], N, nodes=False)[:, -1].sum(axis=0)
+        for panels, _, group in _grid_groups(c, tt, _panel_count(k, tt.total)):
+            edge = _prefix_series(panels, k[group], N, nodes=False)[:, -1].sum(axis=0)
             vals[group] = np.exp(-1j * k[group] * tt.total) * edge
         vals[lower] *= -1.0
         return (vals if np.iscomplexobj(ks) else vals.real).reshape(ks.shape)
@@ -266,15 +262,15 @@ def phi_fn(c: Conductivity, tt: TravelTimeMap, k, x: float, q0, spec: SeriesSpec
 # ---------------------------------------------------------------------------
 
 
-def _q0_weights(c, q0, pts):
-    """q0 / sqrt(sigma) at ``pts``; raises :class:`DomainError` unless q0 is
-    finite and real there."""
+def _q0_weights(q0, pts, sigma):
+    """q0 / sqrt(sigma) at ``pts``, where sigma takes the values ``sigma``;
+    raises :class:`DomainError` unless q0 is finite and real there."""
     q = np.asarray(q0(pts))
     if np.iscomplexobj(q) and np.any(q.imag != 0.0):
         raise DomainError("q0 must be real: it returned complex values")
     if not np.all(np.isfinite(q)):
         raise DomainError("q0 must be finite: it returned NaN or inf")
-    return q.real / np.sqrt(c.sigma(pts))
+    return q.real / np.sqrt(sigma)
 
 
 def _segment_weights(c, q0, lo, hi, per_unit):
@@ -284,7 +280,7 @@ def _segment_weights(c, q0, lo, hi, per_unit):
     n_panels = max(2, math.ceil((hi - lo) * per_unit / 12.0))
     pts, wts = _panel_gauss(np.linspace(lo, hi, n_panels + 1), 12)
     pts, wts = pts.ravel(), wts.ravel()
-    return pts, wts * _q0_weights(c, q0, pts)
+    return pts, wts * _q0_weights(q0, pts, c.sigma(pts))
 
 
 def _series_and_integral(panels, k, N, weight):
@@ -303,10 +299,12 @@ def _phi_batch(c, tt, q0, ks, xs, spec, q0_knots=()):
     times Phi and Delta, with the series *cumulative* in n (entry n is the
     truncation-N=n value).
 
-    Wavenumbers with the same ``simplex._panel_count`` (at least 16 panels,
-    at most 6 rad of kernel phase in each) share one panel grid of
-    ``simplex._grid``, whose edges also include every x, the knots of a
-    tabulated sigma and ``q0_knots``, where q0 is not smooth.  On it the
+    Wavenumbers are grouped by the panel grid their ``simplex._panel_count``
+    makes (at least 16 panels, at most 6 rad of kernel phase in each; see
+    ``simplex._grid_groups``), whose edges also include every x, the knots
+    of a tabulated sigma and ``q0_knots``, where q0 is not smooth.  The
+    grids come from the profile's table ``tt.grids``, so a later solve at
+    the same x reuses them, and sigma is read off them.  On each grid the
     prefix recursion gives R(y) = e^{ik tau(y)} S(0, y), and on the
     reflected grid R~(y) = e^{ik (tau(1) - tau(y))} S(y, 1).  Each
     y-integral is one more cumulative integral, with omega = k:
@@ -323,17 +321,16 @@ def _phi_batch(c, tt, q0, ks, xs, spec, q0_knots=()):
     xs = np.asarray(xs, dtype=float)
     phi = np.empty((N + 1, xs.size, ks.size), dtype=complex)
     regD = np.empty((N + 1, ks.size), dtype=complex)
-    counts = _panel_count(ks, tt.total)
-    for count in np.unique(counts):
-        group = counts == count
-        panels, at_x = _grid(c, tt, count, np.concatenate([xs, q0_knots]))
+    points = np.concatenate([xs, q0_knots])
+    for panels, at_x, group in _grid_groups(c, tt, _panel_count(ks, tt.total), points):
         at_x = at_x[:xs.size]
-        weight = _q0_weights(c, q0, panels.pts)[..., None]
+        weight = _q0_weights(q0, panels.pts, panels.sigma)[..., None]
         (R, L), (R_, L_) = (_series_and_integral(side, ks[group], N, w) for side, w in (
             (panels, weight), (panels.reflected(), weight[::-1, ::-1])))
-        phi[..., group] = R_[:, -1 - at_x] * L[:, at_x] + R[:, at_x] * L_[:, -1 - at_x]
+        phi[..., group] = ((R_[:, -1 - at_x] * L[:, at_x] + R[:, at_x] * L_[:, -1 - at_x])
+                           / np.sqrt(panels.sigma_edges[at_x])[:, None])
         regD[:, group] = R[:, -1]
-    return phi / np.sqrt(c.sigma(xs))[:, None], regD
+    return phi, regD
 
 
 def _check_quadrature(cont, integrand, weighted, ts, tol):

@@ -56,7 +56,6 @@ def test_bad_values_rejected():
 
 @pytest.mark.parametrize("text, where", [
     ("series.N = -1", "truncation_N"),
-    ("series.quad_order = 1", "quad_order"),
     ("series.tol = 0", "tol"),
     ("series.tol = nan", "tol"),
     ("solve.times = 1, nan", "solve.times"),

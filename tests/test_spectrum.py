@@ -41,25 +41,26 @@ def test_residuals_are_tiny(parabolic, spec2):
         assert p.residual <= 1e-12
 
 
-def test_find_eigenvalues_builds_no_term_tables(parabolic, spec2, monkeypatch):
-    # the roots come from the prefix recursion, and one evaluator builds each
-    # panel grid once for the scan and every iteration
+def test_find_eigenvalues_builds_no_term_tables(spec2, monkeypatch):
+    # the roots come from the prefix recursion, and the profile's grid table
+    # builds each panel grid once for the scan and every iteration
     def refuse(*args, **kwargs):
         raise AssertionError("find_eigenvalues built term tables")
 
-    grids = []
-    plain_grid = transform._grid
+    built = []
+    plain_panels = simplex._panels
 
-    def counting_grid(c, tt, count, *args):
-        grids.append(count)
-        return plain_grid(c, tt, count, *args)
+    def counting_panels(c, tt, edges):
+        built.append(edges.tobytes())
+        return plain_panels(c, tt, edges)
 
     monkeypatch.setattr(spectrum, "build_term_tables", refuse)
     monkeypatch.setattr(simplex, "build_term_tables", refuse)
     monkeypatch.setattr(transform, "build_term_tables", refuse)
-    monkeypatch.setattr(transform, "_grid", counting_grid)
-    assert len(spectrum.find_eigenvalues(*parabolic, spec2, 30)) == 30
-    assert grids and len(grids) == len(set(grids))
+    monkeypatch.setattr(simplex, "_panels", counting_panels)
+    c = make_conductivity("parabolic24")
+    assert len(spectrum.find_eigenvalues(c, build_travel_time(c), spec2, 30)) == 30
+    assert built and len(built) == len(set(built))
 
 
 def _count_delta_calls(monkeypatch, replace=None):
