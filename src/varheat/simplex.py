@@ -10,18 +10,18 @@ where mu = sigma'/sigma and the phase A(y) alternates travel-time gaps:
     A(y) = sum_{p=0..n} (-1)**p (tau(y_{p+1}) - tau(y_p)),
     y_0 = a, y_{n+1} = b.
 
-Two evaluators compute it.
-
-The prefix recursion (``_prefix_series``) is the one production engine.  It
+One engine computes it, the prefix recursion (``_prefix_series``).  It
 gives every term S_n(0, y; k) for all upper limits y at once, for any k with
 Im k >= 0, in n cumulative integrations on composite 12-node Gauss panels,
 at a cost linear in n.  It returns e^{ik tau(y)} S_n, which stays bounded in
 the upper half plane, because e^{ik tau(y)} sin(kA) splits into two
 exponentials of twice the even and twice the odd gaps, each of modulus
 <= 1.  The suffix terms S_n(y, 1; k) are the same recursion on the
-reflected profile sigma(1 - x).  The solver and Delta_N
-(``transform``), the roots and the eigenfunctions (``spectrum``) all use
-it, on the panels of ``_grid``, whose count follows the rule of
+reflected profile sigma(1 - x), and S_n(a, b; k) the same recursion on the
+panels between a and b, with tau measured from a.  The solver and Delta_N
+(``transform``), the roots and the eigenfunctions (``spectrum``) and the
+scalar evaluators here (``simplex_integral`` and its siblings) all use it,
+on the panels of ``_grid``, whose count follows the rule of
 ``_panel_count``: max(16, ceil(2 |k| tau(1) / 6)) panels, rounded up to a
 power of two, so that each panel carries at most 6 rad of the kernel phase
 2|k| tau.  The knots of a tabulated sigma are panel edges.  A grid
@@ -29,17 +29,17 @@ depends only on the profile and its edges, so each is built once and kept
 in the profile's table ``TravelTimeMap.grids``; wavenumbers are grouped by
 grid (``_grid_groups``), not by count.
 
-The quadrature tuples are the independent reference.  Since tau enters
-linearly, A(y) = c + sum_p 2*(-1)**(p+1) tau(y_p) with the constant
-c = -tau(a) + (-1)**n tau(b), so a quadrature rule for the simplex reduces
-to a list of (weight, phase) pairs that are *independent of k*:
+The quadrature tuples of :func:`build_term_tables` are kept for the tests
+as an independent reference; no function of the package evaluates them.
+Since tau enters linearly, A(y) = c + sum_p 2*(-1)**(p+1) tau(y_p) with the
+constant c = -tau(a) + (-1)**n tau(b), so a quadrature rule for the simplex
+reduces to a list of (weight, phase) pairs that are *independent of k*:
 :func:`build_term_tables` expands nested Gauss-Legendre nodes once
 (innermost limits shrink with the outer variable), and any number of k
-values are then swept as dot products against the tuple arrays.  The
-scalar references (``simplex_integral`` and its siblings) are one-interval
-tables.  Their Gauss rules do not split at the knots of a tabulated sigma,
-so they converge only algebraically there: they are references for smooth
-sigma only.
+values are then swept as dot products against the tuple arrays.  Their
+Gauss rules do not split at the knots of a tabulated sigma, so they
+converge only algebraically there: they are references for smooth sigma
+only.
 
 One function, ``_tuple_sum``, evaluates every tuple sum
 sum_j W_j exp(ik*shift) sin(k*(c + T_j)).  Without a shift (the plain
@@ -90,33 +90,26 @@ _TABLE_LIMIT = 1 << 24
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Truncation and quadrature configuration for the series evaluators.
+    """Truncation configuration for the series evaluators.
 
     truncation_N: series cut at n <= N (N >= 0).
-    quad_order:   Gauss-Legendre nodes per simplex dimension (>= 2) of the
-                  quadrature tuples, which only the references use
-                  (:func:`build_term_tables`, the scalar evaluators and
-                  ``transform.phi_fn``).  The solve, Delta_N, the roots and
-                  the eigenfunctions use the prefix recursion, whose panels
-                  follow |k| instead.
     tol:          target absolute accuracy per term (used by audits).
+
+    Every evaluator runs on the prefix recursion, whose panels follow |k|,
+    so no quadrature order is configured.
     """
 
     truncation_N: int = 2
-    quad_order: int = 32
     tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("truncation_N", "quad_order"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        try:
+            object.__setattr__(self, "truncation_N", operator.index(self.truncation_N))
+        except TypeError:
+            raise DomainError(
+                f"truncation_N must be an integer, got {self.truncation_N!r}") from None
         if self.truncation_N < 0:
             raise DomainError("truncation_N must be >= 0")
-        if self.quad_order < 2:
-            raise DomainError("quad_order must be >= 2")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise DomainError(f"tol must be finite and positive, got {self.tol!r}")
 
@@ -195,6 +188,13 @@ class _Panels(NamedTuple):
                                     (self.pts, self.wts, self.mu, self.tau, self.sigma))
         return _Panels(1.0 - pts, wts, -mu, total - tau, total - self.tau_edges[::-1],
                        sigma, self.sigma_edges[::-1])
+
+    def between(self, i, j):
+        """The panels from edge i to edge j, with tau measured from edge i, on
+        which the recursion gives S_n(x_i, y; k) for y up to edge j."""
+        start, cut, edges = self.tau_edges[i], slice(i, j), slice(i, j + 1)
+        return _Panels(self.pts[cut], self.wts[cut], self.mu[cut], self.tau[cut] - start,
+                       self.tau_edges[edges] - start, self.sigma[cut], self.sigma_edges[edges])
 
 
 def _plain_edges(c, count):
@@ -451,23 +451,39 @@ def _tuple_sum(W, P, k, shift=None):
     return out
 
 
-def _one_interval(c, tt, a, b, k, spec, orders, shift=None):
-    """Sum over ``orders`` (a slice of 0..N) of the (a, b) term tables at one k."""
+def _interval_terms(c, tt, a, b, k, N, shift=None):
+    """S_n(a, b; k) for n <= N, or exp(ik*shift) S_n with a ``shift``: shape (N + 1,).
+
+    The recursion runs on the panels of :func:`_grid` for k with a and b
+    merged into the edges, cut to [a, b]; its last edge holds
+    e^{ik (tau(b) - tau(a))} S_n.  The plain value takes Im k < 0 through
+    S(-k) = -S(k) and is real for real k; the regularized one is checked by
+    :func:`_check_regularized`.  A NaN or infinite k raises :class:`DomainError`.
+    """
     _check_interval(a, b)
-    tables = build_term_tables(c, tt, a, b, spec)[orders]
-    return complex(sum((tab.eval_plain(k) if shift is None else tab.eval_regularized(k, shift))
-                       [0, 0] for tab in tables))
+    k, sign = complex(k), 1.0
+    if not np.isfinite(k):
+        raise DomainError(f"the simplex integrals need a finite wavenumber, got {k}")
+    span = float(tt.tau(b) - tt.tau(a))
+    if shift is not None:
+        _check_regularized(k, shift, span)
+    elif k.imag < 0.0:
+        k, sign = -k, -1.0
+    grid, (i, j) = _grid(c, tt, _panel_count(k, tt.total), (a, b))
+    edge = _prefix_series(grid.between(i, j), k, N, nodes=False)[:, -1, 0]
+    terms = sign * np.exp(1j * k * ((0.0 if shift is None else shift) - span)) * edge
+    return terms.real.astype(complex) if shift is None and k.imag == 0.0 else terms
 
 
 def simplex_integral(c: Conductivity, tt: TravelTimeMap, n: int, a: float, b: float,
                      k, spec: SeriesSpec) -> complex:
-    """Evaluate S_n(a, b; k) by nested Gauss-Legendre quadrature.
+    """Evaluate S_n(a, b; k) by the prefix recursion.
 
     Odd in k, real for real k, and bounded by :func:`term_bound`.  For
     large Im k prefer :func:`regularized_simplex_integral`.
     """
     spec = replace(spec, truncation_N=n)
-    return _one_interval(c, tt, a, b, k, spec, slice(n, None))
+    return complex(_interval_terms(c, tt, a, b, k, spec.truncation_N)[-1])
 
 
 def regularized_simplex_integral(c: Conductivity, tt: TravelTimeMap, n: int, a: float,
@@ -475,22 +491,22 @@ def regularized_simplex_integral(c: Conductivity, tt: TravelTimeMap, n: int, a: 
     """Evaluate exp(ik*shift) * S_n(a, b; k) in overflow-safe form.
 
     Requires Im k >= 0 and a finite shift >= tau(b) - tau(a); every
-    combined exponent then decays in the upper half k-plane.
+    factor then stays bounded in the upper half k-plane.
     """
     spec = replace(spec, truncation_N=n)
-    return _one_interval(c, tt, a, b, k, spec, slice(n, None), shift)
+    return complex(_interval_terms(c, tt, a, b, k, spec.truncation_N, shift)[-1])
 
 
 def series_sum(c: Conductivity, tt: TravelTimeMap, a: float, b: float, k,
                spec: SeriesSpec) -> complex:
     """Partial sum over n <= truncation_N of the simplex integrals."""
-    return _one_interval(c, tt, a, b, k, spec, slice(None))
+    return complex(_interval_terms(c, tt, a, b, k, spec.truncation_N).sum())
 
 
 def regularized_series_sum(c: Conductivity, tt: TravelTimeMap, a: float, b: float, k,
                            spec: SeriesSpec, shift: float) -> complex:
     """Regularized counterpart of :func:`series_sum` (same shift every term)."""
-    return _one_interval(c, tt, a, b, k, spec, slice(None), shift)
+    return complex(_interval_terms(c, tt, a, b, k, spec.truncation_N, shift).sum())
 
 
 def abs_log_derivative_integral(c: Conductivity, a: float, b: float) -> float:
@@ -555,16 +571,19 @@ class TermTable:
         return _tuple_sum(self.weights, self.const[:, None] + self.phases, k, shift)
 
 
-def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b,
-                      spec: SeriesSpec) -> list[TermTable]:
+def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b, spec: SeriesSpec,
+                      quad_order: int = 32) -> list[TermTable]:
     """Precompute tuples of S_0..S_N over a batch of intervals.
 
     ``a`` and ``b`` broadcast to a common length M; returns one
-    :class:`TermTable` per order.  Memory is M * quad_order**n tuples per
-    order, so an order N with more than _TABLE_LIMIT tuples per interval
-    raises :class:`OrderTooHigh` before anything is expanded.  This is the
-    one tuple expander: the scalar references are its one-interval tables.
+    :class:`TermTable` per order, from ``quad_order`` Gauss-Legendre nodes
+    per simplex variable (an integer >= 2, else :class:`DomainError`).
+    Memory is M * quad_order**n tuples per order, so an order N with more
+    than _TABLE_LIMIT tuples per interval raises :class:`OrderTooHigh`
+    before anything is expanded.  This is the one tuple expander.
     """
+    if not isinstance(quad_order, (int, np.integer)) or quad_order < 2:
+        raise DomainError(f"quad_order must be an integer >= 2, got {quad_order!r}")
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     a, b = np.broadcast_arrays(a, b)
@@ -573,14 +592,14 @@ def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b,
     if np.any(a < 0.0) or np.any(b > 1.0) or np.any(a > b):
         raise DomainError("batched intervals must satisfy 0 <= a <= b <= 1")
     M = a.size
-    x01, w01 = _unit_gauss(spec.quad_order)
+    x01, w01 = _unit_gauss(quad_order)
     span = tt.tau(b) - tt.tau(a)
 
     # quad_order**n grows with n, so the top order decides before any expansion.
     N = spec.truncation_N
-    if spec.quad_order**N > _TABLE_LIMIT:
+    if quad_order**N > _TABLE_LIMIT:
         raise OrderTooHigh(
-            f"order {N} at quad_order {spec.quad_order} needs {spec.quad_order**N} "
+            f"order {N} at quad_order {quad_order} needs {quad_order**N} "
             f"tuples per interval, more than {_TABLE_LIMIT}; lower quad_order"
         )
     tables = []
@@ -592,7 +611,7 @@ def build_term_tables(c: Conductivity, tt: TravelTimeMap, a, b,
         for level in range(n, 0, -1):
             sign = (-1.0) ** (level + 1)
             lo, up, W, T = _expand_level(lo, up, W, T, sign, c, tt, x01, w01)
-        J = spec.quad_order**n
+        J = quad_order**n
         tables.append(TermTable(n, W.reshape(M, J), T.reshape(M, J),
                                 _phase_const(tt, a, b, n), span))
     return tables

@@ -9,7 +9,7 @@ zero.  All brackets are then solved together to machine precision by
 Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971)), one batched
 Delta_N evaluation per iteration, stopping on the tolerances scipy's Brent
 solver was run with (1e-15 absolute, 4 eps relative).  Delta_N comes from
-the solver's prefix recursion (``transform._delta_evaluator``), so the
+the solver's prefix recursion (``transform.delta_values``), so the
 roots are those of the function whose series gives the solution, at any N.
 The scan runs one panel grid at a time and stops at the last sign change
 it needs.
@@ -28,7 +28,7 @@ kappa_m, for all x at once by the prefix recursion
 max(16, ceil(2 kappa_m tau(1) / 6)) composite 12-node Gauss panels rounded
 up to a power of two, with the knots of a tabulated profile and the
 requested x merged into the panel edges.  Eigenfunction accuracy is set by
-that panel grid; ``quad_order`` plays no part.
+that panel grid alone.
 
 Every panel grid is built once per profile and kept in the table of its
 travel-time map (``TravelTimeMap.grids``): the roots, the norm of every
@@ -38,6 +38,7 @@ share it, and sharing changes no bit of any result.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -47,10 +48,10 @@ import numpy as np
 from .coefficients import Conductivity, TravelTimeMap
 from .errors import DomainError, NoConvergence, RootMissed
 from .simplex import SeriesSpec, _grid, _grid_groups, _panel_count, _prefix_series
-# build_term_tables and delta_values are not called here; they stay bound as
-# spectrum.build_term_tables and spectrum.delta_values, names the benchmark
-# tracer rebinds and its tests check.
-from .transform import _delta_evaluator, build_term_tables, delta_values  # noqa: F401
+# build_term_tables is not called here; it stays bound as
+# spectrum.build_term_tables for benchmarks/test_benchmark.py, which checks
+# that the tracer rebinds it.
+from .transform import build_term_tables, delta_values  # noqa: F401
 
 __all__ = ["EigenPair", "Eigenfunction", "find_eigenvalues", "eigenfunction"]
 
@@ -141,7 +142,7 @@ def find_eigenvalues(c: Conductivity, tt: TravelTimeMap, spec: SeriesSpec,
     # Generous ceiling: roots sit near m*pi/tau(1).
     ceiling = (count + 3) * math.pi / total
     grid = np.arange(step * 0.25, ceiling, step)
-    delta = _delta_evaluator(c, tt, spec.truncation_N)
+    delta = functools.partial(delta_values, c, tt, spec=spec)
     # One panel grid at a time, in ascending k, until count sign changes are in.
     vals = np.empty(0)
     for _, _, group in _grid_groups(c, tt, _panel_count(grid, total)):

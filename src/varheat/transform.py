@@ -47,9 +47,8 @@ operations accept the truncation via :class:`~varheat.simplex.SeriesSpec`.
 Delta_N is evaluated for arrays of wavenumbers by :func:`delta_values`, on
 the same recursion: e^{-ik tau(1)} times the y = 1 edge of the left series,
 the value whose regularized form :func:`solve_grid` divides by.  Its
-pointwise reference is :func:`~varheat.simplex.series_sum` over (0, 1), and
-Phi_N has the pointwise reference :func:`phi_fn`; both are quadrature
-tuples, for smooth sigma only.
+pointwise form is :func:`~varheat.simplex.series_sum` over (0, 1), on the
+same recursion and panels.
 """
 
 from __future__ import annotations
@@ -59,21 +58,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import Conductivity, TravelTimeMap, _panel_gauss
+from .coefficients import Conductivity, TravelTimeMap
 from .errors import (
     DenominatorNearZero,
     DomainError,
     TailTooLarge,
     ToleranceNotReached,
 )
-from .simplex import (SeriesSpec, _Cumulative, _grid_groups, _panel_count, _prefix_series,
-                      build_term_tables)
+from .simplex import SeriesSpec, _Cumulative, _grid_groups, _panel_count, _prefix_series
+# build_term_tables is not called here; it stays bound as
+# transform.build_term_tables, a name the benchmark tracer rebinds and
+# benchmarks/test_benchmark.py checks.
+from .simplex import build_term_tables  # noqa: F401
 
 __all__ = [
     "Contour",
     "SolutionSample",
     "delta_values",
-    "phi_fn",
     "solve",
     "solve_grid",
 ]
@@ -147,13 +148,15 @@ class Contour:
         ts = [float(t) for t in np.atleast_1d(ts)]
         if not ts or not all(math.isfinite(t) and t > 0.0 for t in ts):
             raise DomainError(f"contour sizing needs finite times t > 0, got {ts}")
-        if not tol > 0.0:
-            raise DomainError("contour sizing needs tol > 0")
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise DomainError(f"contour sizing needs a finite tol > 0, got {tol!r}")
         t_min, t_max = min(ts), max(ts)
         cos2 = math.cos(_DELTA) ** 2
         s = min(_S_MAX, math.sqrt(2.0 * cos2 * _MU_T_MAX / t_max))
         mu = s * s / (2.0 * cos2)
-        log_budget = math.log(20.0 / tol)
+        # A tol above 20 asks for no more than the contour of budget 0 gives;
+        # a negative budget would leave the domain of acosh below.
+        log_budget = math.log(20.0 / min(tol, 20.0))
         step = 2.0 * math.pi * _DELTA / (
             log_budget + math.log1p(math.exp(mu * t_max)))
         end = 0.5 * math.acosh(
@@ -180,15 +183,6 @@ class SolutionSample:
 def delta_values(c: Conductivity, tt: TravelTimeMap, ks, spec: SeriesSpec) -> np.ndarray:
     """Vectorized Delta_N over an array of wavenumbers (real arrays stay real).
 
-    Computed on the solver's prefix recursion (:func:`_delta_evaluator`) for
-    any finite complex k; a NaN or infinite k raises :class:`DomainError`.
-    """
-    return _delta_evaluator(c, tt, spec.truncation_N)(ks)
-
-
-def _delta_evaluator(c, tt, N):
-    """Delta_N as a function of an array of wavenumbers, on the prefix recursion.
-
     Delta_N(k) = e^{-ik tau(1)} sum_{n<=N} R_n(1; k), the y = 1 edge of the
     left series of :func:`_phi_batch`, from the edges-only form of
     ``simplex._prefix_series``; real k takes the real part.  Wavenumbers are
@@ -196,65 +190,21 @@ def _delta_evaluator(c, tt, N):
     (``simplex._grid_groups``), one recursion call per grid, and the grids
     come from the profile's table ``tt.grids``, so a root scan, every
     iteration after it and the eigenfunctions share them.  k with Im k < 0
-    goes through Delta(k) = -Delta(-k).  A NaN or infinite k raises
-    :class:`DomainError`.
+    goes through Delta(k) = -Delta(-k).  Any finite complex k is accepted; a
+    NaN or infinite k raises :class:`DomainError`.
     """
-
-    def delta(ks):
-        ks = np.asarray(ks)
-        k = ks.astype(complex).ravel()
-        if not np.all(np.isfinite(k)):
-            raise DomainError("Delta_N needs finite wavenumbers")
-        lower = k.imag < 0.0
-        k[lower] *= -1.0
-        vals = np.empty(k.shape, dtype=complex)
-        for panels, _, group in _grid_groups(c, tt, _panel_count(k, tt.total)):
-            edge = _prefix_series(panels, k[group], N, nodes=False)[:, -1].sum(axis=0)
-            vals[group] = np.exp(-1j * k[group] * tt.total) * edge
-        vals[lower] *= -1.0
-        return (vals if np.iscomplexobj(ks) else vals.real).reshape(ks.shape)
-
-    return delta
-
-
-# ---------------------------------------------------------------------------
-# Transform Phi
-# ---------------------------------------------------------------------------
-
-
-def phi_fn(c: Conductivity, tt: TravelTimeMap, k, x: float, q0, spec: SeriesSpec,
-           regularized: bool = False) -> complex:
-    """Phi_N(k, x) = int_0^1 Psi_N(k,x,y) q0(y) / sqrt(sigma(x) sigma(y)) dy.
-
-    Pointwise reference path: composite Gauss-Legendre in y, split at y = x
-    where the kernel has a derivative kink, and the series of each side from
-    one term table over all its y nodes and x.  ``regularized`` multiplies by
-    exp(i k tau(1)) with every exponent kept decaying, so it stays bounded
-    high in the upper half plane.  The production solver uses the prefix
-    recursion in :func:`solve_grid`; the two are cross-checked in tests.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError("phi_fn needs x in [0, 1]")
-    kc = complex(k)
-    if x in (0.0, 1.0):
-        return 0j
-    # Left side: S(0, y) at the y nodes of (0, x), then the factor S(0, x);
-    # right side: S(y, 1) at the y nodes of (x, 1), then the factor S(x, 1).
-    per_unit = max(24.0, 0.9 * abs(kc) * tt.total)
-    tau_x = float(tt.tau(x))
-    sums = []
-    for lo, hi, shift in ((0.0, x, tau_x), (x, 1.0, tt.total - tau_x)):
-        pts, wts = _segment_weights(c, q0, lo, hi, per_unit)
-        ends = np.append(pts, x)
-        a, b = (0.0, ends) if lo == 0.0 else (ends, 1.0)
-        tables = build_term_tables(c, tt, a, b, spec)
-        rows = sum(tab.eval_regularized(kc, shift) if regularized else tab.eval_plain(kc)
-                   for tab in tables)[:, 0]
-        sums.append((wts @ rows[:-1], rows[-1]))
-    (left, left_factor), (right, right_factor) = sums
-    # Regularized, each product carries the full shift tau(1) exactly once.
-    val = right_factor * left + left_factor * right
-    return val / math.sqrt(float(c.sigma(x)))
+    ks = np.asarray(ks)
+    k = ks.astype(complex).ravel()
+    if not np.all(np.isfinite(k)):
+        raise DomainError("Delta_N needs finite wavenumbers")
+    lower = k.imag < 0.0
+    k[lower] *= -1.0
+    vals = np.empty(k.shape, dtype=complex)
+    for panels, _, group in _grid_groups(c, tt, _panel_count(k, tt.total)):
+        edge = _prefix_series(panels, k[group], spec.truncation_N, nodes=False)[:, -1].sum(axis=0)
+        vals[group] = np.exp(-1j * k[group] * tt.total) * edge
+    vals[lower] *= -1.0
+    return (vals if np.iscomplexobj(ks) else vals.real).reshape(ks.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +221,6 @@ def _q0_weights(q0, pts, sigma):
     if not np.all(np.isfinite(q)):
         raise DomainError("q0 must be finite: it returned NaN or inf")
     return q.real / np.sqrt(sigma)
-
-
-def _segment_weights(c, q0, lo, hi, per_unit):
-    """Gauss nodes and q0/sqrt(sigma)-weighted quadrature weights on [lo, hi]."""
-    if hi - lo <= 1e-14:
-        return np.empty(0), np.empty(0)
-    n_panels = max(2, math.ceil((hi - lo) * per_unit / 12.0))
-    pts, wts = _panel_gauss(np.linspace(lo, hi, n_panels + 1), 12)
-    pts, wts = pts.ravel(), wts.ravel()
-    return pts, wts * _q0_weights(q0, pts, c.sigma(pts))
 
 
 def _series_and_integral(panels, k, N, weight):

@@ -39,12 +39,12 @@ def rational():
 
 @pytest.fixture(scope="session")
 def spec2():
-    return SeriesSpec(truncation_N=2, quad_order=32)
+    return SeriesSpec(truncation_N=2)
 
 
 @pytest.fixture(scope="session")
 def spec3():
-    return SeriesSpec(truncation_N=3, quad_order=32)
+    return SeriesSpec(truncation_N=3)
 
 
 @functools.lru_cache(maxsize=None)

@@ -30,7 +30,7 @@ def test_parse_defaults_and_overrides():
     assert cfg.solve_x_points == 11
     assert cfg.eigs_count == 3
     spec = cfg.series_spec()
-    assert spec.truncation_N == 2 and spec.quad_order == 32
+    assert spec.truncation_N == 2
 
 
 def test_parse_comments_and_lists():

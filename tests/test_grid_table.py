@@ -100,23 +100,18 @@ def test_table_knots_make_one_grid_and_one_recursion_call_per_iteration(monkeypa
     c = _profiles()[2]
     tt = build_travel_time(c)
     recursions, evaluations = [], []
-    plain_series, plain_evaluator = transform._prefix_series, spectrum._delta_evaluator
+    plain_series, plain_delta = transform._prefix_series, spectrum.delta_values
 
     def counting_series(panels, k, N, *args, **kwargs):
         recursions.append((panels.pts.shape[0], np.size(k)))
         return plain_series(panels, k, N, *args, **kwargs)
 
-    def counting_evaluator(*args):
-        delta = plain_evaluator(*args)
-
-        def counting(ks):
-            evaluations.append(np.asarray(ks))
-            return delta(ks)
-
-        return counting
+    def counting_delta(c, tt, ks, spec):
+        evaluations.append(np.asarray(ks))
+        return plain_delta(c, tt, ks, spec)
 
     monkeypatch.setattr(transform, "_prefix_series", counting_series)
-    monkeypatch.setattr(spectrum, "_delta_evaluator", counting_evaluator)
+    monkeypatch.setattr(spectrum, "delta_values", counting_delta)
     assert len(find_eigenvalues(c, tt, SPEC, 30)) == 30
     assert len(recursions) == len(evaluations)
     assert {panels for panels, _ in recursions} == {32}
@@ -132,18 +127,13 @@ def test_scan_evaluates_all_grids_before_root_missed(monkeypatch):
     c = make_conductivity("parabolic24")
     tt = build_travel_time(c)
     scanned = []
-    plain = spectrum._delta_evaluator
+    plain = spectrum.delta_values
 
-    def positive(*args):
-        delta = plain(*args)
+    def positive(c, tt, ks, spec):
+        scanned.append(np.asarray(ks))
+        return np.abs(plain(c, tt, ks, spec)) + 1.0
 
-        def evaluate(ks):
-            scanned.append(np.asarray(ks))
-            return np.abs(delta(ks)) + 1.0
-
-        return evaluate
-
-    monkeypatch.setattr(spectrum, "_delta_evaluator", positive)
+    monkeypatch.setattr(spectrum, "delta_values", positive)
     with pytest.raises(RootMissed, match="found 0 sign changes"):
         find_eigenvalues(c, tt, SPEC, 30)
     ceiling = 33 * np.pi / tt.total

@@ -24,10 +24,11 @@ from varheat.oracles import (
     psi_entry,
     uniform_partition,
 )
-from varheat.transform import Contour, delta_values, phi_fn
+from varheat.transform import Contour, delta_values
 from varheat.verify import CHEBFUN_VALUES as CHEBFUN
 
 from conftest import partitions, quadratic, sine, wavenumbers
+from tuples import phi_fn
 
 
 def _random_partition(rng, n_cells):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,8 @@ from varheat.simplex import (
 from varheat.spectrum import find_eigenvalues
 from varheat.transform import Contour
 
-from conftest import PARABOLIC_TAU_TOTAL
+from conftest import PARABOLIC_TAU_TOTAL, exp_sine_profile
+from tuples import tuple_terms
 
 # Frozen from an adaptive-quadrature oracle with the closed-form travel
 # time tau(y) = sqrt(6)(asin((2y-1)/sqrt 3) + asin(1/sqrt 3)):
@@ -29,23 +31,28 @@ S1_PARABOLIC_K1 = -0.1374387176069552
 S2_PARABOLIC_K2 = -0.004953134620424728
 
 
-def test_spec_validation():
+def test_spec_validation(parabolic):
+    # the spec holds the truncation and the tolerance only; the quadrature
+    # order is an argument of the reference tuples, which check it
+    assert [f.name for f in dataclasses.fields(SeriesSpec)] == ["truncation_N", "tol"]
     with pytest.raises(DomainError):
         SeriesSpec(truncation_N=-1)
     with pytest.raises(DomainError):
-        SeriesSpec(quad_order=1)
+        build_term_tables(*parabolic, 0.0, 1.0, SeriesSpec(), quad_order=1)
     with pytest.raises(DomainError):
         SeriesSpec(tol=0.0)
 
 
-def test_spec_orders_are_integers_and_tol_finite():
-    for bad in ({"truncation_N": 2.5}, {"quad_order": 8.5}, {"quad_order": "8"},
-                {"tol": math.nan}, {"tol": math.inf}, {"tol": -1e-10}):
+def test_spec_orders_are_integers_and_tol_finite(parabolic):
+    for bad in ({"truncation_N": 2.5}, {"tol": math.nan}, {"tol": math.inf}, {"tol": -1e-10}):
         with pytest.raises(DomainError):
             SeriesSpec(**bad)
-    spec = SeriesSpec(truncation_N=np.int64(2), quad_order=np.int32(8))
-    assert (spec.truncation_N, spec.quad_order) == (2, 8)
-    assert type(spec.truncation_N) is int and type(spec.quad_order) is int
+    for bad in (8.5, "8"):
+        with pytest.raises(DomainError, match="quad_order"):
+            build_term_tables(*parabolic, 0.0, 1.0, SeriesSpec(), quad_order=bad)
+    spec = SeriesSpec(truncation_N=np.int64(2))
+    assert spec.truncation_N == 2 and type(spec.truncation_N) is int
+    assert build_term_tables(*parabolic, 0.0, 1.0, spec, np.int32(8))[2].weights.shape == (1, 64)
 
 
 def test_order0_is_sine_of_travel_time(parabolic, spec3):
@@ -74,17 +81,26 @@ def test_order2_against_dblquad_oracle(parabolic, spec3):
 
 
 def test_domain_and_order_errors(parabolic, spec3):
+    # the tuples refuse an order past their limit; the recursion has none
     c, tt = parabolic
     with pytest.raises(DomainError):
         simplex_integral(c, tt, 1, 0.7, 0.2, 1.0, spec3)
+    with pytest.raises(DomainError):
+        tuple_terms(c, tt, 0.7, 0.2, 1.0, 1)
+    for bad in (math.nan, math.inf, complex(1.0, math.nan)):
+        with pytest.raises(DomainError, match="finite wavenumber"):
+            simplex_integral(c, tt, 1, 0.2, 0.7, bad, spec3)
+        with pytest.raises(DomainError, match="finite wavenumber"):
+            regularized_series_sum(c, tt, 0.2, 0.7, bad, spec3, tt.total)
     with pytest.raises(OrderTooHigh):
-        simplex_integral(c, tt, 7, 0.0, 1.0, 1.0, spec3)
+        tuple_terms(c, tt, 0.0, 1.0, 1.0, 7)
+    v = simplex_integral(c, tt, 7, 0.0, 1.0, 1.0, spec3)
+    assert abs(v) < term_bound(c, tt, 7, 0.0, 1.0, 1.0)
 
 
 def test_high_order_cap_is_reachable(parabolic):
     c, tt = parabolic
-    spec = SeriesSpec(truncation_N=6, quad_order=4)
-    v = simplex_integral(c, tt, 6, 0.0, 1.0, 1.0, spec)
+    v = tuple_terms(c, tt, 0.0, 1.0, 1.0, 6, quad_order=4)[6]
     assert abs(v) < term_bound(c, tt, 6, 0.0, 1.0, 1.0)
 
 
@@ -139,13 +155,11 @@ def test_term_bound_matrix(parabolic, rational, const1):
 
 def test_quadrature_convergence_on_doubling(parabolic):
     c, tt = parabolic
-    lo = SeriesSpec(truncation_N=2, quad_order=32)
-    hi = SeriesSpec(truncation_N=2, quad_order=64)
-    for n in (1, 2):
-        for k in (1.0, 3.0 + 1.0j):
-            a = simplex_integral(c, tt, n, 0.0, 1.0, k, lo)
-            b = simplex_integral(c, tt, n, 0.0, 1.0, k, hi)
-            assert abs(a - b) < lo.tol
+    tol = SeriesSpec().tol
+    for k in (1.0, 3.0 + 1.0j):
+        lo = tuple_terms(c, tt, 0.0, 1.0, k, 2, quad_order=32)
+        hi = tuple_terms(c, tt, 0.0, 1.0, k, 2, quad_order=64)
+        assert np.max(np.abs(lo - hi)[1:]) < tol
 
 
 def test_regularized_closed_form_constant(const1, spec3):
@@ -167,12 +181,35 @@ def test_regularized_matches_plain_at_moderate_k(parabolic, spec3):
     assert abs(sreg - splain) < 1e-10
 
 
+def _finer_recursion(c, tt, a, b, k, N, factor, shift=None):
+    """S_n(a, b; k), n <= N (exp(ik*shift) S_n with a ``shift``), from the
+    prefix recursion on ``factor`` times the panels of the panel rule."""
+    k = complex(k)
+    sign = -1.0 if shift is None and k.imag < 0.0 else 1.0
+    k *= sign
+    grid, (i, j) = _grid(c, tt, factor * simplex._panel_count(k, tt.total), (a, b))
+    edge = _prefix_series(grid.between(i, j), k, N, nodes=False)[:, -1, 0]
+    span = grid.tau_edges[j] - grid.tau_edges[i]
+    return sign * np.exp(1j * k * ((0.0 if shift is None else shift) - span)) * edge
+
+
 def test_regularized_stays_bounded_high_up(parabolic, spec2):
     c, tt = parabolic
     k = 200j  # plain path would overflow: exp(Im k * tau) ~ exp(600)
     v = regularized_series_sum(c, tt, 0.0, 1.0, k, spec2, tt.total)
     assert np.isfinite(v.real) and np.isfinite(v.imag)
     assert abs(v) < 10.0
+    # resolved there: the recursion on 32x the panels agrees, term by term
+    # and in the sum (the q = 32 tuples are 0.56% off in the n = 1 term at
+    # 200j on [0, 0.4])
+    shift = float(tt.tau(0.4))
+    for k in (200j, 3.0 + 300j):
+        ref = _finer_recursion(c, tt, 0.0, 0.4, k, 2, 32, shift)
+        for n in range(3):
+            v = regularized_simplex_integral(c, tt, n, 0.0, 0.4, k, spec2, shift)
+            assert abs(v - ref[n]) <= 1e-13 * abs(ref[n]), (n, k)
+        v = regularized_series_sum(c, tt, 0.0, 0.4, k, spec2, shift)
+        assert abs(v - ref.sum()) <= 1e-13 * abs(ref.sum()), k
 
 
 def test_shift_too_small(parabolic, spec3):
@@ -219,14 +256,74 @@ def test_batched_regularized_stays_bounded_high_up(parabolic, spec2):
     b = np.array([0.4, 1.0, 0.9])
     shifts = tt.tau(b) - tt.tau(a)
     ks = np.array([200.0j, 3.0 + 300.0j])
+    refs = [[tuple_terms(c, tt, a[m], b[m], k, 2, shift=float(shifts[m])) for k in ks]
+            for m in range(a.size)]
     for tab in build_term_tables(c, tt, a, b, spec2):
         vals = tab.eval_regularized(ks, shifts)
         assert np.all(np.isfinite(vals))
         for m in range(a.size):
             for j, k in enumerate(ks):
-                ref = regularized_simplex_integral(c, tt, tab.n, a[m], b[m], k, spec2,
-                                                   float(shifts[m]))
+                ref = refs[m][j][tab.n]
                 assert abs(vals[m, j] - ref) <= 1e-12 * abs(ref), (tab.n, m, k)
+
+
+PUBLIC_INTERVALS = ((0.0, 1.0), (0.1, 0.8), (0.37, 0.41), (0.0, 0.5), (0.4, 0.4))
+PUBLIC_KS = (0.5, 2.0, 7.3, 20.0, 1.0 + 1.0j, 3.0 - 0.5j)
+
+
+@pytest.mark.parametrize("profile", ["parabolic", "rational"])
+def test_public_functions_match_tuples(profile, spec3, request):
+    # on smooth profiles the q = 64 tuples converge, and the four public
+    # functions, which run on the recursion, agree with them to roundoff
+    c, tt = request.getfixturevalue(profile)
+    for a, b in PUBLIC_INTERVALS:
+        span = float(tt.tau(b) - tt.tau(a))
+        for k in PUBLIC_KS:
+            ref = tuple_terms(c, tt, a, b, k, 3, quad_order=64)
+            got = [simplex_integral(c, tt, n, a, b, k, spec3) for n in range(4)]
+            scale = np.maximum(1.0, np.abs(ref))
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale), (a, b, k)
+            total = series_sum(c, tt, a, b, k, spec3)
+            assert abs(total - ref.sum()) <= 1e-13 * max(1.0, abs(ref.sum())), (a, b, k)
+            if k.imag >= 0.0:
+                reg = np.exp(1j * k * span) * ref
+                got = [regularized_simplex_integral(c, tt, n, a, b, k, spec3, span)
+                       for n in range(4)]
+                assert np.all(np.abs(got - reg) <= 1e-13 * scale), (a, b, k)
+                total = regularized_series_sum(c, tt, a, b, k, spec3, span)
+                assert abs(total - reg.sum()) <= 1e-13 * max(1.0, abs(reg.sum())), (a, b, k)
+
+
+@pytest.mark.parametrize("profile", ["table33", "rational"])
+def test_simplex_integral_resolved_on_random_intervals(profile, spec3, request):
+    # the tuples straddle table knots; simplex_integral agrees with the
+    # recursion on 8x the panels on any interval, for complex k on both
+    # sides of the real axis
+    c = (exp_sine_profile(33, (0.2, -0.1, 0.05), (0.3, 1.9, 4.0)) if profile == "table33"
+         else request.getfixturevalue(profile)[0])
+    tt = build_travel_time(c)
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        a, b = np.sort(rng.uniform(0.0, 1.0, 2))
+        k = complex(*rng.uniform((-30.0, -3.0), (30.0, 3.0)))
+        ref = _finer_recursion(c, tt, a, b, k, 3, 8)
+        for n in range(4):
+            v = simplex_integral(c, tt, n, a, b, k, spec3)
+            assert abs(v - ref[n]) <= 1e-13 * max(1.0, abs(ref[n])), (n, a, b, k)
+
+
+def test_public_functions_build_no_term_tables(parabolic, spec2, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a public function built term tables")
+
+    monkeypatch.setattr(simplex, "build_term_tables", refuse)
+    c, tt = parabolic
+    k, shift = 2.0 + 1.0j, tt.total
+    values = (simplex_integral(c, tt, 2, 0.1, 0.9, k, spec2),
+              regularized_simplex_integral(c, tt, 2, 0.1, 0.9, k, spec2, shift),
+              series_sum(c, tt, 0.1, 0.9, k, spec2),
+              regularized_series_sum(c, tt, 0.1, 0.9, k, spec2, shift))
+    assert np.all(np.isfinite(values))
 
 
 def _einsum_sweep(tab, ks, shift):
@@ -273,16 +370,15 @@ def test_term_tables_match_scalar_path(parabolic, spec2):
         vals = tab.eval_plain(ks)
         for m in range(a.size):
             for j, k in enumerate(ks):
-                ref = simplex_integral(c, tt, tab.n, a[m], b[m], k, spec2)
+                ref = tuple_terms(c, tt, a[m], b[m], k, tab.n)[tab.n]
                 assert abs(vals[m, j] - ref) < 1e-13
-    # regularized table path against the scalar regularized integral
+    # regularized table path against the one-interval regularized tuples
     shifts = tt.tau(b) - tt.tau(a)
     for tab in tables:
         vals = tab.eval_regularized(np.array([1.0 + 1.0j]), shifts)
         for m in range(a.size):
-            ref = regularized_simplex_integral(c, tt, tab.n, a[m], b[m],
-                                               1.0 + 1.0j, spec2, float(shifts[m]))
-            assert abs(vals[m, 0] - ref) < 1e-13
+            ref = tuple_terms(c, tt, a[m], b[m], 1.0 + 1.0j, tab.n, shift=float(shifts[m]))
+            assert abs(vals[m, 0] - ref[tab.n]) < 1e-13
 
 
 PREFIX_XS = np.array([0.1, 0.37, 0.5, 0.93, 1.0])
@@ -300,14 +396,12 @@ def test_prefix_recursion_matches_scalar_path(profile, spec2, request):
     # Where the tuples converge (smooth profiles, quad_order = 64) the
     # recursion reproduces every order with its sign and 2^-n scale.
     c, tt = request.getfixturevalue(profile)
-    spec64 = SeriesSpec(truncation_N=3, quad_order=64)
     pairs = find_eigenvalues(c, tt, spec2, 8)
     for k in (pairs[0].kappa, pairs[3].kappa, pairs[7].kappa):
         terms = _prefix_terms_at(c, tt, 64, k, 3)
-        for n in range(4):
-            ref = [simplex_integral(c, tt, n, 0.0, float(x), k, spec64).real
-                   for x in PREFIX_XS]
-            assert np.max(np.abs(terms[n] - ref)) < 1e-9
+        ref = np.array([tuple_terms(c, tt, 0.0, float(x), k, 3, quad_order=64).real
+                        for x in PREFIX_XS]).T
+        assert np.max(np.abs(terms - ref)) < 1e-9
 
 
 def test_prefix_recursion_converged_on_pchip_profile():
@@ -347,21 +441,18 @@ def test_prefix_recursion_complex_k_and_reflection(profile, request):
     # e^{ik tau(y)} S_n(0, y) and, on the reflected panels,
     # e^{ik (tau(1) - tau(y))} S_n(y, 1), against the scalar regularized path
     c, tt = request.getfixturevalue(profile)
-    spec64 = SeriesSpec(truncation_N=3, quad_order=64)
     xs = np.array([0.1, 0.4, 0.77])
     ks = np.array([1.3, 5.0 + 3.0j, -4.0 + 6.0j])
     panels, at_x = _grid(c, tt, 64, xs)
     left = _prefix_series(panels, ks, 3)[1][:, at_x]
     right = _prefix_series(panels.reflected(), ks, 3)[1][:, -1 - at_x]
-    for n in range(4):
-        for i, x in enumerate(xs):
-            for j, k in enumerate(ks):
-                tau_x = float(tt.tau(x))
-                ref = regularized_simplex_integral(c, tt, n, 0.0, x, k, spec64, tau_x)
-                assert abs(left[n, i, j] - ref) <= 1e-12, (n, x, k)
-                ref = regularized_simplex_integral(c, tt, n, x, 1.0, k, spec64,
-                                                   tt.total - tau_x)
-                assert abs(right[n, i, j] - ref) <= 1e-12, (n, x, k)
+    for i, x in enumerate(xs):
+        for j, k in enumerate(ks):
+            tau_x = float(tt.tau(x))
+            ref = tuple_terms(c, tt, 0.0, x, k, 3, quad_order=64, shift=tau_x)
+            assert np.max(np.abs(left[:, i, j] - ref)) <= 1e-12, (x, k)
+            ref = tuple_terms(c, tt, x, 1.0, k, 3, quad_order=64, shift=tt.total - tau_x)
+            assert np.max(np.abs(right[:, i, j] - ref)) <= 1e-12, (x, k)
 
 
 def test_prefix_recursion_blocks_match_one_block(parabolic, monkeypatch):

@@ -64,22 +64,17 @@ def test_find_eigenvalues_builds_no_term_tables(spec2, monkeypatch):
 
 
 def _count_delta_calls(monkeypatch, replace=None):
-    """Record the wavenumbers of every call of the evaluators that
+    """Record the wavenumbers of every ``delta_values`` call that
     ``find_eigenvalues`` makes; ``replace(n, vals)`` may alter call n's values."""
     calls = []
-    plain = spectrum._delta_evaluator
+    plain = spectrum.delta_values
 
-    def evaluator(*args):
-        delta = plain(*args)
+    def counting(c, tt, ks, spec):
+        calls.append(ks)
+        vals = plain(c, tt, ks, spec)
+        return vals if replace is None else replace(len(calls), vals)
 
-        def counting(ks):
-            calls.append(ks)
-            vals = delta(ks)
-            return vals if replace is None else replace(len(calls), vals)
-
-        return counting
-
-    monkeypatch.setattr(spectrum, "_delta_evaluator", evaluator)
+    monkeypatch.setattr(spectrum, "delta_values", counting)
     return calls
 
 

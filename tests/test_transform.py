@@ -16,17 +16,17 @@ from varheat.errors import (
     ToleranceNotReached,
 )
 from varheat.oracles import fourier_solution
-from varheat.simplex import _prefix_series, regularized_series_sum, series_sum, term_bound
+from varheat.simplex import _prefix_series, series_sum, term_bound
 from varheat.transform import (
     Contour,
     _phi_batch,
     delta_values,
-    phi_fn,
     solve,
     solve_grid,
 )
 
 from conftest import exp_sine_profile, profiles, quadratic, sine
+from tuples import phi_fn, tuple_terms
 
 FIGURE2_TS = [0.25, 1.0, 4.0]
 
@@ -53,17 +53,19 @@ def test_delta_values_vectorized(parabolic, spec2):
     vals = delta_values(c, tt, ks, spec2)
     assert vals.dtype == float
     for k, v in zip(ks, vals):
-        assert v == pytest.approx(series_sum(c, tt, 0.0, 1.0, k, spec2).real, abs=1e-12)
+        assert v == pytest.approx(tuple_terms(c, tt, 0.0, 1.0, k, 2).sum().real, abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(c=profiles)
-def test_delta_values_odd_real_and_resolved_by_panel_rule(c):
+@given(c=profiles, k=st.floats(0.0, 30.0))
+def test_delta_values_odd_real_and_resolved_by_panel_rule(c, k):
     # The tuples' Gauss rules straddle the knots of a tabulated sigma and
     # are off by up to 7.4e-4 there, so every drawn profile is checked
-    # against the same recursion on 8x the panels.
+    # against the same recursion on 8x the panels.  The pointwise
+    # series_sum over (0, 1) runs on the same recursion and panels.
     tt = build_travel_time(c)
     spec = SeriesSpec(truncation_N=2)
+    assert abs(series_sum(c, tt, 0.0, 1.0, k, spec) - delta_values(c, tt, k, spec)) <= 1e-13
     ks = np.linspace(0.5, 10.0 * math.pi / tt.total, 7)
     vals = delta_values(c, tt, ks, spec)
     assert vals.dtype == float
@@ -79,9 +81,9 @@ def test_delta_values_match_scalar_series(profile, request):
     # on the closed-form profiles the tuples converge; q = 96 resolves them
     # at k up to 10 pi / tau(1)
     c, tt = request.getfixturevalue(profile)
-    spec = SeriesSpec(truncation_N=2, quad_order=96)
+    spec = SeriesSpec(truncation_N=2)
     ks = np.linspace(0.5, 10.0 * math.pi / tt.total, 7)
-    ref = np.array([series_sum(c, tt, 0.0, 1.0, k, spec).real for k in ks])
+    ref = np.array([tuple_terms(c, tt, 0.0, 1.0, k, 2, quad_order=96).sum().real for k in ks])
     assert np.max(np.abs(delta_values(c, tt, ks, spec) - ref)) <= 1e-12
 
 
@@ -90,7 +92,7 @@ def test_delta_at_large_k_matches_high_order_tuples(parabolic):
     # agree on 0.7784
     c, tt = parabolic
     got = delta_values(c, tt, np.array([25.3]), SeriesSpec(truncation_N=2))[0]
-    ref = series_sum(c, tt, 0.0, 1.0, 25.3, SeriesSpec(truncation_N=2, quad_order=96))
+    ref = tuple_terms(c, tt, 0.0, 1.0, 25.3, 2, quad_order=96).sum()
     assert abs(got - ref) <= 1e-12
 
 
@@ -178,6 +180,20 @@ def test_contour_validation():
     assert Contour.for_times([0.05, 1.0]).end > alone.end
     assert Contour.for_times([1.0, 20.0]).s < alone.s
     assert Contour.for_times([1.0], tol=1e-12).step < alone.step
+
+
+@pytest.mark.parametrize("tol", [25.0, 100.0, 1e300, math.inf])
+def test_contour_for_any_tol(parabolic, spec2, tol):
+    # a loose tol gives the contour of tol = 20, whose error budget is 0; a
+    # non-finite one is refused with a typed error
+    if not math.isfinite(tol):
+        with pytest.raises(DomainError, match="finite tol"):
+            Contour.for_times([1.0], tol)
+        return
+    for ts in ([1.0], [1e-5, 50.0]):
+        assert Contour.for_times(ts, tol) == Contour.for_times(ts, 20.0)
+    res = solve_grid(*parabolic, quadratic, [0.5], [1.0], spec2, tail_tol=tol)[1.0][0]
+    assert math.isfinite(res.value)
     # the heat-solve batch needs one contour of well under 128 nodes
     assert 2 * Contour.for_times([0.25, 1.0, 4.0]).half_count + 1 <= 128
 
@@ -320,10 +336,9 @@ def test_solve_batched_matches_pointwise_phi(parabolic, spec2, t):
     # nine nodes spanning the whole contour, both ends included
     probe = ks[np.round(np.linspace(0, ks.size - 1, 9)).astype(int)]
     phi, _ = _phi_batch(c, tt, quadratic, probe, [0.35, 0.8], spec2)
-    spec64 = SeriesSpec(truncation_N=2, quad_order=64)
     for i, x in enumerate((0.35, 0.8)):
         for j, k in enumerate(probe):
-            direct = phi_fn(c, tt, k, x, quadratic, spec64, regularized=True)
+            direct = phi_fn(c, tt, k, x, quadratic, spec2, regularized=True, quad_order=64)
             assert abs(phi[2, i, j] - direct) < 1e-9
 
 
@@ -441,12 +456,12 @@ def test_regularized_delta_on_small_time_contour(profile, request):
     # regDelta of the solve against the scalar regularized series at
     # quad_order = 96 on the t = 0.01 contour (Im k up to 21.6)
     c, tt = request.getfixturevalue(profile)
-    spec = SeriesSpec(truncation_N=2, quad_order=96)
+    spec = SeriesSpec(truncation_N=2)
     cont = Contour.for_times([0.01])
     ks = cont.nodes()[0][cont.half_count:]
     regD = _phi_batch(c, tt, quadratic, ks, [0.5], spec)[1][2]
     for k, got in zip(ks, regD):
-        ref = regularized_series_sum(c, tt, 0.0, 1.0, k, spec, tt.total)
+        ref = tuple_terms(c, tt, 0.0, 1.0, k, 2, quad_order=96, shift=tt.total).sum()
         assert abs(got - ref) <= 1e-12, k
 
 
