@@ -142,9 +142,9 @@ class TravelTimeMap:
 
     ``grids`` is the profile's table of series panel grids, filled and read
     by ``simplex._grid`` only: built on first use, shared by every Delta_N,
-    root, eigenfunction and solve on this map, and dropped with it.  It
-    holds one plain grid per edge set and the latest grid with points
-    merged in beside each.
+    root, eigenfunction and solve on this map, and dropped with it.  Keyed
+    by panel count, it holds one plain grid per count and the latest grid
+    with points beside each; counts whose edges coincide share one grid.
     """
 
     tau: Callable[[np.ndarray], np.ndarray]

@@ -24,9 +24,12 @@ scalar evaluators here (``simplex_integral`` and its siblings) all use it,
 on the panels of ``_grid``, whose count follows the rule of
 ``_panel_count``: max(16, ceil(2 |k| tau(1) / 6)) panels, rounded up to a
 power of two, so that each panel carries at most 6 rad of the kernel phase
-2|k| tau.  The knots of a tabulated sigma are panel edges.  A grid
-depends only on the profile and its edges, so each is built once and kept
-in the profile's table ``TravelTimeMap.grids``; wavenumbers are grouped by
+2|k| tau, and no more than 2^16.  One rule cuts every grid: its
+breakpoints are 0, 1, the knots of a tabulated sigma and the requested
+points, and each gap g between them is cut into ceil(g count) equal
+panels, none wider than 1/count.  A grid depends only on the profile, the
+count and the points, so each is built once and kept in the profile's
+table ``TravelTimeMap.grids``, keyed by count; wavenumbers are grouped by
 grid (``_grid_groups``), not by count.
 
 The quadrature tuples of :func:`build_term_tables` are kept for the tests
@@ -60,6 +63,7 @@ per interval is refused before any expansion.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -120,6 +124,8 @@ _PREFIX_ORDER = 12
 # and the fewest panels (see _panel_count).
 _PANEL_PHASE = 6.0
 _MIN_PANELS = 16
+# Most panels a grid may have: the contour of t = 1e-5 needs 2048.
+_MAX_PANELS = 1 << 16
 # Largest growth Im(omega) (tau(s) - tau_ref) of a phase factor inside one
 # block of a cumulative integral (twice that for the squared factors of the
 # recursion at 2k; e^64 ~ 6e27 is far from overflow).
@@ -161,9 +167,15 @@ def _panel_count(k, total):
     by mu, the table knots and q0, not by k: on 4 panels rational9000's
     regDelta_4 at k <= 3 is off by up to 1e-9 and a single-x solve (x = 0.5,
     t from 0.01 to 4) by 4e-12; on 8 panels those solves are within 7e-13
-    on every profile, and 16 keeps one halving of margin.
+    on every profile, and 16 keeps one halving of margin.  A count above
+    _MAX_PANELS raises :class:`DomainError` before any grid is built.
     """
     wanted = np.maximum(_MIN_PANELS, np.ceil(2.0 * np.abs(k) * total / _PANEL_PHASE))
+    over = np.ravel(~(wanted <= _MAX_PANELS))  # NaN too
+    if over.any():
+        i = over.argmax()
+        raise DomainError(f"k = {np.ravel(k)[i]:.6g} needs {np.ravel(wanted)[i]:.6g} panels, "
+                          f"more than {_MAX_PANELS}")
     return 2 ** np.ceil(np.log2(wanted)).astype(int)
 
 
@@ -197,64 +209,99 @@ class _Panels(NamedTuple):
                        self.tau_edges[edges] - start, self.sigma[cut], self.sigma_edges[edges])
 
 
-def _plain_edges(c, count):
-    """The edges of ``count`` uniform panels and the knots of a tabulated profile."""
-    uniform = np.linspace(0.0, 1.0, count + 1)
-    knots = c.params.get("knots")
-    return uniform if knots is None else np.union1d(uniform, knots)
+def _edges(breaks, cuts):
+    """Edges that cut gap i of the sorted ``breaks`` into ``cuts[i]`` equal
+    panels: on each gap, bitwise the edges of ``np.linspace``."""
+    gap = np.repeat(np.arange(cuts.size), cuts)
+    j = np.arange(gap.size) - (np.cumsum(cuts) - cuts)[gap]
+    return np.append(breaks[gap] + j * (np.diff(breaks) / cuts)[gap], breaks[-1])
+
+
+class _Grid(NamedTuple):
+    """An entry of ``TravelTimeMap.grids``: the grid of ``count`` panels for
+    the profile ``c`` and the points whose bytes are ``points``, with the
+    gaps between its breakpoints, the panels in each gap and the edge index
+    of each point."""
+
+    c: Conductivity
+    points: bytes
+    gaps: np.ndarray
+    cuts: np.ndarray
+    panels: _Panels
+    at: np.ndarray
 
 
 def _grid(c, tt, count, points=()):
-    """``count`` uniform panels on [0, 1], split at the knots of a tabulated
-    profile (the quadrature is smooth only between them) and at ``points``.
+    """The panel grid on [0, 1] for ``count`` panels, with ``points`` as edges.
+
+    The breakpoints are 0, 1, the knots of a tabulated profile (the
+    quadrature is smooth only between them) and ``points``; each gap g
+    between them is cut into ceil(g count) equal panels.  No panel is then
+    wider than 1/count, the width the rule of :func:`_panel_count` is
+    calibrated on, and every point and knot is an edge.  Without points and
+    knots the edges are those of ``np.linspace(0, 1, count + 1)``.
 
     Returns the :class:`_Panels` and, for each point, the index of its edge.
     Raises :class:`DomainError` unless every point lies in [0, 1].
 
-    A grid depends only on the profile and its edges, so it is built once and
-    shared through the profile's table ``tt.grids``: the plain grid (uniform
-    panels and knots) under its edge array, and beside it the latest grid
-    with points merged in, which the next call with the same edges reuses.
-    Counts whose plain edges coincide (16 and 32 panels on a 33-knot table)
-    get the same grid.  Each entry holds the :class:`Conductivity` it was
+    A grid depends only on the profile, the count and the points, so it is
+    built once and kept in the profile's table ``tt.grids``, keyed by the
+    count and whether there are points: the plain grid, and beside it the
+    latest grid with points, which the next call with the same points
+    reuses.  A hit is a dict lookup and a comparison of the points' bytes.
+    Counts whose edges coincide (16 and 32 panels on a 33-knot table) share
+    one :class:`_Panels`.  Each entry holds the :class:`Conductivity` it was
     built for, so another profile with this ``tt`` rebuilds rather than
     reads it.
     """
-    return _shared_grid(c, tt, _plain_edges(c, count), points)
+    held = _held(c, tt, int(count), np.asarray(points, dtype=float).ravel())
+    return held.panels, held.at
 
 
 def _grid_groups(c, tt, counts, points=()):
     """Wavenumbers grouped by panel grid, in ascending order of the grids.
 
-    ``counts`` holds the panel count of each wavenumber; for each plain edge
-    set this yields the grid of :func:`_grid` with ``points``, the edge
-    index of each point and the mask of ``counts`` on the grid.  A grid is
-    taken from the table only when the iteration reaches it.
+    ``counts`` holds the panel count of each wavenumber; for each grid this
+    yields the :class:`_Panels` of :func:`_grid` with ``points``, the edge
+    index of each point and the mask of ``counts`` on the grid.  A larger
+    count shares the grid of a smaller one while no gap needs more panels,
+    which the gaps decide without building its edges, so a grid is taken
+    from the table only when the iteration reaches it.
     """
-    groups = {}
-    for count in np.unique(counts):
-        plain = _plain_edges(c, count)
-        _, group = groups.setdefault(plain.tobytes(), (plain, np.zeros(counts.shape, bool)))
-        group[counts == count] = True
-    for plain, group in groups.values():
-        yield *_shared_grid(c, tt, plain, points), group
-
-
-def _shared_grid(c, tt, plain, points):
-    """:func:`_grid` on the plain edges ``plain``, from the table ``tt.grids``."""
     points = np.asarray(points, dtype=float).ravel()
-    edges = plain
-    if points.size:
-        if not np.all((points >= 0.0) & (points <= 1.0)):  # NaN fails too
-            raise DomainError(
-                f"series points must lie in [0, 1], got {points.min():g}..{points.max():g}")
-        edges = np.union1d(plain, points)
-    merged = edges.size > plain.size
-    key = (plain.tobytes(), merged)  # the plain grid and the latest merged one
+    todo = np.unique(counts).tolist()
+    while todo:
+        held = _held(c, tt, todo[0], points)
+        shared = todo[:1] + list(itertools.takewhile(
+            lambda count: np.all(held.gaps * count <= held.cuts), todo[1:]))
+        yield held.panels, held.at, (counts >= shared[0]) & (counts <= shared[-1])
+        del todo[:len(shared)]
+
+
+def _held(c, tt, count, points):
+    """The :class:`_Grid` of :func:`_grid` from the table ``tt.grids``,
+    built on a miss; a grid with the same panels in every gap is shared."""
+    key, tag = (count, bool(points.size)), points.tobytes()
     held = tt.grids.get(key)
-    if held is None or held[0] is not c or (merged and not np.array_equal(held[1], edges)):
-        held = tt.grids[key] = (c, edges, _panels(c, tt, edges))
-    return held[2], edges.searchsorted(points)
+    if held is not None and held.c is c and held.points == tag:
+        return held
+    if not np.all((points >= 0.0) & (points <= 1.0)):  # NaN fails too
+        raise DomainError(
+            f"series points must lie in [0, 1], got {points.min():g}..{points.max():g}")
+    breaks = np.unique(np.concatenate([(0.0, 1.0), c.params.get("knots", ()), points]))
+    gaps = np.diff(breaks)
+    cuts = np.ceil(gaps * count).astype(int)
+    for other in tt.grids.values():
+        if other.c is c and other.points == tag and np.array_equal(other.cuts, cuts):
+            held = other
+            break
+    else:
+        edges = _edges(breaks, cuts)
+        at = edges.searchsorted(points)
+        at.flags.writeable = False
+        held = _Grid(c, tag, gaps, cuts, _panels(c, tt, edges), at)
+    tt.grids[key] = held
+    return held
 
 
 def _panels(c, tt, edges):
@@ -455,7 +502,7 @@ def _interval_terms(c, tt, a, b, k, N, shift=None):
     """S_n(a, b; k) for n <= N, or exp(ik*shift) S_n with a ``shift``: shape (N + 1,).
 
     The recursion runs on the panels of :func:`_grid` for k with a and b
-    merged into the edges, cut to [a, b]; its last edge holds
+    as points, taken between them; its last edge holds
     e^{ik (tau(b) - tau(a))} S_n.  The plain value takes Im k < 0 through
     S(-k) = -S(k) and is real for real k; the regularized one is checked by
     :func:`_check_regularized`.  A NaN or infinite k raises :class:`DomainError`.

@@ -26,9 +26,11 @@ kappa_m, for all x at once by the prefix recursion
 ``simplex._prefix_series`` that the solver also uses, on the panels of
 ``simplex._grid`` with the solver's rule ``simplex._panel_count``:
 max(16, ceil(2 kappa_m tau(1) / 6)) composite 12-node Gauss panels rounded
-up to a power of two, with the knots of a tabulated profile and the
-requested x merged into the panel edges.  Eigenfunction accuracy is set by
-that panel grid alone.
+up to a power of two.  The knots of a tabulated profile and the requested x
+are breakpoints of the grid, and each gap g between them is cut into
+ceil(g count) equal panels, so the values are read at edges and no panel
+is wider than the rule's.  Eigenfunction accuracy is set by that panel
+grid alone.
 
 Every panel grid is built once per profile and kept in the table of its
 travel-time map (``TravelTimeMap.grids``): the roots, the norm of every
@@ -176,8 +178,8 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
     for modes 1-8 of ``parabolic24``, ``rational9000`` and a 33-knot
     tabulated profile.  Unit L^2 norm, taken on the panel grid
     without the evaluated x, which the roots and every mode with the same
-    panel count share through ``tt.grids``; the evaluator's grid, with the
-    x merged in, is shared by every mode evaluated at the same x.  sigma
+    panel count share through ``tt.grids``; the evaluator's grid, which
+    the x cut, is shared by every mode evaluated at the same x.  sigma
     comes off the grids.  The scale is positive and fixes the sign:
     S_0(0, x; kappa) = sin(kappa tau(x)) has slope kappa / sigma(0) > 0 at
     x = 0 and each S_n with n >= 1 is O(x^(n+1)) there, so X'(0) > 0 at
@@ -185,10 +187,10 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
     comes from the prefix recursion on the solver's panel rule,
     max(16, ceil(2 kappa tau(1) / 6)) panels rounded up to a power of two
     (16 for the first 15 modes of ``parabolic24`` and ``rational9000``),
-    with the table knots and every evaluated x merged into the edges; at
-    101 x its values for modes 1-8 agree with 2048 panels to 6.7e-16 on
-    ``parabolic24`` and on ``rational9000``.  The evaluator raises
-    :class:`DomainError` for x outside [0, 1].
+    with the table knots and every evaluated x as breakpoints; at 101 x,
+    which cut the 16 panels into 100, its values for modes 1-8 agree with
+    2048 panels to 6.7e-16 on ``parabolic24`` and on ``rational9000``.
+    The evaluator raises :class:`DomainError` for x outside [0, 1].
     """
     if pair.truncation_N != spec.truncation_N:
         raise DomainError("pair was produced with a different truncation")

@@ -11,8 +11,10 @@ Phi(k,x) = int_0^1 Psi(k,x,y) q0(y) / sqrt(sigma(x) sigma(y)) dy.
 Numerically both numerator and denominator are multiplied by
 exp(i k tau(1)) so that each stays bounded in the upper half plane.  The
 solver evaluates both on the prefix recursion of :mod:`varheat.simplex`:
-e^{ik tau(y)} S(0, y) on composite Gauss panels whose edges include every
-requested x, and e^{ik (tau(1) - tau(y))} S(y, 1) on the reflected panels.
+e^{ik tau(y)} S(0, y) on composite Gauss panels with every requested x as
+an edge (the x, the table knots, 0 and 1 are breakpoints, and each gap
+between them is cut into equal panels), and e^{ik (tau(1) - tau(y))} S(y, 1)
+on the reflected panels.
 The y-integrals of Phi are one more cumulative integral each, whose kernel
 exp(ik |tau(x) - tau(y)|) has modulus <= 1, and regDelta is the y = 1 edge
 of the left series.  No intermediate grows with Im k, and the panels
@@ -241,10 +243,12 @@ def _phi_batch(c, tt, q0, ks, xs, spec, q0_knots=()):
 
     Wavenumbers are grouped by the panel grid their ``simplex._panel_count``
     makes (at least 16 panels, at most 6 rad of kernel phase in each; see
-    ``simplex._grid_groups``), whose edges also include every x, the knots
-    of a tabulated sigma and ``q0_knots``, where q0 is not smooth.  The
-    grids come from the profile's table ``tt.grids``, so a later solve at
-    the same x reuses them, and sigma is read off them.  On each grid the
+    ``simplex._grid_groups``).  Every x, the knots of a tabulated sigma and
+    ``q0_knots``, where q0 is not smooth, are breakpoints of the grid, and
+    each gap g between breakpoints is cut into ceil(g count) equal panels:
+    the figure-2 x make 20 panels of the 16-panel count.  The grids come
+    from the profile's table ``tt.grids``, so a later solve at the same x
+    reuses them, and sigma is read off them.  On each grid the
     prefix recursion gives R(y) = e^{ik tau(y)} S(0, y), and on the
     reflected grid R~(y) = e^{ik (tau(1) - tau(y))} S(y, 1).  Each
     y-integral is one more cumulative integral, with omega = k:

@@ -2,8 +2,8 @@
 
 A benchmark pass counts every output that fails its check as a failed
 operation, and the benchmark then reports its result as incorrect.  One
-``spectrum`` pass and one ``heat-solve`` pass at seed 1 run here, so a
-change that breaks a workload's output fails tier-1, not only the benchmark.
+pass of each workload at seed 1 runs here, so a change that breaks a
+workload's output fails tier-1, not only the benchmark.
 """
 
 import importlib.util
@@ -23,7 +23,7 @@ def _load_workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["spectrum", "heat-solve"])
+@pytest.mark.parametrize("name", ["spectrum", "heat-solve", "oracles"])
 def test_workload_pass_has_no_failed_operation(name):
     workloads = _load_workloads()
     workload = workloads.WORKLOADS[name]

@@ -1,13 +1,20 @@
-"""The per-profile table of panel grids (``TravelTimeMap.grids``).
+"""Panel grids: the rule that cuts them and the per-profile table
+(``TravelTimeMap.grids``) that keeps them.
 
-Every consumer of the prefix recursion takes its panel grids from the
-table of its travel-time map: Delta_N and its roots, the eigenfunctions and
-the solve.  Sharing must not change a single bit, must build each grid once
-and must keep the table bounded.
+The breakpoints of a grid are 0, 1, the knots of a tabulated profile and
+the requested points; each gap g between them is cut into ceil(g count)
+equal panels.  Every consumer of the prefix recursion takes its panel grids
+from the table of its travel-time map: Delta_N and its roots, the
+eigenfunctions and the solve.  Sharing must not change a single bit, must
+build each grid once and must keep the table bounded.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varheat import SeriesSpec, build_travel_time, make_conductivity, simplex, spectrum, transform
 from varheat.errors import RootMissed
@@ -52,6 +59,114 @@ def _counting_builds(monkeypatch):
 
     monkeypatch.setattr(simplex, "_panels", counting)
     return built
+
+
+def _built_edges(c, tt, count, points=()):
+    """The edges that a fresh table builds for :func:`simplex._grid`."""
+    tt.grids.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        built = _counting_builds(patch)
+        panels, at = simplex._grid(c, tt, count, points)
+    assert len(built) == 1 and panels.pts.shape[0] == built[0].size - 1
+    return built[0], at
+
+
+PARABOLIC = make_conductivity("parabolic24")
+PARABOLIC_TT = build_travel_time(PARABOLIC)
+
+
+@settings(max_examples=60, deadline=None)
+@given(knots=st.lists(st.floats(0.0, 1.0), max_size=12),
+       points=st.lists(st.floats(0.0, 1.0), max_size=12),
+       count=st.sampled_from([2**p for p in range(4, 10)]))
+def test_grid_rule_cuts_every_gap_into_the_fewest_panels(knots, points, count):
+    # the rule reads only the knots of the profile, so a smooth profile
+    # carries the drawn ones
+    c = dataclasses.replace(PARABOLIC, params={"knots": np.array(knots)})
+    edges, at = _built_edges(c, PARABOLIC_TT, count, points)
+    breaks = np.unique(np.concatenate([[0.0, 1.0], knots, points]))
+    assert edges[0] == 0.0 and edges[-1] == 1.0 and np.all(np.diff(edges) > 0.0)
+    assert np.all(np.isin(breaks, edges)) and np.array_equal(edges[at], points)
+    assert np.max(np.diff(edges)) <= (1.0 + 1e-12) / count
+    assert edges.size - 1 == np.ceil(np.diff(breaks) * count).sum()
+    assert edges.size <= np.union1d(np.linspace(0.0, 1.0, count + 1), breaks).size
+
+
+def test_plain_grids_keep_their_edges():
+    # without points: the uniform panels of the closed forms, and on the
+    # benchmark's 33-knot table the union with its knots, to the bit
+    table = _profiles()[2]
+    table_tt, knots = build_travel_time(table), table.params["knots"]
+    for count in [2**p for p in range(4, 13)]:
+        uniform = np.linspace(0.0, 1.0, count + 1)
+        edges, _ = _built_edges(PARABOLIC, PARABOLIC_TT, count)
+        assert edges.tobytes() == uniform.tobytes()
+        edges, _ = _built_edges(table, table_tt, count)
+        assert edges.tobytes() == np.union1d(uniform, knots).tobytes()
+
+
+def test_points_cut_the_grid_instead_of_adding_to_it():
+    # the figure-2 x (step 0.05) share 5 edges with 16 uniform panels: the
+    # union made 32 panels, the rule 20; at 101 x the union made 112 and 128
+    assert _built_edges(PARABOLIC, PARABOLIC_TT, 16, FIGURE2_XS)[0].size - 1 == 20
+    for count in (16, 32):
+        assert _built_edges(PARABOLIC, PARABOLIC_TT, count, XS)[0].size - 1 == 100
+
+
+def test_lookups_build_nothing_twice(monkeypatch):
+    # a repeated _grid or _grid_groups call is a table hit: no edges, no panels
+    c = _profiles()[2]
+    tt = build_travel_time(c)
+    built = []
+
+    def counting(name):
+        plain = getattr(simplex, name)
+
+        def count(*args):
+            built.append(name)
+            return plain(*args)
+        return count
+
+    for name in ("_edges", "_panels"):
+        monkeypatch.setattr(simplex, name, counting(name))
+    counts = simplex._panel_count(np.linspace(0.5, 40.0, 50), tt.total)
+    for points in ((), FIGURE2_XS):
+        simplex._grid(c, tt, 16, points)
+        groups = [group for _, _, group in simplex._grid_groups(c, tt, counts, points)]
+        assert built and len(groups) == 2  # 16 and 32 panels share the knots' grid
+        built.clear()
+        simplex._grid(c, tt, 16, points)
+        simplex._grid(c, tt, 32, points)
+        again = [group for _, _, group in simplex._grid_groups(c, tt, counts, points)]
+        assert built == [] and all(map(np.array_equal, again, groups))
+
+
+def _irregular_table():
+    rng = np.random.default_rng(2)
+    x = np.concatenate([[0.0], np.sort(rng.uniform(0.02, 0.98, 13)), [1.0]])
+    return make_conductivity("tabulated", x=x, sigma_sq=0.1 * np.exp(0.3 * np.sin(3.0 * np.pi * x)))
+
+
+@pytest.mark.parametrize("profile", range(4))
+def test_solves_beside_uniform_edges_match_eight_times_the_panels(profile, monkeypatch):
+    # x drawn at random and within 1e-13..1e-6 of the uniform edges of 16
+    # panels, where the rule cuts a gap just over 1/16 into two panels; the
+    # largest gap to 8x the panels on the four profiles was 2.2e-16
+    c = (_profiles() + [_irregular_table()])[profile]
+    rng = np.random.default_rng(profile)
+    beside = rng.integers(1, 16, 4) / 16 + rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-13, -6, 4)
+    xs = np.concatenate([rng.uniform(0.0, 1.0, 6), beside])
+    ts = [0.01, 0.25, 1.0, 4.0]
+
+    def values(spec):
+        res = solve_grid(c, build_travel_time(c), quadratic, xs, ts, spec)
+        return np.array([[s.value for s in res[t]] for t in ts])
+
+    got = [values(SeriesSpec(truncation_N=N)) for N in (2, 4)]
+    rule = simplex._panel_count
+    monkeypatch.setattr(transform, "_panel_count", lambda k, total: 8 * rule(k, total))
+    for N, vals in zip((2, 4), got):
+        assert np.max(np.abs(vals - values(SeriesSpec(truncation_N=N)))) <= 1e-12
 
 
 @pytest.mark.parametrize("profile", range(3))
@@ -142,7 +257,7 @@ def test_scan_evaluates_all_grids_before_root_missed(monkeypatch):
 
 
 def test_solves_at_many_x_sets_keep_the_table_bounded():
-    # one plain grid per edge set, and beside it only the latest merged grid
+    # one plain grid per count, and beside it only the latest grid with points
     c = make_conductivity("parabolic24")
     tt = build_travel_time(c)
     find_eigenvalues(c, tt, SPEC, 30)
@@ -153,8 +268,8 @@ def test_solves_at_many_x_sets_keep_the_table_bounded():
         solve_grid(c, tt, quadratic, xs, [0.01, 1.0], SPEC)
         eigenfunction(c, tt, find_eigenvalues(c, tt, SPEC, 1)[0], SPEC)(xs[::2])
         sizes.append(len(tt.grids))
-    edge_sets = {plain_edges for plain_edges, _ in tt.grids}
-    assert len(set(sizes)) == 1 and sizes[0] <= 2 * len(edge_sets)
+    counts = {count for count, _ in tt.grids}
+    assert len(set(sizes)) == 1 and sizes[0] <= 2 * len(counts)
     assert all(held[0] is c for held in tt.grids.values())
 
 

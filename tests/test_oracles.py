@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from varheat import SeriesSpec, make_conductivity
+from varheat import SeriesSpec, make_conductivity, oracles
 from varheat.errors import DomainError, NoConvergence, SingularPartition, TooManyTerms
 from varheat.oracles import _fd_operator, _tridiag_eigs_top
 from varheat.oracles import (
@@ -293,6 +294,25 @@ def test_interface_model_converges_at_second_order(parabolic):
     assert errs[0] < 1e-5
     for e0, e1 in zip(errs, errs[1:]):
         assert e0 / e1 == pytest.approx(4.0, abs=0.05)
+
+
+def test_interface_solution_memory_does_not_grow_with_the_nodes(parabolic, monkeypatch):
+    # the systems are built _NODE_BLOCK contour nodes at a time: at 4096
+    # cells all 53 nodes of the t = 1 contour at once peaked at 84 MB
+    c, _ = parabolic
+    part = uniform_partition(c, 4096)
+    tracemalloc.start()
+    try:
+        interface_solution(part, quadratic, 2048, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    # and the blocks give the value of all nodes at once
+    part = uniform_partition(c, 512)
+    blocked = interface_solution(part, quadratic, 256, 1.0)
+    monkeypatch.setattr(oracles, "_NODE_BLOCK", 1 << 20)
+    assert blocked == pytest.approx(interface_solution(part, quadratic, 256, 1.0), rel=1e-15)
 
 
 def test_interface_solution_matches_transform_solver(parabolic, spec2):

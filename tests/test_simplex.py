@@ -18,7 +18,7 @@ from varheat.simplex import (
     term_bound,
 )
 from varheat.spectrum import find_eigenvalues
-from varheat.transform import Contour
+from varheat.transform import Contour, delta_values, solve_grid
 
 from conftest import PARABOLIC_TAU_TOTAL, exp_sine_profile
 from tuples import tuple_terms
@@ -492,3 +492,32 @@ def test_panel_count_rule(parabolic):
         assert np.all((wanted <= counts) & (counts < 2 * wanted))
     ks = Contour.for_times([0.25, 1.0, 4.0]).nodes()[0]
     assert set(simplex._panel_count(ks, tt.total)) == {16}
+
+
+def test_panel_count_ceiling_refuses_before_building(parabolic, spec2, monkeypatch):
+    # k = 1e9 would ask for 2^30 panels of 12 nodes, tens of GB; past
+    # _MAX_PANELS every entry point raises before a grid is built
+    c, tt = parabolic
+    limit = simplex._MAX_PANELS * simplex._PANEL_PHASE / (2.0 * tt.total)
+    assert simplex._panel_count(0.999 * limit, tt.total) == simplex._MAX_PANELS == 1 << 16
+    # the contour of t = 1e-5 stays far below the ceiling
+    assert simplex._panel_count(Contour.for_times([1e-5]).nodes()[0], tt.total).max() == 2048
+
+    def refuse(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(simplex, "_edges", refuse)
+    monkeypatch.setattr(simplex, "_panels", refuse)
+    far = Contour(step=0.5, end=14.0)
+    assert np.abs(far.nodes()[0]).max() > 2.0 * limit
+    refused = "panels, more than 65536"
+    with pytest.raises(DomainError, match=f"k = 1e\\+09\\S* needs .* {refused}"):
+        delta_values(c, tt, [1.0, 1e9], spec2)
+    with pytest.raises(DomainError, match=refused):
+        delta_values(c, tt, [1.001 * limit], spec2)
+    with pytest.raises(DomainError, match=refused):
+        simplex_integral(c, tt, 2, 0.0, 1.0, 1e9, spec2)
+    with pytest.raises(DomainError, match=refused):
+        regularized_series_sum(c, tt, 0.0, 0.5, 1e9j, spec2, tt.total)
+    with pytest.raises(DomainError, match=refused):
+        solve_grid(c, tt, lambda x: x * (1.0 - x), [0.5], [1.0], spec2, contour=far)
