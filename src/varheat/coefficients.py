@@ -172,18 +172,36 @@ def _validate_positive(sigma_fn, kind):
     return smin
 
 
-def _check_table(x, s2, where):
-    """Validate (x, sigma^2) samples of a ``tabulated`` profile."""
-    if x.shape != s2.shape or x.ndim != 1 or x.size < 4:
-        raise MalformedTable(f"{where}: need >= 4 (x, sigma^2) samples of equal length")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s2))):
-        raise MalformedTable(f"{where}: x and sigma^2 must be finite")
+def _check_xy(x, y, where, y_name):
+    """Validate (x, y) samples on [0, 1]: finite, x strictly increasing from 0 to 1."""
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise MalformedTable(f"{where}: x and {y_name} must be finite")
     if np.any(np.diff(x) <= 0.0):
         raise MalformedTable(f"{where}: abscissae not strictly increasing")
     if abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12:
         raise MalformedTable(f"{where}: x must cover [0, 1] (got [{x[0]}, {x[-1]}])")
+
+
+def _check_table(x, s2, where):
+    """Validate (x, sigma^2) samples of a ``tabulated`` profile."""
+    if x.shape != s2.shape or x.ndim != 1 or x.size < 4:
+        raise MalformedTable(f"{where}: need >= 4 (x, sigma^2) samples of equal length")
+    _check_xy(x, s2, where, "sigma^2")
     if np.any(s2 <= 0.0):
         raise NonPositiveConductivity(f"{where}: sigma^2 <= 0 in table")
+
+
+def _read_table(path, y_name):
+    """Read a CSV of 'x,y' rows, checked by :func:`_check_xy`: the one
+    reader of sigma^2 and initial-profile tables."""
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise MalformedTable(f"{path}: {exc}") from exc
+    if data.shape[0] < 2 or data.shape[1] != 2:
+        raise MalformedTable(f"{path}: need two or more rows 'x,{y_name}'")
+    _check_xy(data[:, 0], data[:, 1], path, y_name)
+    return data[:, 0], data[:, 1]
 
 
 def load_sigma_table(path):
@@ -192,13 +210,7 @@ def load_sigma_table(path):
     The abscissae must be strictly increasing and cover [0, 1] exactly;
     all sigma^2 values must be positive.
     """
-    try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise MalformedTable(f"{path}: {exc}") from exc
-    if data.shape[1] != 2:
-        raise MalformedTable(f"{path}: need two columns 'x,sigma^2'")
-    x, s2 = data[:, 0], data[:, 1]
+    x, s2 = _read_table(path, "sigma^2")
     _check_table(x, s2, path)
     return x, s2
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .coefficients import KINDS, make_conductivity
-from .errors import ConfigError, DomainError, NonPositiveConductivity
+from .coefficients import KINDS, _read_table, make_conductivity
+from .errors import ConfigError, DomainError, MalformedTable, NonPositiveConductivity
 from .simplex import SeriesSpec
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text", "named_profile"]
@@ -64,13 +64,23 @@ class RunConfig:
     output_path: str = ""
     output_svg: str = ""
     verify_seed: int = 1234
-    # (profile kind, table) -> profile(); a table is read once per config
+    # (keys, built input) of conductivity() and profile(): a table is read
+    # once per config
+    _sigma: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _profile: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def series_spec(self) -> SeriesSpec:
         return SeriesSpec(truncation_N=self.series_N, tol=self.series_tol)
 
     def conductivity(self):
+        """The conductivity, built on first use and kept while the sigma keys
+        stay the same, like :meth:`profile`."""
+        key = (self.sigma_kind, self.sigma_value, self.sigma_table)
+        if self._sigma is None or self._sigma[0] != key:
+            self._sigma = key, self._build_conductivity()
+        return self._sigma[1]
+
+    def _build_conductivity(self):
         if self.sigma_kind == "constant":
             return make_conductivity("constant", c=self.sigma_value)
         if self.sigma_kind == "tabulated":
@@ -159,11 +169,11 @@ def _validate(cfg: RunConfig):
         cfg.series_spec()
     except DomainError as exc:
         raise ConfigError(f"series: {exc}") from exc
-    if cfg.sigma_kind == "constant":
-        try:
-            cfg.conductivity()
-        except NonPositiveConductivity as exc:
-            raise ConfigError(f"sigma.value: {exc}") from exc
+    try:
+        cfg.conductivity()
+    except (NonPositiveConductivity, MalformedTable) as exc:
+        key = "sigma.table" if cfg.sigma_kind == "tabulated" else "sigma.value"
+        raise ConfigError(f"{key}: {exc}") from exc
     if cfg.profile_kind == "table":
         cfg.profile()
     if cfg.solve_x_points < 2:
@@ -194,17 +204,7 @@ def named_profile(kind: str, table: str = ""):
         if not table:
             raise ConfigError("profile.kind = table requires profile.table")
         try:
-            data = np.loadtxt(table, delimiter=",", ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read profile table {table!r}: {exc}") from exc
-        if data.shape[1] != 2 or np.any(np.diff(data[:, 0]) <= 0):
-            raise ConfigError("profile table needs strictly increasing 'x,q0' rows")
-        if not np.all(np.isfinite(data)):
-            raise ConfigError(f"profile.table {table!r}: x and q0 must be finite")
-        x = data[:, 0]
-        # the end check of coefficients._check_table for sigma^2 tables
-        if abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12:
-            raise ConfigError(
-                f"profile.table {table!r}: x must cover [0, 1] (got [{x[0]:g}, {x[-1]:g}])")
-        return PchipInterpolator(x, data[:, 1])
+            return PchipInterpolator(*_read_table(table, "q0"))
+        except MalformedTable as exc:
+            raise ConfigError(f"profile.table: {exc}") from exc
     raise ConfigError(f"unknown profile kind {kind!r}")

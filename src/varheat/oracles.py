@@ -11,7 +11,10 @@ Four families, none of which share code with the production path:
   Scaled determinants D_N = (i/2) det A / prod(Lambda_p^+) admit an exact
   binary-vector sum and an equivalent switch-location sum whose truncation
   costs only O(N * max_switches), which is what makes the large-N
-  convergence studies feasible;
+  convergence studies feasible.  The switch recursion, untruncated, also
+  gives the sub-partition sums of the kernel Psi and of the sampled
+  numerator E_N; the binary-vector sum is kept only as the reference
+  :func:`dn_bruteforce`;
 * a conservative Crank-Nicolson discretization of the PDE itself;
 * a symmetric tridiagonal eigensolver (shift-invert Lanczos, ARPACK, with
   Richardson extrapolation across two grids) for the spectrum;
@@ -268,13 +271,12 @@ def assemble_system(part: InterfacePartition, k, q0) -> GlobalRelationSystem:
     return GlobalRelationSystem(k=kc, matrix=A, rhs=Y, labels=labels)
 
 
-def dn_det(part: InterfacePartition, k, q0=None) -> complex:
+def dn_det(part: InterfacePartition, k) -> complex:
     """(i/2) det A(k) * prod_p 1/Lambda_p^+ from a band LU of A(k).
 
     log det A is the sum of the complex logs of the diagonal of U, with the
     parity of the row interchanges; the band reordering leaves det A
-    unchanged.  A(k) does not depend on the initial profile, so ``q0`` is
-    ignored.
+    unchanged.
     """
     from scipy.linalg.lapack import zgbtrf
 
@@ -288,8 +290,6 @@ def dn_det(part: InterfacePartition, k, q0=None) -> complex:
 def _dn_sum(cell_times, rhos, k):
     """Binary-vector sum over entry vectors, first entry pinned to 0."""
     N = cell_times.size
-    if N == 0:
-        return 0j  # empty span: sin(k * 0)
     if N > _BRUTE_CAP:
         raise TooManyTerms(f"2**{N - 1} terms exceeds the brute-force cap")
     kc = complex(k)
@@ -304,11 +304,8 @@ def _dn_sum(cell_times, rhos, k):
             ell[:, p] = (idx >> np.uint64(p - 1)) & np.uint64(1)
         signs = 1.0 - 2.0 * ell
         phases = signs @ cell_times
-        if N > 1:
-            switch = ell[:, :-1] != ell[:, 1:]
-            factors = np.where(switch, rhos[None, :], 1.0).prod(axis=1)
-        else:
-            factors = np.ones(idx.size)
+        switch = ell[:, :-1] != ell[:, 1:]  # empty for one cell: every factor is 1
+        factors = np.where(switch, rhos[None, :], 1.0).prod(axis=1)
         total += np.sum(factors * np.sin(kc * phases))
     return complex(total)
 
@@ -316,6 +313,35 @@ def _dn_sum(cell_times, rhos, k):
 def dn_bruteforce(part: InterfacePartition, k) -> complex:
     """D_N(k) by exact enumeration of the 2**(N-1) entry vectors."""
     return _dn_sum(part.cell_times, lambda_factors(part).rho, k)
+
+
+def _switch_sum(cell_times, rho, k, max_switches: int) -> complex:
+    """The entry-vector sum of consecutive cells, truncated at max_switches.
+
+    ``rho`` holds the ratios at the cells' interior interfaces.  At
+    max_switches = cell count - 1 the sum is exact.
+    """
+    kc = complex(k)
+    c_total = float(cell_times.sum())
+    if cell_times.size == 1 or max_switches == 0:
+        return complex(np.sin(kc * c_total))
+    # cumulative times at the interior interfaces
+    csum = np.cumsum(cell_times)[:-1]
+
+    total = 0j
+    for eps in (+1.0, -1.0):
+        # chain[s] = sum over ordered tuples of p switches ending at s of the
+        # factor product; the parity of p flips the exponent sign.
+        T = []
+        for p in range(1, max_switches + 1):
+            prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(chain)[:-1])) if T else 1.0
+            chain = rho * np.exp((-1.0) ** (p + 1) * eps * 2j * kc * csum) * prefix
+            T.append(np.sum(chain))
+        branch = np.exp(eps * 1j * kc * c_total)  # n = 0 term
+        for n, Tn in enumerate(T, start=1):
+            branch += np.exp(eps * 1j * kc * ((-1.0) ** n) * c_total) * Tn
+        total += eps * branch
+    return complex(total / 2j)
 
 
 def dn_switchform(part: InterfacePartition, k, max_switches: int) -> complex:
@@ -332,32 +358,7 @@ def dn_switchform(part: InterfacePartition, k, max_switches: int) -> complex:
     N = part.n_cells
     if not 0 <= max_switches <= max(0, N - 1):
         raise DomainError("need 0 <= max_switches <= N-1")
-    kc = complex(k)
-    ctimes = part.cell_times
-    c_total = float(ctimes.sum())
-    if N == 1 or max_switches == 0:
-        return complex(np.sin(kc * c_total))
-    rho = lambda_factors(part).rho
-    # cumulative times at interior interfaces s = 1..N-1
-    csum = np.cumsum(ctimes)[:-1]
-
-    total = 0j
-    for eps in (+1.0, -1.0):
-        # chain[s] = sum over ordered switch tuples ending at s of the
-        # factor product; parity of the next switch flips the exponent sign.
-        base = rho * np.exp(eps * 2j * kc * csum)
-        chain = base.copy()
-        T = [np.sum(chain)]
-        for p in range(2, max_switches + 1):
-            prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(chain)[:-1]))
-            sign = 1.0 if p % 2 == 1 else -1.0
-            chain = rho * np.exp(sign * eps * 2j * kc * csum) * prefix
-            T.append(np.sum(chain))
-        branch = np.exp(eps * 1j * kc * c_total)  # n = 0 term
-        for n, Tn in enumerate(T, start=1):
-            branch += np.exp(eps * 1j * kc * ((-1.0) ** n) * c_total) * Tn
-        total += eps * branch
-    return complex(total / 2j)
+    return _switch_sum(part.cell_times, lambda_factors(part).rho, k, max_switches)
 
 
 def en_det(part: InterfacePartition, k, j: int, q0) -> complex:
@@ -377,60 +378,39 @@ def psi_entry(part: InterfacePartition, k, j: int, m: int) -> complex:
 
     For m <= j this is sqrt(sigma_j/sigma_m) * prod_{p=m..j} 2 sigma_p /
     Lambda_p^+ times the entry-vector sums of the prefix cells 1..m and the
-    suffix cells j+1..N; for m > j the interface and sample roles swap.
-    Its N -> infinity limit is the symmetric continuum kernel.
+    suffix cells j+1..N, each exact by the switch recursion; the entry is
+    symmetric, so for m > j the interface and sample roles swap.  Its
+    N -> infinity limit is the symmetric continuum kernel.
     """
     N = part.n_cells
     if not (1 <= j <= N - 1 and 1 <= m <= N - 1):
         raise DomainError("need 1 <= j <= N-1 and 1 <= m <= N-1")
-    if m > j:
-        return _psi_core(part, k, m, j)
-    return _psi_core(part, k, j, m)
-
-
-def _psi_core(part, k, j, m):
-    # m <= j assumed; prefix cells 1..m, suffix cells j+1..N
+    j, m = max(j, m), min(j, m)
     s = part.sigmas
     lam = lambda_factors(part)
     ct = part.cell_times
-    rho = lam.rho
-    prefix = _dn_sum(ct[:m], rho[: m - 1], k)
-    suffix = _dn_sum(ct[j:], rho[j:], k)
-    hi = min(j, s.size - 1)  # Lambda_p defined for p <= N-1
-    prod = float(np.prod(2.0 * s[m - 1 : hi] / lam.plus[m - 1 : hi]))
+    prefix = _switch_sum(ct[:m], lam.rho[: m - 1], k, m - 1)
+    suffix = _switch_sum(ct[j:], lam.rho[j:], k, N - j - 1)
+    prod = float(np.prod(2.0 * s[m - 1 : j] / lam.plus[m - 1 : j]))
     return math.sqrt(s[j - 1] / s[m - 1]) * prod * prefix * suffix
 
 
 def en_sampled(part: InterfacePartition, k, j: int, q0) -> complex:
     """E_N approximated by interface-sampled profile values and psi entries.
 
-    The exact transforms in Y collapse, to O(width^2) per cell, onto
-    q0(x_m) * width_m; the boundary sample m = N is omitted (the Dirichlet
-    end carries no weight for admissible profiles).  The factor common to
-    one side of the interface is computed once and reused across samples.
+    sum_m q0(x_m) psi_entry(k, j, m) / sqrt(sigma_j sigma_m) * width_m, so
+    its sub-partition sums, like those of D_N, come from the switch
+    recursion.  The exact transforms in Y collapse, to O(width^2) per cell,
+    onto q0(x_m) * width_m; the boundary sample m = N is omitted (the
+    Dirichlet end carries no weight for admissible profiles).
     """
     N = part.n_cells
     if not 1 <= j <= N - 1:
         raise DomainError("interface index j must satisfy 1 <= j <= N-1")
     s = part.sigmas
-    lam = lambda_factors(part)
-    rho = lam.rho
-    ct = part.cell_times
-    suffix_j = _dn_sum(ct[j:], rho[j:], k)   # shared by every m <= j
-    prefix_j = _dn_sum(ct[:j], rho[: j - 1], k)  # shared by every m > j
-    total = 0j
-    for m in range(1, N):
-        val = float(q0(np.array([part.nodes[m]]))[0])
-        if m <= j:
-            prod = float(np.prod(2.0 * s[m - 1 : j] / lam.plus[m - 1 : j]))
-            psi = math.sqrt(s[j - 1] / s[m - 1]) * prod * _dn_sum(
-                ct[:m], rho[: m - 1], k) * suffix_j
-        else:
-            prod = float(np.prod(2.0 * s[j - 1 : m] / lam.plus[j - 1 : m]))
-            psi = math.sqrt(s[m - 1] / s[j - 1]) * prod * prefix_j * _dn_sum(
-                ct[m:], rho[m:], k)
-        total += val * psi / math.sqrt(s[j - 1] * s[m - 1]) * part.widths[m - 1]
-    return total
+    q = q0(part.nodes[1:-1])
+    return sum(q[m - 1] * psi_entry(part, k, j, m) / math.sqrt(s[j - 1] * s[m - 1])
+               * part.widths[m - 1] for m in range(1, N))
 
 
 def interface_solution(part: InterfacePartition, q0, j: int, t: float,

@@ -222,3 +222,12 @@ def test_domain_checks_refuse_nan(parabolic):
         for bad in (math.nan, np.array([0.5, math.nan])):
             with pytest.raises(DomainError):
                 evaluate(bad)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("constant", {"c": 1.0}),
+    ("tabulated", {"x": np.linspace(0.0, 1.0, 5), "sigma_sq": np.ones(5)}),
+])
+def test_unknown_params_are_typed(kind, params):
+    with pytest.raises(DomainError, match=f"{kind}: unknown params \\['width'\\]"):
+        make_conductivity(kind, width=2.0, **params)

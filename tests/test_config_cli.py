@@ -66,6 +66,7 @@ def test_bad_values_rejected():
     ("eigfuns.x_points = -3", "eigfuns.x_points"),
     ("eigfuns.x_points = 0", "eigfuns.x_points"),
     ("eigfuns.truncations = -1", "eigfuns.truncations"),
+    ("sigma.kind = tabulated", "sigma.table"),
     pytest.param(f"profile.kind = table\nprofile.table = {PARTIAL_Q0_TABLE}", "profile.table",
                  id="profile.table = q0_partial.csv-profile.table"),
 ])
@@ -270,6 +271,44 @@ def test_cli_exit_code_1_on_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+# table files that break the 'x,y' format, each a configuration error
+BAD_TABLES = {
+    "missing": None,
+    "three-columns": "0,1,1\n0.5,1,1\n0.7,1,1\n1,1,1\n",
+    "non-finite": "0,1\n0.5,nan\n0.7,1\n1,1\n",
+    "disordered": "0,1\n0.5,1\n0.4,1\n1,1\n",
+    "partial": "0.1,1\n0.5,1\n0.7,1\n1,1\n",
+}
+
+
+@pytest.mark.parametrize("fault", BAD_TABLES)
+@pytest.mark.parametrize("kind, key", [("sigma.kind = tabulated", "sigma.table"),
+                                       ("profile.kind = table", "profile.table")],
+                         ids=["sigma", "profile"])
+def test_cli_malformed_tables_exit_2(tmp_path, capsys, fault, kind, key):
+    table = tmp_path / "table.csv"
+    if BAD_TABLES[fault] is not None:
+        table.write_text(BAD_TABLES[fault])
+    cfg = _write_cfg(tmp_path, f"{kind}\n{key} = {table}\n")
+    assert main(["eigs", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"configuration error: {key}: {table}" in capsys.readouterr().err
+
+
+def test_cli_eigs_reads_a_sigma_table_once(tmp_path, monkeypatch):
+    # validation in parse_config, the re-validation after the overrides and
+    # the command itself share one conductivity
+    x = np.linspace(0.0, 1.0, 9)
+    table = tmp_path / "sigma.csv"
+    np.savetxt(table, np.column_stack([x, 1.0 + 0.2 * x]), delimiter=",")
+    cfg = _write_cfg(tmp_path, f"sigma.kind = tabulated\nsigma.table = {table}\n"
+                               "eigs.count = 1\neigs.oracle = false\n")
+    reads = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: reads.append(a) or loadtxt(*a, **kw))
+    assert main(["eigs", "--config", cfg, "--N", "1", "--out", str(tmp_path / "e.csv")]) == 0
+    assert len(reads) == 1
+
+
 def test_cli_exit_code_2_on_quad_order_key(tmp_path, capsys):
     # the quadrature order is no configuration key: only the references use it
     cfg = _write_cfg(tmp_path, "series.quad_order = 32\n")
@@ -304,3 +343,12 @@ def test_cli_verify_convergence(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 3
+
+
+@pytest.mark.parametrize("suite, passes", [("figure2", 3), ("all", 19)])
+def test_cli_verify_figure2_and_all(capsys, suite, passes):
+    rc = main(["verify", suite])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.count("[PASS]") == passes
+    assert f"{passes}/{passes}" in out

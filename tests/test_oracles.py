@@ -265,6 +265,36 @@ def test_psi_entry_and_sampled_en(parabolic):
         psi_entry(part, 1.0, 0, 3)
 
 
+def test_sampled_en_converges_at_second_order(parabolic):
+    # past 24 cells a side the sub-partition sums used to raise TooManyTerms;
+    # measured gaps 1.146e-4, 2.856e-5, 7.113e-6 (4.01 per halving)
+    c, _ = parabolic
+    gaps = []
+    for n in (20, 40, 80):
+        part = uniform_partition(c, n)
+        gaps.append(abs(en_sampled(part, 1.0, n // 2, quadratic)
+                        - en_det(part, 1.0, n // 2, quadratic)))
+    assert gaps[0] < 2e-4
+    for g0, g1 in zip(gaps, gaps[1:]):
+        assert g0 / g1 == pytest.approx(4.0, abs=0.1)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda c: InterfacePartition(nodes=np.linspace(0.0, 1.0, 4), sigmas=np.ones(2),
+                                  sigma0=1.0), SingularPartition),
+    (lambda c: uniform_partition(c, 0), SingularPartition),
+    (lambda c: dn_det(uniform_partition(c, 4), 0), DomainError),
+    (lambda c: interface_solution(uniform_partition(c, 4), quadratic, 0, 1.0), DomainError),
+    (lambda c: interface_solution(uniform_partition(c, 4), quadratic, 2, 0.0), DomainError),
+    (lambda c: fd_eigenvalues(c, 4, 32), DomainError),
+    (lambda c: en_sampled(uniform_partition(c, 4), 1.0, 0, quadratic), DomainError),
+], ids=["lengths", "no-cells", "dn_det-k0", "interface-j0", "interface-t0", "fd-nx32",
+        "en_sampled-j0"])
+def test_typed_argument_errors(parabolic, call, error):
+    with pytest.raises(error):
+        call(parabolic[0])
+
+
 def test_interface_solution_constant_exact():
     part = InterfacePartition(nodes=np.array([0.0, 0.5, 1.0]),
                               sigmas=np.array([1.0, 1.0]), sigma0=1.0)

@@ -521,3 +521,15 @@ def test_panel_count_ceiling_refuses_before_building(parabolic, spec2, monkeypat
         regularized_series_sum(c, tt, 0.0, 0.5, 1e9j, spec2, tt.total)
     with pytest.raises(DomainError, match=refused):
         solve_grid(c, tt, lambda x: x * (1.0 - x), [0.5], [1.0], spec2, contour=far)
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (lambda c, tt: simplex_integral(c, tt, 2, 0.0, 1.5, 1.0, SeriesSpec()), DomainError),
+    (lambda c, tt: abs_log_derivative_integral(c, 0.4, 0.4), 0.0),
+], ids=["b-past-1", "empty-interval"])
+def test_interval_edge_cases(parabolic, call, outcome):
+    if outcome is DomainError:
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            call(*parabolic)
+    else:
+        assert call(*parabolic) == outcome
