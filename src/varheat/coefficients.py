@@ -140,6 +140,9 @@ class TravelTimeMap:
     with tau(0) = 0 and tau(1) = ``total``, exact to roundoff (see
     :func:`build_travel_time`).
 
+    ``c`` is the profile the map was built for: every series call with
+    another profile on this map raises :class:`DomainError`.
+
     ``grids`` is the profile's table of series panel grids, filled and read
     by ``simplex._grid`` only: built on first use, shared by every Delta_N,
     root, eigenfunction and solve on this map, and dropped with it.  Keyed
@@ -149,6 +152,7 @@ class TravelTimeMap:
 
     tau: Callable[[np.ndarray], np.ndarray]
     total: float
+    c: Conductivity | None = field(default=None, init=False, repr=False, compare=False)
     grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -360,4 +364,6 @@ def build_travel_time(c: Conductivity) -> TravelTimeMap:
     def tau(x, antiderivative=antiderivative):
         return antiderivative(_check_domain(x))
 
-    return TravelTimeMap(tau=tau, total=float(antiderivative(1.0)))
+    tt = TravelTimeMap(tau=tau, total=float(antiderivative(1.0)))
+    object.__setattr__(tt, "c", c)
+    return tt

@@ -6,15 +6,18 @@ Four families, none of which share code with the production path:
   cells, transforms of the cell problems yield a 2N x 2N linear system
   A(k) X = Y, and the interface unknowns are the ratios det A_j / det A
   (Cramer's rule).  Ordered by interface, A(k) is banded with two bands
-  either side of the diagonal, so one LAPACK band solve per contour node
-  costs O(N) and the model runs at thousands of cells.
+  either side of the diagonal, and it is only ever held in that form: one
+  LAPACK band LU gives det A, one band solve per contour node gives the
+  unknown, each in O(N), so the model runs at thousands of cells.  The
+  numerator E_N is det A times that unknown (Cramer's rule read backwards).
   Scaled determinants D_N = (i/2) det A / prod(Lambda_p^+) admit an exact
   binary-vector sum and an equivalent switch-location sum whose truncation
   costs only O(N * max_switches), which is what makes the large-N
-  convergence studies feasible.  The switch recursion, untruncated, also
-  gives the sub-partition sums of the kernel Psi and of the sampled
-  numerator E_N; the binary-vector sum is kept only as the reference
-  :func:`dn_bruteforce`;
+  convergence studies feasible.  One pass of the switch recursion gives
+  that sum for every prefix of the cells at once, and the same pass on the
+  reflected partition every suffix: the sub-partition sums of the kernel
+  Psi and of the sampled numerator E_N.  The binary-vector sum is kept only
+  as the reference :func:`dn_bruteforce`;
 * a conservative Crank-Nicolson discretization of the PDE itself;
 * a symmetric tridiagonal eigensolver (shift-invert Lanczos, ARPACK, with
   Richardson extrapolation across two grids) for the spectrum;
@@ -46,11 +49,7 @@ from .transform import Contour
 
 __all__ = [
     "InterfacePartition",
-    "GlobalRelationSystem",
-    "LambdaFactors",
     "uniform_partition",
-    "lambda_factors",
-    "assemble_system",
     "dn_det",
     "dn_bruteforce",
     "dn_switchform",
@@ -67,7 +66,7 @@ _BRUTE_CAP = 24
 # A reference resolves its contour integral well below the solver's default
 # tolerance, so its own quadrature error never shows in a comparison.
 _CONTOUR_TOL = 1e-10
-# interface_solution builds the systems of this many contour nodes at a time:
+# _band_solve builds the systems of this many contour nodes at a time:
 # its peak at 4096 cells is 22 MB, where all 53 nodes of the t = 1 contour at
 # once took 84 MB.
 _NODE_BLOCK = 8
@@ -118,32 +117,17 @@ class InterfacePartition:
         """Delta x_j / sigma_j, the discrete travel times."""
         return self.widths / self.sigmas
 
-
-@dataclass(frozen=True)
-class LambdaFactors:
-    """Interface combinations Lambda_p^+- = sigma_{p+1} +- sigma_p (p=1..N-1)."""
-
-    plus: np.ndarray
-    minus: np.ndarray
+    @property
+    def plus(self) -> np.ndarray:
+        """Lambda_p^+ = sigma_{p+1} + sigma_p at interfaces p = 1..N-1."""
+        s = self.sigmas
+        return s[1:] + s[:-1]
 
     @property
     def rho(self) -> np.ndarray:
-        return self.minus / self.plus
-
-
-@dataclass(frozen=True)
-class GlobalRelationSystem:
-    """The 2N x 2N system A(k) X = Y of cellwise transform identities.
-
-    Unknown ordering (columns): ik*g0 at interior interfaces 1..N-1, then
-    the flux transforms sigma_j^2 g1 at interfaces 0..N.  Rows 1..N hold the
-    cell relations at +k, rows N+1..2N the same at -k.
-    """
-
-    k: complex
-    matrix: np.ndarray
-    rhs: np.ndarray
-    labels: tuple
+        """The reflection ratios Lambda_p^- / Lambda_p^+ at p = 1..N-1."""
+        s = self.sigmas
+        return (s[1:] - s[:-1]) / self.plus
 
 
 def uniform_partition(c: Conductivity, n_cells: int) -> InterfacePartition:
@@ -156,17 +140,14 @@ def uniform_partition(c: Conductivity, n_cells: int) -> InterfacePartition:
     return InterfacePartition(nodes=nodes, sigmas=sigmas, sigma0=float(sigmas[0]))
 
 
-def lambda_factors(part: InterfacePartition) -> LambdaFactors:
-    s = part.sigmas
-    return LambdaFactors(plus=s[1:] + s[:-1], minus=s[1:] - s[:-1])
-
-
-# Row blocks of A(k): the cell relations at +k, then the mirror at -k.
+# The cell relations at +k, then their mirror at -k.
 _SIGNS = np.array([[1.0], [-1.0]])
 # Band form of A(k): the rows interleave each cell's +k and -k relations and
 # the unknowns run by interface, g1[0], (g0[p], g1[p]) for p = 1..N-1, g1[N],
-# so no entry lies more than two places off the diagonal.  Both reorderings
-# have N(N-1)/2 inversions, so the band form has the same determinant.
+# so no entry lies more than two places off the diagonal.  A(k) itself takes
+# the rows at +k, then at -k, and the unknowns ik g0 at interfaces 1..N-1,
+# then sigma^2 g1 at 0..N; both reorderings have N(N-1)/2 inversions, so
+# the band form has the same determinant.
 _KL = _KU = 2
 # The four entries of a cell's row: the flux unknowns at its left and right
 # interfaces, then the value unknowns at the same two.
@@ -179,7 +160,6 @@ class _Layout(NamedTuple):
     """Flat places of the structural entries of :func:`_entries`."""
 
     entries: np.ndarray  # the 4N - 2 per sign block, within the (2, N, 4) array
-    dense: np.ndarray    # their places in the (2N, 2N) GlobalRelationSystem A
     band: np.ndarray     # their places in the (2 KL + KU + 1, 2N) band storage
 
 
@@ -188,12 +168,10 @@ def _layout(N: int) -> _Layout:
     a, r, e = np.meshgrid(np.arange(2), np.arange(N), np.arange(4), indexing="ij")
     p, flux = r + _ENDS[e], _FLUX[e]  # entry e of cell r: its interface and kind
     mask = flux | ((p >= 1) & (p <= N - 1))  # ik g0 is zero at x = 0 and 1
-    dense_row, band_row = a * N + r, 2 * r + a
-    dense_col = np.where(flux, N - 1 + p, p - 1)
-    band_col = np.where(flux, np.minimum(2 * p, 2 * N - 1), 2 * p - 1)
+    row, col = 2 * r + a, np.where(flux, np.minimum(2 * p, 2 * N - 1), 2 * p - 1)
     # LAPACK band storage keeps A[i, j] at row KL + KU + i - j, column j
-    band = (_KL + _KU + band_row - band_col) * 2 * N + band_col
-    return _Layout(np.flatnonzero(mask), (dense_row * 2 * N + dense_col)[mask], band[mask])
+    band = (_KL + _KU + row - col) * 2 * N + col
+    return _Layout(np.flatnonzero(mask), band[mask])
 
 
 def _entries(part: InterfacePartition, ks: np.ndarray) -> np.ndarray:
@@ -246,29 +224,34 @@ def _system_rhs(part: InterfacePartition, ks: np.ndarray, pts, wq) -> np.ndarray
 
 def _log_scale(part: InterfacePartition) -> float:
     """log prod_p Lambda_p^+, which is positive since every sigma_j is."""
-    s = part.sigmas
-    return float(np.log(s[1:] + s[:-1]).sum())
+    return float(np.log(part.plus).sum())
 
 
-def assemble_system(part: InterfacePartition, k, q0) -> GlobalRelationSystem:
-    """Build A(k) and Y(k) for the interface model.
+def _band_solve(part: InterfacePartition, ks: np.ndarray, j: int, q0) -> np.ndarray:
+    """The unknown ik g0[j] of A(k) X = Y(k) for each k in ``ks``.
 
-    Cell j contributes, at +-k, the identity coupling its initial-profile
-    transform with the boundary unknowns of its two interfaces; the value
-    unknowns at the outer boundaries are zero (Dirichlet) and drop out.
+    A(k) and Y(k) are built for _NODE_BLOCK wavenumbers at a time, A in
+    band form, and each k costs one LAPACK ``zgbsv`` band solve: O(N) work
+    per k, and memory that does not grow with the number of wavenumbers.
+    Raises :class:`DenominatorNearZero` where det A(k) is exactly zero.
     """
-    kc = complex(k)
-    ks = np.array([kc])
+    from scipy.linalg.lapack import zgbsv
+
     N = part.n_cells
-    lay = _layout(N)
-    A = np.zeros(4 * N * N, dtype=complex)
-    A[lay.dense] = _entries(part, ks).ravel()[lay.entries]
-    A = A.reshape(2 * N, 2 * N)
-    labels = tuple(
-        [f"ik*g0[{p}]" for p in range(1, N)] + [f"s2*g1[{p}]" for p in range(N + 1)]
-    )
-    Y = _system_rhs(part, ks, *_weighted_profile(part, q0))[0].ravel()
-    return GlobalRelationSystem(k=kc, matrix=A, rhs=Y, labels=labels)
+    profile = _weighted_profile(part, q0)
+    unknowns = np.empty(ks.size, dtype=complex)
+    for lo in range(0, ks.size, _NODE_BLOCK):
+        block = ks[lo:lo + _NODE_BLOCK]
+        # Y in the band row order, cell by cell with +k before -k
+        rhs = _system_rhs(part, block, *profile).transpose(0, 2, 1)
+        rhs = rhs.reshape(block.size, 2 * N, 1)
+        ab = _band(part, block)
+        for i in range(block.size):
+            _, _, x, info = zgbsv(_KL, _KU, ab[i], rhs[i])
+            if info > 0:
+                raise DenominatorNearZero(f"det A vanished at k = {block[i]:.6g}")
+            unknowns[lo + i] = x[2 * j - 1, 0]  # ik g0[j] in the band order
+    return unknowns
 
 
 def dn_det(part: InterfacePartition, k) -> complex:
@@ -312,36 +295,37 @@ def _dn_sum(cell_times, rhos, k):
 
 def dn_bruteforce(part: InterfacePartition, k) -> complex:
     """D_N(k) by exact enumeration of the 2**(N-1) entry vectors."""
-    return _dn_sum(part.cell_times, lambda_factors(part).rho, k)
+    return _dn_sum(part.cell_times, part.rho, k)
 
 
-def _switch_sum(cell_times, rho, k, max_switches: int) -> complex:
-    """The entry-vector sum of consecutive cells, truncated at max_switches.
+def _switch_sums(cell_times, rho, k, max_switches: int) -> np.ndarray:
+    """The entry-vector sums of the cells 1..m for every m, truncated at
+    max_switches, shape (N,).
 
-    ``rho`` holds the ratios at the cells' interior interfaces.  At
-    max_switches = cell count - 1 the sum is exact.
+    ``rho`` holds the ratios at the N - 1 interior interfaces.  The sums of
+    the suffixes m..N are the same call on the reflected partition: cell
+    times reversed and ``rho`` reversed and negated.  An entry is exact once
+    max_switches >= m - 1.
     """
     kc = complex(k)
-    c_total = float(cell_times.sum())
-    if cell_times.size == 1 or max_switches == 0:
-        return complex(np.sin(kc * c_total))
-    # cumulative times at the interior interfaces
-    csum = np.cumsum(cell_times)[:-1]
-
-    total = 0j
-    for eps in (+1.0, -1.0):
-        # chain[s] = sum over ordered tuples of p switches ending at s of the
-        # factor product; the parity of p flips the exponent sign.
-        T = []
-        for p in range(1, max_switches + 1):
-            prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(chain)[:-1])) if T else 1.0
-            chain = rho * np.exp((-1.0) ** (p + 1) * eps * 2j * kc * csum) * prefix
-            T.append(np.sum(chain))
-        branch = np.exp(eps * 1j * kc * c_total)  # n = 0 term
-        for n, Tn in enumerate(T, start=1):
-            branch += np.exp(eps * 1j * kc * ((-1.0) ** n) * c_total) * Tn
-        total += eps * branch
-    return complex(total / 2j)
+    times = np.cumsum(cell_times)  # the travel time of each prefix
+    # The sine is two exponentials, the rows of every array here: e^{+-i k t}
+    # at the prefix ends, and e^{+-2i k t} at the interior interfaces, the
+    # phase of a switch there, whose sign alternates with its place.
+    ends = np.exp(_SIGNS * 1j * kc * times)
+    turn = np.exp(_SIGNS * 2j * kc * times[:-1])
+    # chain[s] = sum over ordered tuples of p switches ending at s of the
+    # factor product; its running sum before s seeds the next p, and its
+    # running sum up to m - 1 is the prefix m's share.
+    branch = ends.copy()  # n = 0 term
+    prefix = 1.0
+    for p in range(1, max_switches + 1):
+        odd = p % 2 == 1
+        chain = rho * (turn if odd else turn[::-1]) * prefix
+        upto = np.concatenate((np.zeros((2, 1)), np.cumsum(chain, axis=1)), axis=1)
+        branch += (ends[::-1] if odd else ends) * upto
+        prefix = upto[:, :-1]
+    return (branch[0] - branch[1]) / 2j
 
 
 def dn_switchform(part: InterfacePartition, k, max_switches: int) -> complex:
@@ -358,19 +342,36 @@ def dn_switchform(part: InterfacePartition, k, max_switches: int) -> complex:
     N = part.n_cells
     if not 0 <= max_switches <= max(0, N - 1):
         raise DomainError("need 0 <= max_switches <= N-1")
-    return _switch_sum(part.cell_times, lambda_factors(part).rho, k, max_switches)
+    return complex(_switch_sums(part.cell_times, part.rho, k, max_switches)[-1])
 
 
 def en_det(part: InterfacePartition, k, j: int, q0) -> complex:
-    """(1/2) det A_j(k) * prod 1/Lambda_p^+, with column j replaced by Y."""
+    """(1/2) det A_j(k) * prod 1/Lambda_p^+, with column j replaced by Y.
+
+    By Cramer's rule det A_j = det A * ik g0[j], so E_N is -i D_N times
+    the unknown of one band solve (:func:`_band_solve`); no matrix is
+    formed densely.
+    """
     N = part.n_cells
     if not 1 <= j <= N - 1:
         raise DomainError("interface index j must satisfy 1 <= j <= N-1")
-    system = assemble_system(part, k, q0)
-    Aj = system.matrix.copy()
-    Aj[:, j - 1] = system.rhs
-    sign, logdet = np.linalg.slogdet(Aj)
-    return 0.5 * sign * np.exp(logdet - _log_scale(part))
+    unknown = _band_solve(part, np.array([complex(k)]), j, q0)[0]
+    return -1j * dn_det(part, k) * unknown
+
+
+def _psi_row(part: InterfacePartition, k, j: int) -> np.ndarray:
+    """psi_entry(part, k, j, m) for m = 1..N-1, from one prefix and one
+    suffix pass of the switch recursion."""
+    N = part.n_cells
+    s, ct, rho = part.sigmas, part.cell_times, part.rho
+    prefix = _switch_sums(ct, rho, k, N - 1)  # cells 1..m at m - 1
+    suffix = _switch_sums(ct[::-1], -rho[::-1], k, N - 1)[::-1]  # cells m+1..N at m
+    ms = np.arange(1, N)
+    lo, hi = np.minimum(ms, j), np.maximum(ms, j)
+    # prod_{p=lo..hi} 2 sigma_p / Lambda_p^+, multiplied outward from j
+    ratio = 2.0 * s[:-1] / part.plus
+    prod = np.concatenate((np.cumprod(ratio[:j][::-1])[::-1], np.cumprod(ratio[j - 1:])[1:]))
+    return np.sqrt(s[hi - 1] / s[lo - 1]) * prod * prefix[lo - 1] * suffix[hi]
 
 
 def psi_entry(part: InterfacePartition, k, j: int, m: int) -> complex:
@@ -385,14 +386,7 @@ def psi_entry(part: InterfacePartition, k, j: int, m: int) -> complex:
     N = part.n_cells
     if not (1 <= j <= N - 1 and 1 <= m <= N - 1):
         raise DomainError("need 1 <= j <= N-1 and 1 <= m <= N-1")
-    j, m = max(j, m), min(j, m)
-    s = part.sigmas
-    lam = lambda_factors(part)
-    ct = part.cell_times
-    prefix = _switch_sum(ct[:m], lam.rho[: m - 1], k, m - 1)
-    suffix = _switch_sum(ct[j:], lam.rho[j:], k, N - j - 1)
-    prod = float(np.prod(2.0 * s[m - 1 : j] / lam.plus[m - 1 : j]))
-    return math.sqrt(s[j - 1] / s[m - 1]) * prod * prefix * suffix
+    return complex(_psi_row(part, k, j)[m - 1])
 
 
 def en_sampled(part: InterfacePartition, k, j: int, q0) -> complex:
@@ -400,7 +394,8 @@ def en_sampled(part: InterfacePartition, k, j: int, q0) -> complex:
 
     sum_m q0(x_m) psi_entry(k, j, m) / sqrt(sigma_j sigma_m) * width_m, so
     its sub-partition sums, like those of D_N, come from the switch
-    recursion.  The exact transforms in Y collapse, to O(width^2) per cell,
+    recursion: one prefix and one suffix pass give the whole row, in
+    O(N^2).  The exact transforms in Y collapse, to O(width^2) per cell,
     onto q0(x_m) * width_m; the boundary sample m = N is omitted (the
     Dirichlet end carries no weight for admissible profiles).
     """
@@ -409,8 +404,8 @@ def en_sampled(part: InterfacePartition, k, j: int, q0) -> complex:
         raise DomainError("interface index j must satisfy 1 <= j <= N-1")
     s = part.sigmas
     q = q0(part.nodes[1:-1])
-    return sum(q[m - 1] * psi_entry(part, k, j, m) / math.sqrt(s[j - 1] * s[m - 1])
-               * part.widths[m - 1] for m in range(1, N))
+    return complex(np.sum(q * _psi_row(part, k, j) / np.sqrt(s[j - 1] * s[:-1])
+                          * part.widths[:-1]))
 
 
 def interface_solution(part: InterfacePartition, q0, j: int, t: float,
@@ -420,14 +415,9 @@ def interface_solution(part: InterfacePartition, q0, j: int, t: float,
     q(x_j, t) = Re[-(1/pi) int det(A_j)/det(A) e^{-k^2 t} dk] over the same
     hyperbolic contour the continuum solver uses (sized for t unless
     ``contour`` is given).  By Cramer's rule the ratio is the unknown
-    ik g0[j] of A X = Y, so the overall transform scale cancels exactly.
-    A(k) and Y(k) are built for _NODE_BLOCK contour nodes at a time, A in
-    band form (bandwidth 2 either side), and each node costs one LAPACK
-    ``zgbsv`` band solve: O(N) work per node, and memory that does not grow
-    with the number of nodes.
+    ik g0[j] of A X = Y, so the overall transform scale cancels exactly;
+    :func:`_band_solve` gives it at each contour node in O(N).
     """
-    from scipy.linalg.lapack import zgbsv
-
     N = part.n_cells
     if not 1 <= j <= N - 1:
         raise DomainError("interface index j must satisfy 1 <= j <= N-1")
@@ -435,20 +425,7 @@ def interface_solution(part: InterfacePartition, q0, j: int, t: float,
         raise DomainError("t must be positive")
     cont = contour if contour is not None else Contour.for_times([t], _CONTOUR_TOL)
     ks, ws = cont.nodes()
-    profile = _weighted_profile(part, q0)
-    ratios = np.empty(ks.size, dtype=complex)
-    for lo in range(0, ks.size, _NODE_BLOCK):
-        block = ks[lo:lo + _NODE_BLOCK]
-        # Y in the band row order, cell by cell with +k before -k
-        rhs = _system_rhs(part, block, *profile).transpose(0, 2, 1)
-        rhs = rhs.reshape(block.size, 2 * N, 1)
-        ab = _band(part, block)
-        for i in range(block.size):
-            _, _, x, info = zgbsv(_KL, _KU, ab[i], rhs[i])
-            if info > 0:
-                raise DenominatorNearZero("det A vanished on the contour")
-            ratios[lo + i] = x[2 * j - 1, 0]  # ik g0[j] in the band order
-    acc = np.sum(ws * ratios * np.exp(-(ks**2) * t))
+    acc = np.sum(ws * _band_solve(part, ks, j, q0) * np.exp(-(ks**2) * t))
     return float((-acc / math.pi).real)
 
 

@@ -97,7 +97,8 @@ class SeriesSpec:
     """Truncation configuration for the series evaluators.
 
     truncation_N: series cut at n <= N (N >= 0).
-    tol:          target absolute accuracy per term (used by audits).
+    tol:          target absolute accuracy per term; validated, but no
+                  evaluator reads it yet.
 
     Every evaluator runs on the prefix recursion, whose panels follow |k|,
     so no quadrature order is configured.
@@ -218,12 +219,10 @@ def _edges(breaks, cuts):
 
 
 class _Grid(NamedTuple):
-    """An entry of ``TravelTimeMap.grids``: the grid of ``count`` panels for
-    the profile ``c`` and the points whose bytes are ``points``, with the
-    gaps between its breakpoints, the panels in each gap and the edge index
-    of each point."""
+    """An entry of ``TravelTimeMap.grids``: the grid of ``count`` panels and
+    the points whose bytes are ``points``, with the gaps between its
+    breakpoints, the panels in each gap and the edge index of each point."""
 
-    c: Conductivity
     points: bytes
     gaps: np.ndarray
     cuts: np.ndarray
@@ -242,7 +241,8 @@ def _grid(c, tt, count, points=()):
     knots the edges are those of ``np.linspace(0, 1, count + 1)``.
 
     Returns the :class:`_Panels` and, for each point, the index of its edge.
-    Raises :class:`DomainError` unless every point lies in [0, 1].
+    Raises :class:`DomainError` unless every point lies in [0, 1] and ``tt``
+    was built for ``c``.
 
     A grid depends only on the profile, the count and the points, so it is
     built once and kept in the profile's table ``tt.grids``, keyed by the
@@ -250,9 +250,7 @@ def _grid(c, tt, count, points=()):
     latest grid with points, which the next call with the same points
     reuses.  A hit is a dict lookup and a comparison of the points' bytes.
     Counts whose edges coincide (16 and 32 panels on a 33-knot table) share
-    one :class:`_Panels`.  Each entry holds the :class:`Conductivity` it was
-    built for, so another profile with this ``tt`` rebuilds rather than
-    reads it.
+    one :class:`_Panels`.
     """
     held = _held(c, tt, int(count), np.asarray(points, dtype=float).ravel())
     return held.panels, held.at
@@ -281,9 +279,11 @@ def _grid_groups(c, tt, counts, points=()):
 def _held(c, tt, count, points):
     """The :class:`_Grid` of :func:`_grid` from the table ``tt.grids``,
     built on a miss; a grid with the same panels in every gap is shared."""
+    if tt.c is not c:
+        raise DomainError("the travel-time map was built for another profile")
     key, tag = (count, bool(points.size)), points.tobytes()
     held = tt.grids.get(key)
-    if held is not None and held.c is c and held.points == tag:
+    if held is not None and held.points == tag:
         return held
     if not np.all((points >= 0.0) & (points <= 1.0)):  # NaN fails too
         raise DomainError(
@@ -292,14 +292,14 @@ def _held(c, tt, count, points):
     gaps = np.diff(breaks)
     cuts = np.ceil(gaps * count).astype(int)
     for other in tt.grids.values():
-        if other.c is c and other.points == tag and np.array_equal(other.cuts, cuts):
+        if other.points == tag and np.array_equal(other.cuts, cuts):
             held = other
             break
     else:
         edges = _edges(breaks, cuts)
         at = edges.searchsorted(points)
         at.flags.writeable = False
-        held = _Grid(c, tag, gaps, cuts, _panels(c, tt, edges), at)
+        held = _Grid(tag, gaps, cuts, _panels(c, tt, edges), at)
     tt.grids[key] = held
     return held
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varheat import SeriesSpec, build_travel_time, make_conductivity, simplex, spectrum, transform
-from varheat.errors import RootMissed
+from varheat.errors import DomainError, RootMissed
 from varheat.spectrum import eigenfunction, find_eigenvalues
 from varheat.transform import solve_grid
 
@@ -81,9 +81,13 @@ PARABOLIC_TT = build_travel_time(PARABOLIC)
        count=st.sampled_from([2**p for p in range(4, 10)]))
 def test_grid_rule_cuts_every_gap_into_the_fewest_panels(knots, points, count):
     # the rule reads only the knots of the profile, so a smooth profile
-    # carries the drawn ones
+    # carries the drawn ones; its sigma, and so its tau, is unchanged, so
+    # the parabolic map is recorded for it (building one fails on panels
+    # of subnormal width)
     c = dataclasses.replace(PARABOLIC, params={"knots": np.array(knots)})
-    edges, at = _built_edges(c, PARABOLIC_TT, count, points)
+    tt = dataclasses.replace(PARABOLIC_TT)
+    object.__setattr__(tt, "c", c)
+    edges, at = _built_edges(c, tt, count, points)
     breaks = np.unique(np.concatenate([[0.0, 1.0], knots, points]))
     assert edges[0] == 0.0 and edges[-1] == 1.0 and np.all(np.diff(edges) > 0.0)
     assert np.all(np.isin(breaks, edges)) and np.array_equal(edges[at], points)
@@ -270,16 +274,20 @@ def test_solves_at_many_x_sets_keep_the_table_bounded():
         sizes.append(len(tt.grids))
     counts = {count for count, _ in tt.grids}
     assert len(set(sizes)) == 1 and sizes[0] <= 2 * len(counts)
-    assert all(held[0] is c for held in tt.grids.values())
 
 
-def test_another_profile_on_the_same_map_rebuilds():
-    # entries hold the conductivity they were built for, so a map warmed by
-    # one profile gives another profile its own grids
-    first, second = make_conductivity("parabolic24"), make_conductivity("rational9000")
+def test_another_profile_on_the_same_map_raises():
+    # tau of one profile with sigma of another gave silently wrong numbers (a
+    # figure-2 value of 0.08678 for 0.09191, kappa_1 = 0.9425 for 1.0003);
+    # the map records its profile, so every series call checks the pair
+    first = make_conductivity("parabolic24")
+    tt = build_travel_time(first)
     ks = np.linspace(0.5, 30.0, 40)
-    warm = build_travel_time(first)
-    transform.delta_values(first, warm, ks, SPEC)
-    fresh = transform.delta_values(second, build_travel_time(first), ks, SPEC)
-    assert np.array_equal(transform.delta_values(second, warm, ks, SPEC), fresh)
-    assert all(held[0] is second for held in warm.grids.values())
+    warm = transform.delta_values(first, tt, ks, SPEC)
+    for other in (make_conductivity("rational9000"), make_conductivity("parabolic24")):
+        for call in (lambda: transform.delta_values(other, tt, ks, SPEC),
+                     lambda: solve_grid(other, tt, quadratic, FIGURE2_XS, FIGURE2_TS, SPEC),
+                     lambda: find_eigenvalues(other, tt, SPEC, 1)):
+            with pytest.raises(DomainError, match="another profile"):
+                call()
+    assert np.array_equal(transform.delta_values(first, tt, ks, SPEC), warm)

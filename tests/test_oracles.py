@@ -1,16 +1,16 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from varheat import SeriesSpec, make_conductivity, oracles
 from varheat.errors import DomainError, NoConvergence, SingularPartition, TooManyTerms
-from varheat.oracles import _fd_operator, _tridiag_eigs_top
+from varheat.oracles import _KL, _KU, _band, _fd_operator, _switch_sums, _tridiag_eigs_top
 from varheat.oracles import (
     InterfacePartition,
-    assemble_system,
     crank_nicolson,
     dn_bruteforce,
     dn_det,
@@ -21,7 +21,6 @@ from varheat.oracles import (
     fd_eigenvector,
     fourier_solution,
     interface_solution,
-    lambda_factors,
     psi_entry,
     uniform_partition,
 )
@@ -69,17 +68,15 @@ def test_partition_rejects_non_finite(nodes, sigmas):
 def test_lambda_factor_properties():
     part = InterfacePartition(nodes=np.array([0.0, 0.3, 0.6, 1.0]),
                               sigmas=np.array([1.0, 1.0, 2.0]), sigma0=1.0)
-    lam = lambda_factors(part)
-    assert lam.rho[0] == 0.0  # equal sigmas
-    assert np.all(np.abs(lam.rho) < 1.0)
+    assert part.rho[0] == 0.0  # equal sigmas
+    assert np.all(np.abs(part.rho) < 1.0)
 
 
 def test_single_domain_determinant(const1):
     part = InterfacePartition(nodes=np.array([0.0, 1.0]), sigmas=np.array([1.3]),
                               sigma0=1.3)
     k = 1.7 + 0.3j
-    system = assemble_system(part, k, lambda y: np.zeros_like(y))
-    det = np.linalg.det(system.matrix)
+    det = dn_det(part, k) / 0.5j  # no interior interface, so no Lambda^+ scale
     assert det == pytest.approx(-2j * np.sin(k / 1.3), abs=1e-12)
     assert dn_bruteforce(part, k) == pytest.approx(np.sin(k / 1.3), abs=1e-12)
 
@@ -160,6 +157,40 @@ def test_switchform_constant_sigma():
         assert dn_switchform(part, 2.2, cap) == pytest.approx(math.sin(2.2), abs=1e-13)
 
 
+def _cells(part, lo, hi):
+    """Cells lo+1..hi of ``part`` as a partition of their own: widths and
+    sigmas scaled alike, so the cell times and ratios are unchanged."""
+    span = part.nodes[hi] - part.nodes[lo]
+    nodes = (part.nodes[lo:hi + 1] - part.nodes[lo]) / span
+    nodes[-1] = 1.0
+    sigmas = part.sigmas[lo:hi] / span
+    return InterfacePartition(nodes=nodes, sigmas=sigmas, sigma0=float(sigmas[0]))
+
+
+def test_every_prefix_and_suffix_sum_is_exact():
+    # psi takes its prefix sums from one pass of the switch recursion and its
+    # suffix sums from one pass on the reflected partition (times reversed,
+    # ratios reversed and negated: without the negation they were 30% off);
+    # each must be the brute-force sum of its own sub-partition
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        part = _random_partition(rng, int(rng.integers(2, 15)))
+        N, s = part.n_cells, part.sigmas
+        for k in (rng.uniform(0.5, 6.0), complex(rng.uniform(-6, 6), rng.uniform(0.0, 2.0))):
+            prefix = [dn_bruteforce(_cells(part, 0, m), k) for m in range(1, N + 1)]
+            suffix = [dn_bruteforce(_cells(part, m, N), k) for m in range(N)]
+            got = _switch_sums(part.cell_times, part.rho, k, N - 1)
+            assert np.allclose(got, prefix, rtol=1e-12, atol=1e-12), N
+            for j in range(1, N):
+                row = oracles._psi_row(part, k, j)
+                for m in range(1, N):
+                    lo, hi = min(j, m), max(j, m)
+                    ref = (math.sqrt(s[hi - 1] / s[lo - 1])
+                           * np.prod(2.0 * s[lo - 1:hi] / part.plus[lo - 1:hi])
+                           * prefix[lo - 1] * suffix[hi])
+                    assert abs(row[m - 1] - ref) <= 1e-12 * max(1.0, abs(ref)), (N, j, m)
+
+
 def test_switchform_validation(parabolic):
     part = uniform_partition(parabolic[0], 10)
     with pytest.raises(DomainError):
@@ -187,15 +218,14 @@ def test_product_asymptotics(parabolic):
     sizes = (100, 200, 400, 800)
     for n in sizes:
         part = uniform_partition(c, n)
-        lam = lambda_factors(part)
         lo, hi = n // 5, (4 * n) // 5
-        prod = np.prod(lam.plus[lo - 1 : hi - 1] / (2.0 * part.sigmas[lo - 1 : hi - 1]))
+        prod = np.prod(part.plus[lo - 1 : hi - 1] / (2.0 * part.sigmas[lo - 1 : hi - 1]))
         target = math.sqrt(part.sigmas[hi - 1] / part.sigmas[lo - 1])
         prod_errs.append(abs(prod - target))
         p = n // 3
         xp = part.nodes[p]
         pred = float(c.dsigma(xp)) * part.widths[p - 1] / (2.0 * float(c.sigma(xp)))
-        rho_errs.append(abs(lam.rho[p - 1] - pred))
+        rho_errs.append(abs(part.rho[p - 1] - pred))
     for e0, e1 in zip(prod_errs, prod_errs[1:]):
         assert math.log(e0 / e1) / math.log(2.0) >= 0.9
     for e0, e1 in zip(rho_errs, rho_errs[1:]):
@@ -267,10 +297,10 @@ def test_psi_entry_and_sampled_en(parabolic):
 
 def test_sampled_en_converges_at_second_order(parabolic):
     # past 24 cells a side the sub-partition sums used to raise TooManyTerms;
-    # measured gaps 1.146e-4, 2.856e-5, 7.113e-6 (4.01 per halving)
+    # measured gaps 1.146e-4, 2.856e-5, 7.113e-6, 1.774e-6 (4.01 per halving)
     c, _ = parabolic
     gaps = []
-    for n in (20, 40, 80):
+    for n in (20, 40, 80, 160):
         part = uniform_partition(c, n)
         gaps.append(abs(en_sampled(part, 1.0, n // 2, quadratic)
                         - en_det(part, 1.0, n // 2, quadratic)))
@@ -358,17 +388,35 @@ def test_interface_solution_matches_transform_solver(parabolic, spec2):
     assert abs(a - b) <= 0.5 * part.max_width + 2e-3
 
 
-def test_interface_solution_is_cramer_ratio(parabolic):
-    # The band solve must equal the Cramer ratio det A_j / det A, which is
-    # i E_N / D_N in scaled determinants, node for node on the same contour.
-    c, _ = parabolic
-    part = uniform_partition(c, 48)
-    j, t = 18, 0.8
-    ks, ws = Contour.for_times([t], 1e-10).nodes()
-    acc = sum(w * (1j * en_det(part, k, j, quadratic) / dn_det(part, k)) * np.exp(-k**2 * t)
-              for k, w in zip(ks, ws))
-    ref = float((-acc / math.pi).real)
-    assert interface_solution(part, quadratic, j, t) == pytest.approx(ref, abs=1e-12)
+def _dense_numerator(part, k, j, q0):
+    """A_j(k) in the band order, unpacked from the band storage with column
+    ik g0[j] replaced by Y(k), as a 40-digit mpmath matrix."""
+    ks = np.array([complex(k)])
+    ab = _band(part, ks)[0]
+    n = ab.shape[1]
+    rows, cols = np.indices((n, n))
+    inside = np.abs(rows - cols) <= 2
+    dense = np.zeros((n, n), dtype=complex)
+    dense[inside] = ab[(_KL + _KU + rows - cols)[inside], cols[inside]]
+    profile = oracles._weighted_profile(part, q0)
+    dense[:, 2 * j - 1] = oracles._system_rhs(part, ks, *profile)[0].T.ravel()
+    return mpmath.matrix(dense.tolist())
+
+
+def test_en_det_matches_a_40_digit_determinant():
+    # E_N = (1/2) det A_j / prod Lambda_p^+ with the determinant of the same
+    # double matrix taken in 40 digits: the Cramer product -i D_N x_j of the
+    # band LU must agree to 1e-13 relative
+    rng = np.random.default_rng(23)
+    with mpmath.workdps(40):
+        for n_cells in (2, 3, 5, 8, 12):
+            part = _random_partition(rng, n_cells)
+            j = int(rng.integers(1, n_cells))
+            for k in (rng.uniform(0.5, 6.0), complex(rng.uniform(-6, 6), rng.uniform(-2, 2))):
+                det = mpmath.det(_dense_numerator(part, k, j, quadratic))
+                ref = complex(det / 2 / mpmath.fprod(mpmath.mpf(p) for p in part.plus))
+                got = en_det(part, k, j, quadratic)
+                assert abs(got - ref) <= 1e-13 * abs(ref), (n_cells, k)
 
 
 def test_crank_nicolson_benchmarks(parabolic, const1):
