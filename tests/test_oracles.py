@@ -24,7 +24,7 @@ from varheat.oracles import (
     psi_entry,
     uniform_partition,
 )
-from varheat.transform import Contour, delta_values
+from varheat.transform import delta_values
 from varheat.verify import CHEBFUN_VALUES as CHEBFUN
 
 from conftest import partitions, quadratic, sine, wavenumbers
