@@ -15,13 +15,7 @@ from .coefficients import (
     log_derivative,
     make_conductivity,
 )
-from .simplex import (
-    SeriesSpec,
-    regularized_series_sum,
-    regularized_simplex_integral,
-    series_sum,
-    simplex_integral,
-)
+from .simplex import SeriesSpec, simplex_terms
 
 __version__ = "0.1.0"
 
@@ -33,9 +27,6 @@ __all__ = [
     "build_travel_time",
     "load_sigma_table",
     "SeriesSpec",
-    "simplex_integral",
-    "regularized_simplex_integral",
-    "series_sum",
-    "regularized_series_sum",
+    "simplex_terms",
     "__version__",
 ]

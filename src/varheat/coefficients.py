@@ -177,11 +177,13 @@ def _validate_positive(sigma_fn, kind):
 
 
 def _check_xy(x, y, where, y_name):
-    """Validate (x, y) samples on [0, 1]: finite, x strictly increasing from 0 to 1."""
+    """Validate (x, y) samples on [0, 1]: finite, x increasing from 0 to 1 in
+    steps of at least 1e-12 (a narrower table panel underflows the travel-time
+    polynomial of :func:`build_travel_time` to NaN)."""
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise MalformedTable(f"{where}: x and {y_name} must be finite")
-    if np.any(np.diff(x) <= 0.0):
-        raise MalformedTable(f"{where}: abscissae not strictly increasing")
+    if np.any(np.diff(x) < 1e-12):
+        raise MalformedTable(f"{where}: abscissae must increase in steps of at least 1e-12")
     if abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12:
         raise MalformedTable(f"{where}: x must cover [0, 1] (got [{x[0]}, {x[-1]}])")
 
@@ -211,8 +213,8 @@ def _read_table(path, y_name):
 def load_sigma_table(path):
     """Read a two-column CSV of (x, sigma^2) samples.
 
-    The abscissae must be strictly increasing and cover [0, 1] exactly;
-    all sigma^2 values must be positive.
+    The abscissae must increase in steps of at least 1e-12 and cover
+    [0, 1] exactly; all sigma^2 values must be positive.
     """
     x, s2 = _read_table(path, "sigma^2")
     _check_table(x, s2, path)

@@ -193,8 +193,8 @@ def _validate(cfg: RunConfig):
 def named_profile(kind: str, table: str = ""):
     """Initial-profile evaluator by name: quadratic x(1-x), sine, or table.
 
-    A table is a CSV of finite 'x,q0' rows with x strictly increasing from 0
-    to 1; its evaluator is the PCHIP interpolant, whose knots are its ``x``.
+    A table is a CSV of finite 'x,q0' rows with x increasing from 0 to 1 in
+    steps of at least 1e-12; its evaluator is the PCHIP interpolant, whose knots are its ``x``.
     """
     if kind == "quadratic":
         return lambda x: x * (1.0 - x)

@@ -18,13 +18,13 @@ the upper half plane, because e^{ik tau(y)} sin(kA) splits into two
 exponentials of twice the even and twice the odd gaps, each of modulus
 <= 1.  The suffix terms S_n(y, 1; k) are the same recursion on the
 reflected profile sigma(1 - x), and S_n(a, b; k) the same recursion on the
-panels between a and b, with tau measured from a.  The solver and Delta_N
-(``transform``), the roots and the eigenfunctions (``spectrum``) and the
-scalar evaluators here (``simplex_integral`` and its siblings) all use it,
-on the panels of ``_grid``, whose count follows the rule of
-``_panel_count``: max(16, ceil(2 |k| tau(1) / 6)) panels, rounded up to a
-power of two, so that each panel carries at most 6 rad of the kernel phase
-2|k| tau, and no more than 2^16.  One rule cuts every grid: its
+panels from a on, with tau measured from a, read at every upper limit b.
+The solver and Delta_N (``transform``), the roots (``spectrum``) and the
+one public evaluator here, ``simplex_terms``, which the eigenfunctions
+call at a = 0, all use it, on the panels of ``_grid``, whose count follows
+the rule of ``_panel_count``: max(16, ceil(2 |k| tau(1) / 6)) panels,
+rounded up to a power of two, so that each panel carries at most 6 rad of
+the kernel phase 2|k| tau, and no more than 2^16.  One rule cuts every grid: its
 breakpoints are 0, 1, the knots of a tabulated sigma and the requested
 points, and each gap g between them is cut into ceil(g count) equal
 panels, none wider than 1/count.  A grid depends only on the profile, the
@@ -66,7 +66,7 @@ import copy
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -77,10 +77,7 @@ from .errors import DomainError, OrderTooHigh, ShiftTooSmall
 
 __all__ = [
     "SeriesSpec",
-    "simplex_integral",
-    "regularized_simplex_integral",
-    "series_sum",
-    "regularized_series_sum",
+    "simplex_terms",
     "term_bound",
     "abs_log_derivative_integral",
 ]
@@ -442,10 +439,13 @@ def _phase_const(tt, a, b, n):
 
 
 def _check_interval(a, b):
-    if not (0.0 <= a <= b <= 1.0) :
-        if a > b:
-            raise DomainError(f"interval must satisfy a <= b, got ({a}, {b})")
-        raise DomainError(f"interval must lie in [0, 1], got ({a}, {b})")
+    """Raise :class:`DomainError` unless 0 <= a <= b <= 1 for every b in ``b``."""
+    ends = np.ravel(b)
+    bad = ends[~((0.0 <= a) & (a <= ends) & (ends <= 1.0))]  # NaN fails too
+    if bad.size:
+        if a > bad[0]:
+            raise DomainError(f"interval must satisfy a <= b, got ({a}, {bad[0]})")
+        raise DomainError(f"interval must lie in [0, 1], got ({a}, {bad[0]})")
 
 
 def _check_regularized(k, shift, span):
@@ -498,62 +498,39 @@ def _tuple_sum(W, P, k, shift=None):
     return out
 
 
-def _interval_terms(c, tt, a, b, k, N, shift=None):
-    """S_n(a, b; k) for n <= N, or exp(ik*shift) S_n with a ``shift``: shape (N + 1,).
+def simplex_terms(c: Conductivity, tt: TravelTimeMap, a: float, b, k, spec: SeriesSpec,
+                  shift: float | None = None) -> np.ndarray:
+    """S_n(a, b; k) for n <= truncation_N, or exp(ik*shift) S_n with a ``shift``.
 
-    The recursion runs on the panels of :func:`_grid` for k with a and b
-    as points, taken between them; its last edge holds
-    e^{ik (tau(b) - tau(a))} S_n.  The plain value takes Im k < 0 through
-    S(-k) = -S(k) and is real for real k; the regularized one is checked by
-    :func:`_check_regularized`.  A NaN or infinite k raises :class:`DomainError`.
+    ``b`` is one upper limit, giving shape (N + 1,), or an array of them,
+    giving shape (N + 1,) + b.shape; every limit needs 0 <= a <= b <= 1
+    (else :class:`DomainError`).  All of them come from one prefix recursion
+    on the panels of :func:`_grid` for k with a and every b as points,
+    taken from a's edge to the last b edge and read at each b edge, where it
+    holds e^{ik (tau(b) - tau(a))} S_n.  S_n is odd in k and bounded by
+    :func:`term_bound`: the plain form takes Im k < 0 through
+    S(-k) = -S(k), and is real for real k.  For large Im k pass a shift:
+    it needs Im k >= 0 and a finite shift >= tau(b) - tau(a) for every b
+    (:func:`_check_regularized`), and every factor then stays bounded.  A
+    NaN or infinite k raises :class:`DomainError`.
     """
+    b = np.asarray(b, dtype=float)
     _check_interval(a, b)
     k, sign = complex(k), 1.0
     if not np.isfinite(k):
         raise DomainError(f"the simplex integrals need a finite wavenumber, got {k}")
-    span = float(tt.tau(b) - tt.tau(a))
+    if shift is None and k.imag < 0.0:
+        k, sign = -k, -1.0
+    grid, at = _grid(c, tt, _panel_count(k, tt.total), np.append(a, b))
+    i, ends = at[0], at[1:]
+    span = grid.tau_edges[ends] - grid.tau_edges[i]
     if shift is not None:
         _check_regularized(k, shift, span)
-    elif k.imag < 0.0:
-        k, sign = -k, -1.0
-    grid, (i, j) = _grid(c, tt, _panel_count(k, tt.total), (a, b))
-    edge = _prefix_series(grid.between(i, j), k, N, nodes=False)[:, -1, 0]
-    terms = sign * np.exp(1j * k * ((0.0 if shift is None else shift) - span)) * edge
-    return terms.real.astype(complex) if shift is None and k.imag == 0.0 else terms
-
-
-def simplex_integral(c: Conductivity, tt: TravelTimeMap, n: int, a: float, b: float,
-                     k, spec: SeriesSpec) -> complex:
-    """Evaluate S_n(a, b; k) by the prefix recursion.
-
-    Odd in k, real for real k, and bounded by :func:`term_bound`.  For
-    large Im k prefer :func:`regularized_simplex_integral`.
-    """
-    spec = replace(spec, truncation_N=n)
-    return complex(_interval_terms(c, tt, a, b, k, spec.truncation_N)[-1])
-
-
-def regularized_simplex_integral(c: Conductivity, tt: TravelTimeMap, n: int, a: float,
-                                 b: float, k, spec: SeriesSpec, shift: float) -> complex:
-    """Evaluate exp(ik*shift) * S_n(a, b; k) in overflow-safe form.
-
-    Requires Im k >= 0 and a finite shift >= tau(b) - tau(a); every
-    factor then stays bounded in the upper half k-plane.
-    """
-    spec = replace(spec, truncation_N=n)
-    return complex(_interval_terms(c, tt, a, b, k, spec.truncation_N, shift)[-1])
-
-
-def series_sum(c: Conductivity, tt: TravelTimeMap, a: float, b: float, k,
-               spec: SeriesSpec) -> complex:
-    """Partial sum over n <= truncation_N of the simplex integrals."""
-    return complex(_interval_terms(c, tt, a, b, k, spec.truncation_N).sum())
-
-
-def regularized_series_sum(c: Conductivity, tt: TravelTimeMap, a: float, b: float, k,
-                           spec: SeriesSpec, shift: float) -> complex:
-    """Regularized counterpart of :func:`series_sum` (same shift every term)."""
-    return complex(_interval_terms(c, tt, a, b, k, spec.truncation_N, shift).sum())
+    edges = _prefix_series(grid.between(i, ends.max(initial=i)), k, spec.truncation_N,
+                           nodes=False)[:, ends - i, 0]
+    terms = sign * np.exp(1j * k * ((0.0 if shift is None else shift) - span)) * edges
+    terms = terms.real if shift is None and k.imag == 0.0 else terms
+    return terms.reshape(terms.shape[:1] + b.shape)
 
 
 def abs_log_derivative_integral(c: Conductivity, a: float, b: float) -> float:

@@ -21,8 +21,9 @@ Eigenfunctions are evaluated from the explicit series
 normalized to unit L^2 norm.  The sign needs no choice: the n = 0 term
 S_0(0, x; kappa) = sin(kappa tau(x)) has slope kappa / sigma(0) > 0 at
 x = 0, and every S_n with n >= 1 is O(x^(n+1)) there, so X_m'(0) > 0 at
-every N.  Every term of the series is evaluated at the mode's own root
-kappa_m, for all x at once by the prefix recursion
+every N.  The evaluator is ``simplex.simplex_terms`` at a = 0 and the
+mode's own root kappa_m, summed over n, with sigma(x) taken from the
+profile: every term for all x at once, by the prefix recursion
 ``simplex._prefix_series`` that the solver also uses, on the panels of
 ``simplex._grid`` with the solver's rule ``simplex._panel_count``:
 max(16, ceil(2 kappa_m tau(1) / 6)) composite 12-node Gauss panels rounded
@@ -49,7 +50,7 @@ import numpy as np
 
 from .coefficients import Conductivity, TravelTimeMap
 from .errors import DomainError, NoConvergence, RootMissed
-from .simplex import SeriesSpec, _grid, _grid_groups, _panel_count, _prefix_series
+from .simplex import SeriesSpec, _grid, _grid_groups, _panel_count, _prefix_series, simplex_terms
 # build_term_tables is not called here; it stays bound as
 # spectrum.build_term_tables for benchmarks/test_benchmark.py, which checks
 # that the tracer rebinds it.
@@ -178,9 +179,10 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
     for modes 1-8 of ``parabolic24``, ``rational9000`` and a 33-knot
     tabulated profile.  Unit L^2 norm, taken on the panel grid
     without the evaluated x, which the roots and every mode with the same
-    panel count share through ``tt.grids``; the evaluator's grid, which
-    the x cut, is shared by every mode evaluated at the same x.  sigma
-    comes off the grids.  The scale is positive and fixes the sign:
+    panel count share through ``tt.grids``.  The evaluator is
+    scale * sum_n ``simplex_terms(c, tt, 0, x, kappa, spec)`` /
+    sqrt(sigma(x)); its grid, which the x cut, is shared by every mode
+    evaluated at the same x.  The scale is positive and fixes the sign:
     S_0(0, x; kappa) = sin(kappa tau(x)) has slope kappa / sigma(0) > 0 at
     x = 0 and each S_n with n >= 1 is O(x^(n+1)) there, so X'(0) > 0 at
     every N.  The series
@@ -195,12 +197,9 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
     if pair.truncation_N != spec.truncation_N:
         raise DomainError("pair was produced with a different truncation")
     kappa = pair.kappa
-    N = spec.truncation_N
-    count = _panel_count(kappa, tt.total)
-
-    panels = _grid(c, tt, count)[0]
+    panels = _grid(c, tt, _panel_count(kappa, tt.total))[0]
     # R = e^{i kappa tau} sum_{n<=N} S_n(0, .; kappa) at the nodes; |R| = |S| for real kappa
-    nodes = _prefix_series(panels, kappa, N)[0].sum(axis=0)[..., 0]
+    nodes = _prefix_series(panels, kappa, spec.truncation_N)[0].sum(axis=0)[..., 0]
     norm_sq = float(np.sum(panels.wts * np.abs(nodes) ** 2 / panels.sigma))
     if norm_sq <= 0.0:
         raise NoConvergence("eigenfunction has zero norm")
@@ -208,12 +207,7 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
 
     def evaluator(x):
         x = np.asarray(x, dtype=float)
-        flat = x.ravel()
-        # S = Re(e^{-i kappa tau} R) at the x, which are edges of their grid
-        grid, at = _grid(c, tt, count, flat)
-        at_x = _prefix_series(grid, kappa, N, nodes=False).sum(axis=0)[at, 0]
-        series = (np.exp(-1j * kappa * grid.tau_edges[at]) * at_x).real
-        vals = scale * series / np.sqrt(grid.sigma_edges[at])
-        return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
+        vals = scale * simplex_terms(c, tt, 0.0, x, kappa, spec).sum(axis=0) / np.sqrt(c.sigma(x))
+        return float(vals) if x.ndim == 0 else vals
 
     return Eigenfunction(pair=pair, evaluator=evaluator, normalization=scale)

@@ -49,8 +49,8 @@ operations accept the truncation via :class:`~varheat.simplex.SeriesSpec`.
 Delta_N is evaluated for arrays of wavenumbers by :func:`delta_values`, on
 the same recursion: e^{-ik tau(1)} times the y = 1 edge of the left series,
 the value whose regularized form :func:`solve_grid` divides by.  Its
-pointwise form is :func:`~varheat.simplex.series_sum` over (0, 1), on the
-same recursion and panels.
+pointwise form is the sum of :func:`~varheat.simplex.simplex_terms` over
+(0, 1), on the same recursion and panels.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ def _check_quadrature(cont, integrand, weighted, ts, tol):
     rate = cont.s**2 * (1.0 - math.tan(_DELTA) ** 2) * math.sinh(2.0 * end_u)
     tail = f_end.max(axis=0) / (math.pi * ts * rate)
     worst = int(np.argmax(tail))
-    if tail[worst] > tol:
+    if not tail[worst] <= tol:  # NaN too
         raise TailTooLarge(
             f"truncation bound {tail[worst]:.2e} at t={ts[worst]:g} exceeds "
             f"{tol:.2e}; extend the contour end (or loosen tail_tol)"
@@ -304,7 +304,7 @@ def _check_quadrature(cont, integrand, weighted, ts, tol):
     gap = np.abs(integrand @ weighted - halved).max(axis=0) / math.pi
     disc = gap * math.exp(-math.pi * _DELTA / cont.step)
     worst = int(np.argmax(disc))
-    if disc[worst] > tol:
+    if not disc[worst] <= tol:
         raise ToleranceNotReached(
             f"trapezoid error estimate {disc[worst]:.2e} at t={ts[worst]:g} "
             f"exceeds {tol:.2e}; refine the contour step (or loosen tail_tol)"
@@ -366,7 +366,7 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
     # |regDelta| is mirror invariant, so the half decides the check.
     dscale = np.abs(regD[N])
     floor = _DENOMINATOR_FLOOR * max(1.0, float(dscale.max()))
-    if float(dscale.min()) < floor:
+    if not dscale.min() >= floor:  # NaN too
         raise DenominatorNearZero(
             "contour passes within the floor of a characteristic zero; "
             "raise its vertex s tan(delta)"

@@ -23,7 +23,7 @@ from varheat.oracles import (
     fd_eigenvalues,
     uniform_partition,
 )
-from varheat.simplex import simplex_integral, term_bound
+from varheat.simplex import simplex_terms, term_bound
 from varheat.spectrum import eigenfunction, find_eigenvalues
 from varheat.transform import delta_values, solve_grid
 from varheat.verify import CHEBFUN_VALUES as CHEBFUN
@@ -223,8 +223,9 @@ def test_criterion_8_series_term_bound(parabolic, rational, const1):
     for c, tt in (parabolic, rational, const1):
         for a, b in intervals:
             for k in ks:
+                terms = simplex_terms(c, tt, a, b, k, spec)
                 for n in range(4):
-                    v = abs(simplex_integral(c, tt, n, a, b, k, spec))
+                    v = abs(terms[n])
                     bnd = term_bound(c, tt, n, a, b, k)
                     if bnd > 0:
                         worst_excess = max(worst_excess, v / bnd)

@@ -111,11 +111,17 @@ def test_malformed_arrays():
         (np.array([0.0, 0.2, np.nan, 0.8, 1.0]), np.ones(5)),   # NaN abscissa
         (x, np.array([1.0, np.inf, 1.0, 1.0, 1.0])),    # infinite sigma^2
         (x, np.array([1.0, 1.0, np.nan, 1.0, 1.0])),    # NaN sigma^2
+        # a step under 1e-12: the travel-time polynomial of a table panel
+        # divides by width**16, which underflows from a width of 1e-22 on,
+        # and tau(0), Delta_N and the solve were NaN for this table
+        (np.array([0.0, 1e-30, 0.5, 1.0]), np.array([1.0, 1.0, 1.2, 1.0])),
     ):
         with pytest.raises(MalformedTable):
             make_conductivity("tabulated", x=bad_x, sigma_sq=s2)
     c = make_conductivity("tabulated", x=x, sigma_sq=np.ones(5))
     assert np.array_equal(c.params["knots"], x)
+    c = make_conductivity("tabulated", x=[0.0, 1e-12, 0.5, 1.0], sigma_sq=[1.0, 1.0, 1.2, 1.0])
+    assert np.all(np.isfinite(build_travel_time(c).tau([0.0, 1e-12, 0.5, 1.0])))
 
 
 @pytest.mark.parametrize("params, missing", [

@@ -278,6 +278,7 @@ BAD_TABLES = {
     "non-finite": "0,1\n0.5,nan\n0.7,1\n1,1\n",
     "disordered": "0,1\n0.5,1\n0.4,1\n1,1\n",
     "partial": "0.1,1\n0.5,1\n0.7,1\n1,1\n",
+    "close-abscissae": "0,1\n1e-30,1\n0.5,1.2\n1,1\n",
 }
 
 

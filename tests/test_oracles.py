@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 
 from varheat import SeriesSpec, make_conductivity, oracles
-from varheat.errors import DomainError, NoConvergence, SingularPartition, TooManyTerms
+from varheat.errors import (
+    DenominatorNearZero,
+    DomainError,
+    NoConvergence,
+    SingularPartition,
+    TooManyTerms,
+)
 from varheat.oracles import _KL, _KU, _band, _fd_operator, _switch_sums, _tridiag_eigs_top
 from varheat.oracles import (
     InterfacePartition,
@@ -171,7 +177,8 @@ def test_every_prefix_and_suffix_sum_is_exact():
     # psi takes its prefix sums from one pass of the switch recursion and its
     # suffix sums from one pass on the reflected partition (times reversed,
     # ratios reversed and negated: without the negation they were 30% off);
-    # each must be the brute-force sum of its own sub-partition
+    # each must be the brute-force sum of its own sub-partition, in the row
+    # and in the public psi_entry, which is symmetric in (j, m)
     rng = np.random.default_rng(17)
     for _ in range(12):
         part = _random_partition(rng, int(rng.integers(2, 15)))
@@ -189,6 +196,27 @@ def test_every_prefix_and_suffix_sum_is_exact():
                            * np.prod(2.0 * s[lo - 1:hi] / part.plus[lo - 1:hi])
                            * prefix[lo - 1] * suffix[hi])
                     assert abs(row[m - 1] - ref) <= 1e-12 * max(1.0, abs(ref)), (N, j, m)
+                    entry = psi_entry(part, k, j, m)
+                    assert abs(entry - ref) <= 1e-12 * max(1.0, abs(ref)), (N, j, m)
+                    assert abs(entry - psi_entry(part, k, m, j)) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_exactly_singular_band_system(parabolic, monkeypatch):
+    # a zero column of A makes det A exactly 0: the band LU meets a zero
+    # pivot, so dn_det returns 0 and the solves that divide by det A raise
+    part = uniform_partition(parabolic[0], 6)
+
+    def singular(part, ks):
+        ab = _band(part, ks)
+        ab[:, :, 5] = 0.0
+        return ab
+
+    monkeypatch.setattr(oracles, "_band", singular)
+    assert dn_det(part, 1.3) == 0.0
+    with pytest.raises(DenominatorNearZero, match="det A vanished"):
+        en_det(part, 1.3, 2, quadratic)
+    with pytest.raises(DenominatorNearZero, match="det A vanished"):
+        interface_solution(part, quadratic, 2, 1.0)
 
 
 def test_switchform_validation(parabolic):

@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varheat import SeriesSpec, make_conductivity, build_travel_time, simplex
 from varheat.errors import DomainError, OrderTooHigh, ShiftTooSmall
@@ -11,10 +14,7 @@ from varheat.simplex import (
     _prefix_series,
     abs_log_derivative_integral,
     build_term_tables,
-    regularized_series_sum,
-    regularized_simplex_integral,
-    series_sum,
-    simplex_integral,
+    simplex_terms,
     term_bound,
 )
 from varheat.spectrum import find_eigenvalues
@@ -58,25 +58,25 @@ def test_spec_orders_are_integers_and_tol_finite(parabolic):
 def test_order0_is_sine_of_travel_time(parabolic, spec3):
     c, tt = parabolic
     for k in (0.5, 1.0, 3.7):
-        v = simplex_integral(c, tt, 0, 0.0, 1.0, k, spec3)
+        v = simplex_terms(c, tt, 0.0, 1.0, k, spec3)[0]
         assert v == pytest.approx(math.sin(k * PARABOLIC_TAU_TOTAL), abs=1e-10)
 
 
 def test_order1_vanishes_for_constant(const1, spec3):
     c, tt = const1
-    assert simplex_integral(c, tt, 1, 0.2, 0.9, 1.7, spec3) == 0.0
+    assert simplex_terms(c, tt, 0.2, 0.9, 1.7, spec3)[1] == 0.0
 
 
 def test_order1_against_adaptive_oracle(parabolic, spec3):
     c, tt = parabolic
-    v = simplex_integral(c, tt, 1, 0.0, 1.0, 1.0, spec3)
+    v = simplex_terms(c, tt, 0.0, 1.0, 1.0, spec3)[1]
     assert v.imag == 0.0
     assert v.real == pytest.approx(S1_PARABOLIC_K1, abs=1e-8)
 
 
 def test_order2_against_dblquad_oracle(parabolic, spec3):
     c, tt = parabolic
-    v = simplex_integral(c, tt, 2, 0.0, 1.0, 2.0, spec3)
+    v = simplex_terms(c, tt, 0.0, 1.0, 2.0, spec3)[2]
     assert v.real == pytest.approx(S2_PARABOLIC_K2, abs=1e-9)
 
 
@@ -84,17 +84,22 @@ def test_domain_and_order_errors(parabolic, spec3):
     # the tuples refuse an order past their limit; the recursion has none
     c, tt = parabolic
     with pytest.raises(DomainError):
-        simplex_integral(c, tt, 1, 0.7, 0.2, 1.0, spec3)
+        simplex_terms(c, tt, 0.7, 0.2, 1.0, spec3)
     with pytest.raises(DomainError):
         tuple_terms(c, tt, 0.7, 0.2, 1.0, 1)
+    # every upper limit is checked
+    for b, match in (([0.3, 1.5, 0.6], r"\[0, 1\]"), ([0.3, math.nan], r"\[0, 1\]"),
+                     ([[0.5], [0.1]], "a <= b")):
+        with pytest.raises(DomainError, match=match):
+            simplex_terms(c, tt, 0.2, np.array(b), 1.0, spec3)
     for bad in (math.nan, math.inf, complex(1.0, math.nan)):
         with pytest.raises(DomainError, match="finite wavenumber"):
-            simplex_integral(c, tt, 1, 0.2, 0.7, bad, spec3)
+            simplex_terms(c, tt, 0.2, 0.7, bad, spec3)
         with pytest.raises(DomainError, match="finite wavenumber"):
-            regularized_series_sum(c, tt, 0.2, 0.7, bad, spec3, tt.total)
+            simplex_terms(c, tt, 0.2, 0.7, bad, spec3, shift=tt.total)
     with pytest.raises(OrderTooHigh):
         tuple_terms(c, tt, 0.0, 1.0, 1.0, 7)
-    v = simplex_integral(c, tt, 7, 0.0, 1.0, 1.0, spec3)
+    v = simplex_terms(c, tt, 0.0, 1.0, 1.0, SeriesSpec(truncation_N=7))[7]
     assert abs(v) < term_bound(c, tt, 7, 0.0, 1.0, 1.0)
 
 
@@ -108,22 +113,22 @@ def test_oddness_and_reality(parabolic, rational, spec2):
     for fixture in (parabolic, rational):
         c, tt = fixture
         for k in (0.7, 2.3, 1.0 + 0.5j, 4.0 - 1.0j):
-            plus = series_sum(c, tt, 0.0, 1.0, k, spec2)
-            minus = series_sum(c, tt, 0.0, 1.0, -k, spec2)
+            plus = simplex_terms(c, tt, 0.0, 1.0, k, spec2).sum()
+            minus = simplex_terms(c, tt, 0.0, 1.0, -k, spec2).sum()
             assert abs(plus + minus) < 1e-12 * max(1.0, abs(plus))
         for k in (0.9, 3.1):
-            assert abs(series_sum(c, tt, 0.1, 0.8, k, spec2).imag) < 1e-12
+            assert abs(simplex_terms(c, tt, 0.1, 0.8, k, spec2).sum().imag) < 1e-12
 
 
 def test_empty_interval(parabolic, spec3):
     c, tt = parabolic
-    assert series_sum(c, tt, 0.4, 0.4, 2.0, spec3) == 0.0
+    assert simplex_terms(c, tt, 0.4, 0.4, 2.0, spec3).sum() == 0.0
 
 
 def test_series_constant_sigma_reduces_to_sine(const2, spec3):
     c, tt = const2
     for k in (1.0, 2.5 + 0.3j):
-        v = series_sum(c, tt, 0.0, 1.0, k, spec3)
+        v = simplex_terms(c, tt, 0.0, 1.0, k, spec3).sum()
         assert v == pytest.approx(np.sin(k * 0.5), abs=1e-12)
 
 
@@ -132,7 +137,7 @@ def test_term_decay_consistent_with_factorial_bound(parabolic, spec3):
     k = 2.0
     integral = abs_log_derivative_integral(c, 0.0, 1.0)
     assert integral == pytest.approx(math.log(1.5), abs=1e-10)
-    values = [abs(simplex_integral(c, tt, n, 0.0, 1.0, k, spec3)) for n in range(4)]
+    values = list(np.abs(simplex_terms(c, tt, 0.0, 1.0, k, spec3)))
     bounds = [term_bound(c, tt, n, 0.0, 1.0, k) for n in range(4)]
     for v, b in zip(values, bounds):
         assert v <= b + 1e-12
@@ -148,8 +153,9 @@ def test_term_bound_matrix(parabolic, rational, const1):
     for c, tt in (parabolic, rational, const1):
         for a, b in intervals:
             for k in ks:
+                terms = simplex_terms(c, tt, a, b, k, spec)
                 for n in range(4):
-                    v = abs(simplex_integral(c, tt, n, a, b, k, spec))
+                    v = abs(terms[n])
                     assert v <= term_bound(c, tt, n, a, b, k) * (1 + 1e-12) + 1e-300
 
 
@@ -164,20 +170,20 @@ def test_quadrature_convergence_on_doubling(parabolic):
 
 def test_regularized_closed_form_constant(const1, spec3):
     c, tt = const1
-    v = regularized_simplex_integral(c, tt, 0, 0.0, 1.0, 10j, spec3, shift=1.0)
+    v = simplex_terms(c, tt, 0.0, 1.0, 10j, spec3, shift=1.0)[0]
     assert v == pytest.approx(0.5j * (1.0 - math.exp(-20.0)), abs=1e-14)
-    assert regularized_simplex_integral(c, tt, 1, 0.0, 1.0, 2j, spec3, shift=1.0) == 0.0
+    assert simplex_terms(c, tt, 0.0, 1.0, 2j, spec3, shift=1.0)[1] == 0.0
 
 
 def test_regularized_matches_plain_at_moderate_k(parabolic, spec3):
     c, tt = parabolic
     k = 5.0 * np.exp(1j * np.pi / 8)
     shift = tt.total
-    reg = regularized_simplex_integral(c, tt, 2, 0.0, 1.0, k, spec3, shift)
-    plain = np.exp(1j * k * shift) * simplex_integral(c, tt, 2, 0.0, 1.0, k, spec3)
-    assert abs(reg - plain) < 1e-10
-    sreg = regularized_series_sum(c, tt, 0.0, 1.0, k, spec3, shift)
-    splain = np.exp(1j * k * shift) * series_sum(c, tt, 0.0, 1.0, k, spec3)
+    reg = simplex_terms(c, tt, 0.0, 1.0, k, spec3, shift=shift)
+    plain = np.exp(1j * k * shift) * simplex_terms(c, tt, 0.0, 1.0, k, spec3)
+    assert abs(reg[2] - plain[2]) < 1e-10
+    sreg = reg.sum()
+    splain = plain.sum()
     assert abs(sreg - splain) < 1e-10
 
 
@@ -196,7 +202,7 @@ def _finer_recursion(c, tt, a, b, k, N, factor, shift=None):
 def test_regularized_stays_bounded_high_up(parabolic, spec2):
     c, tt = parabolic
     k = 200j  # plain path would overflow: exp(Im k * tau) ~ exp(600)
-    v = regularized_series_sum(c, tt, 0.0, 1.0, k, spec2, tt.total)
+    v = simplex_terms(c, tt, 0.0, 1.0, k, spec2, shift=tt.total).sum()
     assert np.isfinite(v.real) and np.isfinite(v.imag)
     assert abs(v) < 10.0
     # resolved there: the recursion on 32x the panels agrees, term by term
@@ -205,35 +211,37 @@ def test_regularized_stays_bounded_high_up(parabolic, spec2):
     shift = float(tt.tau(0.4))
     for k in (200j, 3.0 + 300j):
         ref = _finer_recursion(c, tt, 0.0, 0.4, k, 2, 32, shift)
+        terms = simplex_terms(c, tt, 0.0, 0.4, k, spec2, shift=shift)
         for n in range(3):
-            v = regularized_simplex_integral(c, tt, n, 0.0, 0.4, k, spec2, shift)
+            v = terms[n]
             assert abs(v - ref[n]) <= 1e-13 * abs(ref[n]), (n, k)
-        v = regularized_series_sum(c, tt, 0.0, 0.4, k, spec2, shift)
+        v = terms.sum()
         assert abs(v - ref.sum()) <= 1e-13 * abs(ref.sum()), k
 
 
 def test_shift_too_small(parabolic, spec3):
     c, tt = parabolic
     with pytest.raises(ShiftTooSmall):
-        regularized_simplex_integral(c, tt, 1, 0.0, 1.0, 1j, spec3,
-                                     shift=0.5 * tt.total)
+        simplex_terms(c, tt, 0.0, 1.0, 1j, spec3, shift=0.5 * tt.total)
+    with pytest.raises(ShiftTooSmall):  # the shift must reach the largest span
+        simplex_terms(c, tt, 0.0, [0.2, 1.0], 1j, spec3, shift=0.5 * tt.total)
     with pytest.raises(DomainError):
-        regularized_simplex_integral(c, tt, 1, 0.0, 1.0, -1j, spec3,
-                                     shift=2.0 * tt.total)
+        simplex_terms(c, tt, 0.0, 1.0, -1j, spec3, shift=2.0 * tt.total)
 
 
 @pytest.mark.parametrize("shift", [math.nan, math.inf])
 @pytest.mark.parametrize("entry", ["simplex_integral", "series_sum", "term_table"])
 def test_regularized_rejects_non_finite_shift(parabolic, spec2, entry, shift):
     # NaN fails the shift >= span comparison, and an infinite shift makes
-    # exp(ik shift) meaningless, so both must raise rather than return NaN
+    # exp(ik shift) meaningless, so both must raise rather than return NaN,
+    # for one term, for the sum of the terms and for the tuples
     c, tt = parabolic
     k = 1.0 + 1.0j
     with pytest.raises(DomainError, match="finite shift"):
         if entry == "simplex_integral":
-            regularized_simplex_integral(c, tt, 1, 0.0, 1.0, k, spec2, shift)
+            simplex_terms(c, tt, 0.0, 1.0, k, spec2, shift=shift)[1]
         elif entry == "series_sum":
-            regularized_series_sum(c, tt, 0.0, 1.0, k, spec2, shift)
+            simplex_terms(c, tt, 0.0, 1.0, k, spec2, shift=shift).sum()
         else:
             build_term_tables(c, tt, 0.0, 1.0, spec2)[1].eval_regularized(k, shift)
 
@@ -280,23 +288,22 @@ def test_public_functions_match_tuples(profile, spec3, request):
         span = float(tt.tau(b) - tt.tau(a))
         for k in PUBLIC_KS:
             ref = tuple_terms(c, tt, a, b, k, 3, quad_order=64)
-            got = [simplex_integral(c, tt, n, a, b, k, spec3) for n in range(4)]
+            got = simplex_terms(c, tt, a, b, k, spec3)
             scale = np.maximum(1.0, np.abs(ref))
             assert np.all(np.abs(got - ref) <= 1e-13 * scale), (a, b, k)
-            total = series_sum(c, tt, a, b, k, spec3)
+            total = got.sum()
             assert abs(total - ref.sum()) <= 1e-13 * max(1.0, abs(ref.sum())), (a, b, k)
             if k.imag >= 0.0:
                 reg = np.exp(1j * k * span) * ref
-                got = [regularized_simplex_integral(c, tt, n, a, b, k, spec3, span)
-                       for n in range(4)]
+                got = simplex_terms(c, tt, a, b, k, spec3, shift=span)
                 assert np.all(np.abs(got - reg) <= 1e-13 * scale), (a, b, k)
-                total = regularized_series_sum(c, tt, a, b, k, spec3, span)
+                total = got.sum()
                 assert abs(total - reg.sum()) <= 1e-13 * max(1.0, abs(reg.sum())), (a, b, k)
 
 
 @pytest.mark.parametrize("profile", ["table33", "rational"])
 def test_simplex_integral_resolved_on_random_intervals(profile, spec3, request):
-    # the tuples straddle table knots; simplex_integral agrees with the
+    # the tuples straddle table knots; simplex_terms agrees with the
     # recursion on 8x the panels on any interval, for complex k on both
     # sides of the real axis
     c = (exp_sine_profile(33, (0.2, -0.1, 0.05), (0.3, 1.9, 4.0)) if profile == "table33"
@@ -307,8 +314,9 @@ def test_simplex_integral_resolved_on_random_intervals(profile, spec3, request):
         a, b = np.sort(rng.uniform(0.0, 1.0, 2))
         k = complex(*rng.uniform((-30.0, -3.0), (30.0, 3.0)))
         ref = _finer_recursion(c, tt, a, b, k, 3, 8)
+        terms = simplex_terms(c, tt, a, b, k, spec3)
         for n in range(4):
-            v = simplex_integral(c, tt, n, a, b, k, spec3)
+            v = terms[n]
             assert abs(v - ref[n]) <= 1e-13 * max(1.0, abs(ref[n])), (n, a, b, k)
 
 
@@ -319,11 +327,65 @@ def test_public_functions_build_no_term_tables(parabolic, spec2, monkeypatch):
     monkeypatch.setattr(simplex, "build_term_tables", refuse)
     c, tt = parabolic
     k, shift = 2.0 + 1.0j, tt.total
-    values = (simplex_integral(c, tt, 2, 0.1, 0.9, k, spec2),
-              regularized_simplex_integral(c, tt, 2, 0.1, 0.9, k, spec2, shift),
-              series_sum(c, tt, 0.1, 0.9, k, spec2),
-              regularized_series_sum(c, tt, 0.1, 0.9, k, spec2, shift))
+    values = (simplex_terms(c, tt, 0.1, 0.9, k, spec2),
+              simplex_terms(c, tt, 0.1, 0.9, k, spec2, shift=shift))
     assert np.all(np.isfinite(values))
+
+
+@functools.cache
+def _terms_profile(name):
+    c = (exp_sine_profile(33, (0.2, -0.1, 0.05), (0.3, 1.9, 4.0)) if name == "table33"
+         else make_conductivity(name))
+    return c, build_travel_time(c)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["parabolic24", "rational9000", "table33"]),
+       points=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=9),
+       k=st.builds(complex, st.floats(-1.0, 1.0), st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+       shifted=st.booleans())
+def test_batched_upper_limits_match_one_call_each(name, points, k, shifted):
+    # every b read off one recursion agrees with a call for that b alone:
+    # the batched grid is cut at every b, so it is another quadrature of
+    # the same fineness, and the two agree to roundoff.  The plain form
+    # takes |Re k| <= 12, |Im k| <= 1; further out the two grids differ by
+    # the panel rule's own error, which the plain form scales by
+    # e^{|Im k| span} (9.6e-13 in S_2 of rational9000 at k = 29.6 - 0.89i).
+    # The shifted form takes |Re k| <= 30 and Im k up to 40.
+    c, tt = _terms_profile(name)
+    a, *b = sorted(points)
+    shift = None
+    if shifted:
+        k, shift = complex(30.0 * k.real, 40.0 * abs(k.imag)), tt.total
+    else:
+        k = complex(12.0 * k.real, k.imag)
+    spec = SeriesSpec(truncation_N=3)
+    batched = simplex_terms(c, tt, a, np.array(b), k, spec, shift=shift)
+    assert batched.shape == (4, len(b))
+    for j, end in enumerate(b):
+        one = simplex_terms(c, tt, a, end, k, spec, shift=shift)
+        assert np.all(np.abs(batched[:, j] - one) <= 1e-13 * np.maximum(1.0, np.abs(one))), end
+
+
+def test_simplex_terms_shapes_types_and_one_recursion(parabolic, spec2, monkeypatch):
+    # terms first, then the shape of b; real only for real k without a
+    # shift; every upper limit from one recursion call
+    c, tt = parabolic
+    calls = []
+    recursion = simplex._prefix_series
+    monkeypatch.setattr(simplex, "_prefix_series",
+                        lambda *args, **kwargs: calls.append(args[1]) or recursion(*args, **kwargs))
+    b = np.linspace(0.1, 0.9, 12).reshape(3, 4)
+    for k, shift, dtype in ((1.3, None, float), (-1.3, None, float), (1.3 + 0.1j, None, complex),
+                            (-2.0 - 1.0j, None, complex), (1.3, tt.total, complex)):
+        terms = simplex_terms(c, tt, 0.05, b, k, spec2, shift=shift)
+        assert terms.shape == (3, 3, 4) and terms.dtype == dtype, (k, shift)
+        assert terms[:, 1, 2] == pytest.approx(
+            simplex_terms(c, tt, 0.05, b[1, 2], k, spec2, shift=shift), rel=1e-13, abs=1e-13)
+    assert len(calls) == 10  # one per call above
+    assert simplex_terms(c, tt, 0.05, 0.5, 1.3, spec2).shape == (3,)
+    assert simplex_terms(c, tt, 0.05, np.array([]), 1.3, spec2).shape == (3, 0)
+    assert simplex_terms(c, tt, 0.05, np.empty((2, 0)), 1j, spec2, shift=1.0).shape == (3, 2, 0)
 
 
 def _einsum_sweep(tab, ks, shift):
@@ -516,15 +578,15 @@ def test_panel_count_ceiling_refuses_before_building(parabolic, spec2, monkeypat
     with pytest.raises(DomainError, match=refused):
         delta_values(c, tt, [1.001 * limit], spec2)
     with pytest.raises(DomainError, match=refused):
-        simplex_integral(c, tt, 2, 0.0, 1.0, 1e9, spec2)
+        simplex_terms(c, tt, 0.0, 1.0, 1e9, spec2)
     with pytest.raises(DomainError, match=refused):
-        regularized_series_sum(c, tt, 0.0, 0.5, 1e9j, spec2, tt.total)
+        simplex_terms(c, tt, 0.0, 0.5, 1e9j, spec2, shift=tt.total)
     with pytest.raises(DomainError, match=refused):
         solve_grid(c, tt, lambda x: x * (1.0 - x), [0.5], [1.0], spec2, contour=far)
 
 
 @pytest.mark.parametrize("call, outcome", [
-    (lambda c, tt: simplex_integral(c, tt, 2, 0.0, 1.5, 1.0, SeriesSpec()), DomainError),
+    (lambda c, tt: simplex_terms(c, tt, 0.0, 1.5, 1.0, SeriesSpec()), DomainError),
     (lambda c, tt: abs_log_derivative_integral(c, 0.4, 0.4), 0.0),
 ], ids=["b-past-1", "empty-interval"])
 def test_interval_edge_cases(parabolic, call, outcome):

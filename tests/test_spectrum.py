@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from varheat import SeriesSpec, build_travel_time, make_conductivity, simplex, spectrum, transform
 from varheat.errors import DomainError, NoConvergence
 from varheat.oracles import fd_eigenvalues
-from varheat.simplex import _grid, _prefix_series, simplex_integral
+from varheat.simplex import _grid, _prefix_series, simplex_terms
 from varheat.spectrum import eigenfunction, find_eigenvalues
 from varheat.transform import delta_values
 from varheat.verify import TABLE1_VALUES as TABLE
@@ -243,7 +243,8 @@ def test_eigenfunctions_resolved_by_panel_rule(parabolic, rational, spec2, monke
         pairs = find_eigenvalues(c, tt, spec2, 8)
         got = [eigenfunction(c, tt, pair, spec2)(xs) for pair in pairs]
         with monkeypatch.context() as patch:
-            patch.setattr(spectrum, "_panel_count", lambda k, total: 2048)
+            for module in (spectrum, simplex):  # the norm and the values
+                patch.setattr(module, "_panel_count", lambda k, total: 2048)
             ref = [eigenfunction(c, tt, pair, spec2)(xs) for pair in pairs]
         assert np.max(np.abs(np.subtract(got, ref))) <= 1e-14, c.kind
 
@@ -344,16 +345,11 @@ def test_ode_residual_equals_truncation_tail(parabolic, spec2):
     mu = dsig / sig
     sig_pp = (-1.0 / 3.0 - 2.0 * dsig**2) / (2.0 * sig)  # (sigma^2)'' = -1/3
     mu_p = sig_pp / sig - mu**2
-    F1 = np.array([simplex_integral(c, tt, 1, 0.0, float(x), pair.kappa, spec2).real
-                   for x in interior])
-    F2 = np.array([simplex_integral(c, tt, 2, 0.0, float(x), pair.kappa, spec2).real
-                   for x in interior])
+    _, F1, F2 = simplex_terms(c, tt, 0.0, interior, pair.kappa, spec2)
     # recover the signed normalization from one probe point
     x0 = 0.5
-    raw = (math.sin(pair.kappa * tt.tau(x0))
-           + simplex_integral(c, tt, 1, 0.0, x0, pair.kappa, spec2).real
-           + simplex_integral(c, tt, 2, 0.0, x0, pair.kappa, spec2).real
-           ) / math.sqrt(c.sigma(x0))
+    _, G1, G2 = simplex_terms(c, tt, 0.0, x0, pair.kappa, spec2)
+    raw = (math.sin(pair.kappa * tt.tau(x0)) + G1 + G2) / math.sqrt(c.sigma(x0))
     scale = float(ef(np.array([x0]))[0]) / raw
     tail = -scale * sig**1.5 * ((mu_p + mu**2) / 2.0 * F2 + (mu**2 / 4.0) * (F1 + F2))
     assert np.max(np.abs(resid - tail)) < 5e-5

@@ -16,7 +16,7 @@ from varheat.errors import (
     ToleranceNotReached,
 )
 from varheat.oracles import fourier_solution
-from varheat.simplex import _prefix_series, series_sum, term_bound
+from varheat.simplex import _prefix_series, simplex_terms, term_bound
 from varheat.transform import (
     Contour,
     _phi_batch,
@@ -61,11 +61,12 @@ def test_delta_values_vectorized(parabolic, spec2):
 def test_delta_values_odd_real_and_resolved_by_panel_rule(c, k):
     # The tuples' Gauss rules straddle the knots of a tabulated sigma and
     # are off by up to 7.4e-4 there, so every drawn profile is checked
-    # against the same recursion on 8x the panels.  The pointwise
-    # series_sum over (0, 1) runs on the same recursion and panels.
+    # against the same recursion on 8x the panels.  The summed
+    # simplex_terms over (0, 1) run on the same recursion and panels.
     tt = build_travel_time(c)
     spec = SeriesSpec(truncation_N=2)
-    assert abs(series_sum(c, tt, 0.0, 1.0, k, spec) - delta_values(c, tt, k, spec)) <= 1e-13
+    assert abs(simplex_terms(c, tt, 0.0, 1.0, k, spec).sum()
+               - delta_values(c, tt, k, spec)) <= 1e-13
     ks = np.linspace(0.5, 10.0 * math.pi / tt.total, 7)
     vals = delta_values(c, tt, ks, spec)
     assert vals.dtype == float
@@ -282,6 +283,27 @@ def test_solve_half_sweep_matches_full_contour(profile, request, spec2):
     for j, t in enumerate(FIGURE2_TS):
         for i, s in enumerate(res[t]):
             assert abs(s.value - ref[i, j]) <= 1e-13, (t, s.x)
+
+
+@pytest.mark.parametrize("where, error", [
+    ("phi at the last node", TailTooLarge),
+    ("phi at an inner node", ToleranceNotReached),
+    ("regDelta", DenominatorNearZero),
+])
+def test_nan_transform_raises(parabolic, spec2, monkeypatch, where, error):
+    # NaN fails every comparison, so each a-posteriori check of the solve is
+    # written to fail on it: a NaN transform raises, never returns NaN
+    def nan_batch(*args):
+        phi, regD = _phi_batch(*args)
+        if where == "regDelta":
+            regD[:] = math.nan
+        else:
+            phi[..., -1 if where == "phi at the last node" else 1] = math.nan
+        return phi, regD
+
+    monkeypatch.setattr(transform, "_phi_batch", nan_batch)
+    with pytest.raises(error):
+        solve_grid(*parabolic, quadratic, [0.5], [1.0], spec2)
 
 
 def test_solve_sweeps_half_the_contour(parabolic, spec2, monkeypatch):
