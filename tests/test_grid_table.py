@@ -96,6 +96,14 @@ def test_grid_rule_cuts_every_gap_into_the_fewest_panels(knots, points, count):
     assert edges.size <= np.union1d(np.linspace(0.0, 1.0, count + 1), breaks).size
 
 
+def test_points_outside_the_unit_interval_raise():
+    # the solve and simplex_terms check their points first; the table
+    # refuses them too, NaN included, before anything is built
+    for bad in ([1.2], [-0.1], [0.5, np.nan]):
+        with pytest.raises(DomainError, match="series points"):
+            simplex._grid(PARABOLIC, PARABOLIC_TT, 16, bad)
+
+
 def test_plain_grids_keep_their_edges():
     # without points: the uniform panels of the closed forms, and on the
     # benchmark's 33-knot table the union with its knots, to the bit
