@@ -147,9 +147,8 @@ def cmd_eigfuns(cfg: RunConfig) -> int:
             columns[f"X{m}_N{N}"] = vals
             svg_series.append(LineSeries(xs, vals, f"m={m}, N={N}"))
     # grid reference, normalized the same way (unit L^2, positive slope)
-    refs = fd_eigenvalues(c, max(cfg.eigfuns_modes), 512)
     for m in cfg.eigfuns_modes:
-        gx, gv = fd_eigenvector(c, refs[m - 1], 1024)
+        gx, gv = fd_eigenvector(c, m, 1024)
         svg_series.append(LineSeries(gx[::8], gv[::8], f"m={m}, grid ref", dashed=True))
 
     out_path = cfg.output_path or f"eigfuns.{cfg.output_format}"

@@ -19,8 +19,10 @@ Four families, none of which share code with the production path:
   Psi and of the sampled numerator E_N.  The binary-vector sum is kept only
   as the reference :func:`dn_bruteforce`;
 * a conservative Crank-Nicolson discretization of the PDE itself;
-* a symmetric tridiagonal eigensolver (shift-invert Lanczos, ARPACK, with
-  Richardson extrapolation across two grids) for the spectrum;
+* a symmetric tridiagonal eigensolver for the spectrum: shift-invert
+  Lanczos (ARPACK) for the eigenvalues, with Richardson extrapolation across
+  two grids, and mode m's grid eigenvector by its index from one LAPACK
+  ``stebz`` bisection and ``stein`` inverse iteration;
 * the classical Fourier sine series for constant conductivity.
 
 Interface quantities: cells j = 1..N carry sigma_j (sampled at midpoints),
@@ -130,8 +132,21 @@ class InterfacePartition:
         return (s[1:] - s[:-1]) / self.plus
 
 
+def _integers(*values):
+    return all(isinstance(n, (int, np.integer)) for n in values)
+
+
+def _check_interfaces(part: InterfacePartition, *indices):
+    """Raise :class:`DomainError` unless every index is an integer in 1..N-1."""
+    if not _integers(*indices) or not all(1 <= i <= part.n_cells - 1 for i in indices):
+        raise DomainError(f"interface indices must be integers in 1..N-1 = "
+                          f"1..{part.n_cells - 1}, got {indices}")
+
+
 def uniform_partition(c: Conductivity, n_cells: int) -> InterfacePartition:
     """Uniform cells with sigma sampled at midpoints (O(L^2) per cell)."""
+    if not _integers(n_cells):
+        raise DomainError(f"the number of cells must be an integer, got {n_cells!r}")
     if n_cells < 1:
         raise SingularPartition("need at least one cell")
     nodes = np.linspace(0.0, 1.0, n_cells + 1)
@@ -340,8 +355,8 @@ def dn_switchform(part: InterfacePartition, k, max_switches: int) -> complex:
     max_switches = N-1 reproduces :func:`dn_bruteforce` exactly.
     """
     N = part.n_cells
-    if not 0 <= max_switches <= max(0, N - 1):
-        raise DomainError("need 0 <= max_switches <= N-1")
+    if not _integers(max_switches) or not 0 <= max_switches <= max(0, N - 1):
+        raise DomainError("need an integer 0 <= max_switches <= N-1")
     return complex(_switch_sums(part.cell_times, part.rho, k, max_switches)[-1])
 
 
@@ -352,9 +367,7 @@ def en_det(part: InterfacePartition, k, j: int, q0) -> complex:
     the unknown of one band solve (:func:`_band_solve`); no matrix is
     formed densely.
     """
-    N = part.n_cells
-    if not 1 <= j <= N - 1:
-        raise DomainError("interface index j must satisfy 1 <= j <= N-1")
+    _check_interfaces(part, j)
     unknown = _band_solve(part, np.array([complex(k)]), j, q0)[0]
     return -1j * dn_det(part, k) * unknown
 
@@ -383,9 +396,7 @@ def psi_entry(part: InterfacePartition, k, j: int, m: int) -> complex:
     symmetric, so for m > j the interface and sample roles swap.  Its
     N -> infinity limit is the symmetric continuum kernel.
     """
-    N = part.n_cells
-    if not (1 <= j <= N - 1 and 1 <= m <= N - 1):
-        raise DomainError("need 1 <= j <= N-1 and 1 <= m <= N-1")
+    _check_interfaces(part, j, m)
     return complex(_psi_row(part, k, j)[m - 1])
 
 
@@ -399,9 +410,7 @@ def en_sampled(part: InterfacePartition, k, j: int, q0) -> complex:
     onto q0(x_m) * width_m; the boundary sample m = N is omitted (the
     Dirichlet end carries no weight for admissible profiles).
     """
-    N = part.n_cells
-    if not 1 <= j <= N - 1:
-        raise DomainError("interface index j must satisfy 1 <= j <= N-1")
+    _check_interfaces(part, j)
     s = part.sigmas
     q = q0(part.nodes[1:-1])
     return complex(np.sum(q * _psi_row(part, k, j) / np.sqrt(s[j - 1] * s[:-1])
@@ -418,9 +427,7 @@ def interface_solution(part: InterfacePartition, q0, j: int, t: float,
     ik g0[j] of A X = Y, so the overall transform scale cancels exactly;
     :func:`_band_solve` gives it at each contour node in O(N).
     """
-    N = part.n_cells
-    if not 1 <= j <= N - 1:
-        raise DomainError("interface index j must satisfy 1 <= j <= N-1")
+    _check_interfaces(part, j)
     if t <= 0.0:
         raise DomainError("t must be positive")
     cont = contour if contour is not None else Contour.for_times([t], _CONTOUR_TOL)
@@ -441,10 +448,6 @@ def _fd_operator(c: Conductivity, nx: int):
     diag = -(faces[1:] + faces[:-1]) / h**2
     off = faces[1:-1] / h**2
     return diag, off
-
-
-def _integers(*values):
-    return all(isinstance(n, (int, np.integer)) for n in values)
 
 
 def crank_nicolson(c: Conductivity, q0, t_final: float, nx: int, nt: int):
@@ -532,26 +535,26 @@ def fd_eigenvalues(c: Conductivity, count: int, nx: int) -> list:
     return ((4.0 * fine - coarse) / 3.0).tolist()
 
 
-def fd_eigenvector(c: Conductivity, lam: float, nx: int):
-    """Grid eigenvector for an eigenvalue estimate, by inverse iteration."""
-    from scipy.linalg import solve_banded
+def fd_eigenvector(c: Conductivity, m: int, nx: int):
+    """Mode m's grid eigenvector of the FD operator on an nx grid.
+
+    Mode m is the m-th largest eigenvalue of the tridiagonal matrix, so one
+    ``eigh_tridiagonal`` call selects it by index: LAPACK ``stebz``
+    bisection for the eigenvalue, then ``stein`` inverse iteration for the
+    vector, from LAPACK's fixed start, so the result repeats exactly.
+    Returns (x, X) on the nx + 1 grid nodes with the zero ends, X of unit
+    L^2 norm (trapezoid rule) and with positive slope at x = 0.
+    """
+    from scipy.linalg import eigh_tridiagonal
 
     if not _integers(nx) or nx < 64:
         raise DomainError("need integer nx >= 64")
+    if not _integers(m) or not 1 <= m <= nx - 1:
+        raise DomainError(f"need an integer mode 1 <= m <= nx - 1, got {m!r}")
     diag, off = _fd_operator(c, nx)
-    shift = lam * (1.0 + 1e-8) + 1e-10
-    ab = np.zeros((3, nx - 1))
-    ab[0, 1:] = off
-    ab[1, :] = diag - shift
-    ab[2, :-1] = off
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(nx - 1)
-    for _ in range(4):
-        v = solve_banded((1, 1), ab, v)
-        v /= np.linalg.norm(v)
+    _, v = eigh_tridiagonal(diag, off, select="i", select_range=(nx - 1 - m, nx - 1 - m))
     x = np.linspace(0.0, 1.0, nx + 1)
-    full = np.concatenate([[0.0], v, [0.0]])
-    # unit L^2 norm on the grid, positive slope at the left end
+    full = np.concatenate([[0.0], v[:, 0], [0.0]])
     full /= math.sqrt(np.trapezoid(full**2, x))
     if full[1] < 0.0:
         full = -full

@@ -448,6 +448,14 @@ def _check_interval(a, b):
         raise DomainError(f"interval must lie in [0, 1], got ({a}, {bad[0]})")
 
 
+def _check_wavenumber(k) -> complex:
+    """k as a complex number; raises :class:`DomainError` if it is NaN or infinite."""
+    k = complex(k)
+    if not np.isfinite(k):
+        raise DomainError(f"the simplex integrals need a finite wavenumber, got {k}")
+    return k
+
+
 def _check_regularized(k, shift, span):
     """Raise unless exp(ik*shift) S stays bounded: Im k >= 0, finite shift >= span."""
     if np.any(np.imag(k) < -1e-12):
@@ -516,9 +524,7 @@ def simplex_terms(c: Conductivity, tt: TravelTimeMap, a: float, b, k, spec: Seri
     """
     b = np.asarray(b, dtype=float)
     _check_interval(a, b)
-    k, sign = complex(k), 1.0
-    if not np.isfinite(k):
-        raise DomainError(f"the simplex integrals need a finite wavenumber, got {k}")
+    k, sign = _check_wavenumber(k), 1.0
     if shift is None and k.imag < 0.0:
         k, sign = -k, -1.0
     grid, at = _grid(c, tt, _panel_count(k, tt.total), np.append(a, b))
@@ -546,11 +552,14 @@ def abs_log_derivative_integral(c: Conductivity, a: float, b: float) -> float:
 def term_bound(c: Conductivity, tt: TravelTimeMap, n: int, a: float, b: float, k) -> float:
     """|S_n(a,b;k)| <= cosh(|Im k| (tau(b)-tau(a))) * (int|mu|)^n / (2^n n!).
 
-    Follows from |sin(x+iy)| <= cosh(y) and the 1/n! simplex volume.
+    Follows from |sin(x+iy)| <= cosh(y) and the 1/n! simplex volume.  The
+    order n must be an integer >= 0 and k finite (else :class:`DomainError`).
     """
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"the order n must be an integer >= 0, got {n!r}")
+    kc = _check_wavenumber(k)
     span = float(tt.tau(b) - tt.tau(a))
     integral = abs_log_derivative_integral(c, a, b)
-    kc = complex(k)
     return math.cosh(abs(kc.imag) * span) * integral**n / (2.0**n * math.factorial(n))
 
 

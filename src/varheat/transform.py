@@ -216,8 +216,12 @@ def delta_values(c: Conductivity, tt: TravelTimeMap, ks, spec: SeriesSpec) -> np
 
 def _q0_weights(q0, pts, sigma):
     """q0 / sqrt(sigma) at ``pts``, where sigma takes the values ``sigma``;
-    raises :class:`DomainError` unless q0 is finite and real there."""
+    raises :class:`DomainError` unless q0 is finite and real there and
+    gives a scalar or one value per point."""
     q = np.asarray(q0(pts))
+    if q.ndim and q.shape != pts.shape:
+        raise DomainError(f"q0 must be a scalar or one value per point: it returned "
+                          f"shape {q.shape} for {pts.shape} points")
     if np.iscomplexobj(q) and np.any(q.imag != 0.0):
         raise DomainError("q0 must be real: it returned complex values")
     if not np.all(np.isfinite(q)):

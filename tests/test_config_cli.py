@@ -31,6 +31,8 @@ def test_parse_defaults_and_overrides():
     assert cfg.eigs_count == 3
     spec = cfg.series_spec()
     assert spec.truncation_N == 2
+    for flag, value in (("no", False), ("yes", True)):
+        assert parse_config_text(f"eigs.oracle = {flag}\n").eigs_oracle is value
 
 
 def test_parse_comments_and_lists():
@@ -66,6 +68,10 @@ def test_bad_values_rejected():
     ("eigfuns.x_points = -3", "eigfuns.x_points"),
     ("eigfuns.x_points = 0", "eigfuns.x_points"),
     ("eigfuns.truncations = -1", "eigfuns.truncations"),
+    ("eigs.oracle = maybe", "eigs.oracle"),
+    ("solve.x_points = 1", "solve.x_points"),
+    ("eigfuns.modes = 0", "eigfuns.modes"),
+    ("sigma.kind parabolic24", "expected 'key = value'"),
     ("sigma.kind = tabulated", "sigma.table"),
     pytest.param(f"profile.kind = table\nprofile.table = {PARTIAL_Q0_TABLE}", "profile.table",
                  id="profile.table = q0_partial.csv-profile.table"),
@@ -85,6 +91,8 @@ def test_named_profiles():
     assert s(np.array([0.5]))[0] == pytest.approx(1.0)
     with pytest.raises(ConfigError):
         named_profile("table")
+    with pytest.raises(ConfigError, match="unknown profile kind"):
+        named_profile("gaussian")
 
 
 def _write_cfg(tmp_path, text):
@@ -344,6 +352,15 @@ def test_cli_verify_convergence(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 3
+
+
+def test_cmd_verify_unknown_suite_names_the_suites():
+    from varheat.cli import cmd_verify
+    from varheat.config import RunConfig
+
+    with pytest.raises(ConfigError, match=r"'nope'; choose table1\|figure2\|determinant"
+                                          r"\|convergence\|all"):
+        cmd_verify(RunConfig(), "nope")
 
 
 @pytest.mark.parametrize("suite, passes", [("figure2", 3), ("all", 19)])

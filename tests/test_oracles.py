@@ -346,8 +346,16 @@ def test_sampled_en_converges_at_second_order(parabolic):
     (lambda c: interface_solution(uniform_partition(c, 4), quadratic, 2, 0.0), DomainError),
     (lambda c: fd_eigenvalues(c, 4, 32), DomainError),
     (lambda c: en_sampled(uniform_partition(c, 4), 1.0, 0, quadratic), DomainError),
+    # non-integer indices and sizes used to escape as IndexError or TypeError
+    (lambda c: interface_solution(uniform_partition(c, 8), quadratic, 2.5, 1.0), DomainError),
+    (lambda c: en_det(uniform_partition(c, 8), 1.0, 2.5, quadratic), DomainError),
+    (lambda c: psi_entry(uniform_partition(c, 8), 1.0, 2, 2.5), DomainError),
+    (lambda c: en_sampled(uniform_partition(c, 8), 1.0, 2.5, quadratic), DomainError),
+    (lambda c: dn_switchform(uniform_partition(c, 8), 1.0, 2.5), DomainError),
+    (lambda c: uniform_partition(c, 4.5), DomainError),
 ], ids=["lengths", "no-cells", "dn_det-k0", "interface-j0", "interface-t0", "fd-nx32",
-        "en_sampled-j0"])
+        "en_sampled-j0", "interface-j2.5", "en_det-j2.5", "psi-m2.5", "en_sampled-j2.5",
+        "switchform-2.5", "cells-4.5"])
 def test_typed_argument_errors(parabolic, call, error):
     with pytest.raises(error):
         call(parabolic[0])
@@ -539,11 +547,36 @@ def test_fd_eigenvalues_count_limited_by_coarse_grid(parabolic):
         with pytest.raises(DomainError, match="integer"):
             fd_eigenvalues(parabolic[0], count, nx)
     with pytest.raises(DomainError, match="integer"):
-        fd_eigenvector(parabolic[0], -10.0, 64.0)
+        fd_eigenvector(parabolic[0], 1, 64.0)
     # nx = 1 used to return a NaN vector after a RuntimeWarning
     for nx in (1, 63):
         with pytest.raises(DomainError, match="nx >= 64"):
-            fd_eigenvector(parabolic[0], -10.0, nx)
+            fd_eigenvector(parabolic[0], 1, nx)
+    # the grid has nx - 1 modes
+    for m in (0, 64, 1.0, -1):
+        with pytest.raises(DomainError, match="mode 1 <= m <= nx - 1"):
+            fd_eigenvector(parabolic[0], m, 64)
+
+
+@pytest.mark.parametrize("name", ["parabolic24", "rational9000", "constant"])
+def test_fd_eigenvector_by_mode_matches_dense_eigh(name):
+    # mode m's vector from one stebz/stein call, against a dense symmetric
+    # eigensolver of the same matrix under the same norm and sign; stein
+    # makes the largest entry positive, which for constant sigma leaves
+    # modes 2, 3, 6, 7 and 8 with a negative slope until the sign is fixed
+    c = make_conductivity(name)
+    nx = 256
+    diag, off = _fd_operator(c, nx)
+    _, dense = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    for m in range(1, 9):
+        x, v = fd_eigenvector(c, m, nx)
+        ref = np.concatenate([[0.0], dense[:, -m], [0.0]])
+        ref /= math.sqrt(np.trapezoid(ref**2, x)) * np.sign(ref[1])
+        assert v[0] == v[-1] == 0.0
+        assert np.max(np.abs(v - ref)) < 1e-11
+        assert abs(np.trapezoid(v**2, x) - 1.0) < 1e-12
+        assert v[1] > 0.0
+        assert np.array_equal(v, fd_eigenvector(c, m, nx)[1])
 
 
 def _count_below(diag, off, shifts):

@@ -97,6 +97,11 @@ def test_domain_and_order_errors(parabolic, spec3):
             simplex_terms(c, tt, 0.2, 0.7, bad, spec3)
         with pytest.raises(DomainError, match="finite wavenumber"):
             simplex_terms(c, tt, 0.2, 0.7, bad, spec3, shift=tt.total)
+    # term_bound's order used to escape math.factorial as ValueError or
+    # TypeError, and a NaN k gave a finite bound
+    for n, k in ((-1, 1.0), (2.5, 1.0), (2, math.nan)):
+        with pytest.raises(DomainError):
+            term_bound(c, tt, n, 0.0, 1.0, k)
     with pytest.raises(OrderTooHigh):
         tuple_terms(c, tt, 0.0, 1.0, 1.0, 7)
     v = simplex_terms(c, tt, 0.0, 1.0, 1.0, SeriesSpec(truncation_N=7))[7]

@@ -386,8 +386,7 @@ def test_eigenfunction_overlays_grid_reference(parabolic, rational):
         spec = SeriesSpec(truncation_N=N)
         pair = find_eigenvalues(c, tt, spec, 1)[0]
         ef = eigenfunction(c, tt, pair, spec)
-        lam = fd_eigenvalues(c, 1, 512)[0]
-        gx, gv = fd_eigenvector(c, lam, 1024)
+        gx, gv = fd_eigenvector(c, 1, 1024)
         return float(np.max(np.abs(ef(xs) - np.interp(xs, gx, gv))))
 
     cp, ttp = parabolic
@@ -397,6 +396,27 @@ def test_eigenfunction_overlays_grid_reference(parabolic, rational):
     gap1 = max_gap(cr, ttr, 1)
     assert gap1 < gap0
     assert gap1 < 0.05
+
+
+def test_bracket_iteration_cap_names_the_mode(parabolic, spec2, monkeypatch):
+    monkeypatch.setattr(spectrum, "_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match=r"mode \d+ did not converge in 1 iterations"):
+        find_eigenvalues(*parabolic, spec2, 2)
+
+
+def test_disordered_roots_raise(parabolic, spec2, monkeypatch):
+    monkeypatch.setattr(spectrum, "_bracket_roots",
+                        lambda *args: (np.array([2.0, 1.0]), np.zeros(2)))
+    with pytest.raises(NoConvergence, match="not strictly increasing"):
+        find_eigenvalues(*parabolic, spec2, 2)
+
+
+def test_zero_norm_eigenfunction_raises(parabolic, spec2, monkeypatch):
+    pair = find_eigenvalues(*parabolic, spec2, 1)[0]
+    monkeypatch.setattr(spectrum, "_prefix_series",
+                        lambda panels, k, N: (np.zeros((N + 1, *panels.wts.shape, 1)),))
+    with pytest.raises(NoConvergence, match="zero norm"):
+        eigenfunction(*parabolic, pair, spec2)
 
 
 def test_no_complex_roots_missed(parabolic, spec2):

@@ -253,12 +253,20 @@ def test_solve_boundary_values_are_zero(parabolic, spec2):
 @pytest.mark.parametrize("q0", [
     lambda y: np.where(y > 0.5, np.nan, y * (1.0 - y)),
     lambda y: (1.0 + 0.5j) * y * (1.0 - y),
-], ids=["nan", "complex"])
+    lambda y: np.ones(3),  # used to raise a broadcast ValueError
+], ids=["nan", "complex", "shape"])
 def test_solve_rejects_bad_q0(parabolic, spec2, q0):
     # the mirrored half of the contour is only valid for finite real q0
     c, tt = parabolic
     with pytest.raises(DomainError, match="q0 must be"):
         solve_grid(c, tt, q0, [0.3, 0.7], [1.0], spec2)
+
+
+def test_scalar_q0_broadcasts(parabolic, spec2):
+    c, tt = parabolic
+    scalar = solve_grid(c, tt, lambda y: 0.5, [0.3, 0.7], [1.0], spec2)[1.0]
+    full = solve_grid(c, tt, lambda y: np.full_like(y, 0.5), [0.3, 0.7], [1.0], spec2)[1.0]
+    assert [s.value for s in scalar] == [s.value for s in full]
 
 
 def _full_contour_solve(c, tt, q0, xs, ts, spec):
