@@ -9,7 +9,10 @@ Four families, none of which share code with the production path:
   either side of the diagonal, and it is only ever held in that form: one
   LAPACK band LU gives det A, one band solve per contour node gives the
   unknown, each in O(N), so the model runs at thousands of cells.  The
-  numerator E_N is det A times that unknown (Cramer's rule read backwards).
+  terms at mirrored contour nodes are conjugate, so the solution takes
+  band solves at the vertex and the Re k > 0 half of the contour only.
+  The numerator E_N is det A times that unknown (Cramer's rule read
+  backwards), both from one band LU.
   Scaled determinants D_N = (i/2) det A / prod(Lambda_p^+) admit an exact
   binary-vector sum and an equivalent switch-location sum whose truncation
   costs only O(N * max_switches), which is what makes the large-N
@@ -20,9 +23,11 @@ Four families, none of which share code with the production path:
   as the reference :func:`dn_bruteforce`;
 * a conservative Crank-Nicolson discretization of the PDE itself;
 * a symmetric tridiagonal eigensolver for the spectrum: shift-invert
-  Lanczos (ARPACK) for the eigenvalues, with Richardson extrapolation across
-  two grids, and mode m's grid eigenvector by its index from one LAPACK
-  ``stebz`` bisection and ``stein`` inverse iteration;
+  Lanczos (ARPACK) for the eigenvalues, stopped at residual tolerance 1e-7
+  (which leaves them within about 1e-13, see _LANCZOS_TOL), with
+  Richardson extrapolation across two grids, and mode m's grid eigenvector
+  by its index from one LAPACK ``stebz`` bisection and ``stein`` inverse
+  iteration;
 * the classical Fourier sine series for constant conductivity.
 
 Interface quantities: cells j = 1..N carry sigma_j (sampled at midpoints),
@@ -47,7 +52,7 @@ from .errors import (
     SingularPartition,
     TooManyTerms,
 )
-from .transform import Contour
+from .transform import Contour, _q0_values
 
 __all__ = [
     "InterfacePartition",
@@ -72,6 +77,15 @@ _CONTOUR_TOL = 1e-10
 # its peak at 4096 cells is 22 MB, where all 53 nodes of the t = 1 contour at
 # once took 84 MB.
 _NODE_BLOCK = 8
+# ARPACK stops once every Ritz estimate is <= tol * |theta|.  A Ritz value
+# of a symmetric operator lies within |r|^2 / delta of an eigenvalue, delta
+# its distance to the rest of the spectrum (Parlett, The Symmetric
+# Eigenvalue Problem, SIAM 1998, ch. 11), so the relative error is at most
+# tol^2 * theta / delta.  For mode 30, theta / delta = lam_31 / (lam_31 -
+# lam_30) is 15.8 on parabolic24 and on rational9000 at nx = 2048: 1.6e-13,
+# inside the 1e-11 Sturm certificate, at 62 matrix-vector products, not the
+# 78 of tol = 0.
+_LANCZOS_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -220,9 +234,10 @@ def _band(part: InterfacePartition, ks: np.ndarray) -> np.ndarray:
 
 
 def _weighted_profile(part: InterfacePartition, q0):
-    """16-node Gauss points per cell and the weights times q0 there."""
+    """16-node Gauss points per cell and the weights times q0 there; q0 is
+    checked by :func:`transform._q0_values`."""
     pts, wts = _panel_gauss(part.nodes, 16)
-    return pts, wts * q0(pts.ravel()).reshape(pts.shape)
+    return pts, wts * _q0_values(q0, pts)
 
 
 def _system_rhs(part: InterfacePartition, ks: np.ndarray, pts, wq) -> np.ndarray:
@@ -242,47 +257,53 @@ def _log_scale(part: InterfacePartition) -> float:
     return float(np.log(part.plus).sum())
 
 
-def _band_solve(part: InterfacePartition, ks: np.ndarray, j: int, q0) -> np.ndarray:
-    """The unknown ik g0[j] of A(k) X = Y(k) for each k in ``ks``.
+def _band_solve(part: InterfacePartition, ks: np.ndarray, j: int, q0):
+    """For each k in ``ks`` in turn, the band LU (lu, piv) of A(k) and the
+    unknown ik g0[j] of A(k) X = Y(k).
 
     A(k) and Y(k) are built for _NODE_BLOCK wavenumbers at a time, A in
-    band form, and each k costs one LAPACK ``zgbsv`` band solve: O(N) work
-    per k, and memory that does not grow with the number of wavenumbers.
-    Raises :class:`DenominatorNearZero` where det A(k) is exactly zero.
+    band form, and each k costs one LAPACK ``zgbtrf`` band LU and one
+    ``zgbtrs`` solve with it: O(N) work per k, and memory that does not
+    grow with the number of wavenumbers.  Raises
+    :class:`DenominatorNearZero` where det A(k) is exactly zero.
     """
-    from scipy.linalg.lapack import zgbsv
+    from scipy.linalg.lapack import zgbtrf, zgbtrs
 
     N = part.n_cells
     profile = _weighted_profile(part, q0)
-    unknowns = np.empty(ks.size, dtype=complex)
     for lo in range(0, ks.size, _NODE_BLOCK):
         block = ks[lo:lo + _NODE_BLOCK]
         # Y in the band row order, cell by cell with +k before -k
         rhs = _system_rhs(part, block, *profile).transpose(0, 2, 1)
         rhs = rhs.reshape(block.size, 2 * N, 1)
-        ab = _band(part, block)
-        for i in range(block.size):
-            _, _, x, info = zgbsv(_KL, _KU, ab[i], rhs[i])
+        for k, ab, y in zip(block, _band(part, block), rhs):
+            lu, piv, info = zgbtrf(ab, _KL, _KU)
             if info > 0:
-                raise DenominatorNearZero(f"det A vanished at k = {block[i]:.6g}")
-            unknowns[lo + i] = x[2 * j - 1, 0]  # ik g0[j] in the band order
-    return unknowns
+                raise DenominatorNearZero(f"det A vanished at k = {k:.6g}")
+            x, _ = zgbtrs(lu, _KL, _KU, y, piv)
+            yield lu, piv, x[2 * j - 1, 0]  # ik g0[j] in the band order
 
 
-def dn_det(part: InterfacePartition, k) -> complex:
-    """(i/2) det A(k) * prod_p 1/Lambda_p^+ from a band LU of A(k).
+def _scaled_det(part: InterfacePartition, lu, piv) -> complex:
+    """(i/2) det A * prod_p 1/Lambda_p^+ from the band LU (lu, piv) of A.
 
     log det A is the sum of the complex logs of the diagonal of U, with the
     parity of the row interchanges; the band reordering leaves det A
     unchanged.
     """
+    swaps = np.count_nonzero(piv != np.arange(piv.size))
+    return 0.5j * (-1) ** swaps * np.exp(np.log(lu[_KL + _KU]).sum() - _log_scale(part))
+
+
+def dn_det(part: InterfacePartition, k) -> complex:
+    """(i/2) det A(k) * prod_p 1/Lambda_p^+ from a band LU of A(k)
+    (:func:`_scaled_det`)."""
     from scipy.linalg.lapack import zgbtrf
 
     lu, piv, info = zgbtrf(_band(part, np.array([complex(k)]))[0], _KL, _KU)
     if info > 0:
         return 0j  # an exactly zero pivot: det A = 0
-    swaps = np.count_nonzero(piv != np.arange(piv.size))
-    return 0.5j * (-1) ** swaps * np.exp(np.log(lu[_KL + _KU]).sum() - _log_scale(part))
+    return _scaled_det(part, lu, piv)
 
 
 def _dn_sum(cell_times, rhos, k):
@@ -298,8 +319,7 @@ def _dn_sum(cell_times, rhos, k):
         idx = np.arange(start, min(start + block, n_vectors), dtype=np.uint64)
         # bits for entries 2..N; entry 1 is fixed at 0
         ell = np.zeros((idx.size, N), dtype=np.int8)
-        for p in range(1, N):
-            ell[:, p] = (idx >> np.uint64(p - 1)) & np.uint64(1)
+        ell[:, 1:] = (idx[:, None] >> np.arange(N - 1, dtype=np.uint64)) & np.uint64(1)
         signs = 1.0 - 2.0 * ell
         phases = signs @ cell_times
         switch = ell[:, :-1] != ell[:, 1:]  # empty for one cell: every factor is 1
@@ -364,12 +384,12 @@ def en_det(part: InterfacePartition, k, j: int, q0) -> complex:
     """(1/2) det A_j(k) * prod 1/Lambda_p^+, with column j replaced by Y.
 
     By Cramer's rule det A_j = det A * ik g0[j], so E_N is -i D_N times
-    the unknown of one band solve (:func:`_band_solve`); no matrix is
-    formed densely.
+    the unknown of one band solve (:func:`_band_solve`), D_N taken from the
+    LU of that solve; no matrix is formed densely.
     """
     _check_interfaces(part, j)
-    unknown = _band_solve(part, np.array([complex(k)]), j, q0)[0]
-    return -1j * dn_det(part, k) * unknown
+    (lu, piv, unknown), = _band_solve(part, np.array([complex(k)]), j, q0)
+    return -1j * _scaled_det(part, lu, piv) * unknown
 
 
 def _psi_row(part: InterfacePartition, k, j: int) -> np.ndarray:
@@ -425,15 +445,21 @@ def interface_solution(part: InterfacePartition, q0, j: int, t: float,
     hyperbolic contour the continuum solver uses (sized for t unless
     ``contour`` is given).  By Cramer's rule the ratio is the unknown
     ik g0[j] of A X = Y, so the overall transform scale cancels exactly;
-    :func:`_band_solve` gives it at each contour node in O(N).
+    :func:`_band_solve` gives it at each contour node in O(N).  For real
+    sigma and q0, A(-conj k) = conj A(k) and Y(-conj k) = conj Y(k), and
+    the contour's nodes and weights are mirror symmetric (k -> -conj k,
+    w -> conj w), so the terms at mirrored nodes are conjugate: only the
+    vertex and the Re k > 0 nodes are solved, as ``transform.solve_grid`` does,
+    and the sum is Re t_0 + 2 sum_{j>0} Re t_j.
     """
     _check_interfaces(part, j)
     if t <= 0.0:
         raise DomainError("t must be positive")
     cont = contour if contour is not None else Contour.for_times([t], _CONTOUR_TOL)
-    ks, ws = cont.nodes()
-    acc = np.sum(ws * _band_solve(part, ks, j, q0) * np.exp(-(ks**2) * t))
-    return float((-acc / math.pi).real)
+    ks, ws = (v[cont.half_count:] for v in cont.nodes())
+    unknowns = np.array([x for *_, x in _band_solve(part, ks, j, q0)])
+    terms = (ws * unknowns * np.exp(-(ks**2) * t)).real
+    return float(-(terms[0] + 2.0 * terms[1:].sum()) / math.pi)
 
 
 def _fd_operator(c: Conductivity, nx: int):
@@ -488,8 +514,11 @@ def _tridiag_eigs_top(c: Conductivity, count: int, nx: int) -> np.ndarray:
     once (LAPACK ``pttrf``) and ARPACK's implicitly restarted Lanczos runs
     on v -> (-T)^{-1} v, shift-invert about 0 (Lehoucq, Sorensen & Yang,
     ARPACK Users' Guide, SIAM 1998): the eigenvalues of T nearest 0 are the
-    largest of the inverse, and the work is linear in M.  The fixed start
-    vector makes the result deterministic.  ARPACK cannot return all M
+    largest of the inverse, and the work is linear in M.  Lanczos stops at
+    residual _LANCZOS_TOL relative to each Ritz value, which bounds the
+    eigenvalue error by the residual squared over the spectral gap, about
+    1e-13 relative for 30 modes.  The fixed start vector makes the result
+    deterministic.  ARPACK cannot return all M
     eigenvalues, so count = M takes one ``stebz`` bisection over the whole
     spectrum.
     """
@@ -507,7 +536,8 @@ def _tridiag_eigs_top(c: Conductivity, count: int, nx: int) -> np.ndarray:
         raise DomainError(f"the FD operator is not negative definite (info={info})")
     inverse = LinearOperator((M, M), matvec=lambda v: dpttrs(d, e, v)[0], dtype=float)
     try:
-        mu = eigsh(inverse, k=count, tol=0, v0=np.random.default_rng(0).standard_normal(M),
+        mu = eigsh(inverse, k=count, tol=_LANCZOS_TOL,
+                   v0=np.random.default_rng(0).standard_normal(M),
                    ncv=min(M, max(2 * count + 1, 20)), return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise NoConvergence(f"Lanczos found {len(exc.eigenvalues)} of {count} "

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError
+
 __all__ = ["LineSeries", "write_line_plot"]
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
@@ -25,9 +27,13 @@ class LineSeries:
         self.dashed = dashed
 
 
+def _range(values):
+    """(lo, hi) of ``values``, a zero-width range widened to (lo, lo + 1)."""
+    lo, hi = min(values), max(values)
+    return lo, (hi if hi > lo else lo + 1.0)
+
+
 def _ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     step = 10 ** math.floor(math.log10(span / n))
     for mult in (1, 2, 5, 10):
@@ -44,15 +50,18 @@ def _ticks(lo, hi, n=5):
 
 
 def write_line_plot(path, series, title="", xlabel="", ylabel=""):
-    """Write a standalone SVG overlaying the given line series."""
+    """Write a standalone SVG overlaying the given line series.
+
+    Raises :class:`DomainError` when there is no point to plot or a value
+    is not finite.
+    """
     xs = [v for s in series for v in s.x]
     ys = [v for s in series for v in s.y]
-    if not xs:
-        raise ValueError("nothing to plot")
-    xlo, xhi = min(xs), max(xs)
-    ylo, yhi = min(ys), max(ys)
-    if yhi == ylo:
-        yhi = ylo + 1.0
+    if not (xs and ys):
+        raise DomainError("nothing to plot")
+    if not all(map(math.isfinite, xs + ys)):
+        raise DomainError("plot values must be finite")
+    (xlo, xhi), (ylo, yhi) = _range(xs), _range(ys)
     pad = 0.05 * (yhi - ylo)
     ylo -= pad
     yhi += pad

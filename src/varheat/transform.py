@@ -214,10 +214,9 @@ def delta_values(c: Conductivity, tt: TravelTimeMap, ks, spec: SeriesSpec) -> np
 # ---------------------------------------------------------------------------
 
 
-def _q0_weights(q0, pts, sigma):
-    """q0 / sqrt(sigma) at ``pts``, where sigma takes the values ``sigma``;
-    raises :class:`DomainError` unless q0 is finite and real there and
-    gives a scalar or one value per point."""
+def _q0_values(q0, pts):
+    """q0 at ``pts``, real; raises :class:`DomainError` unless q0 is finite
+    and real there and gives a scalar or one value per point."""
     q = np.asarray(q0(pts))
     if q.ndim and q.shape != pts.shape:
         raise DomainError(f"q0 must be a scalar or one value per point: it returned "
@@ -226,7 +225,7 @@ def _q0_weights(q0, pts, sigma):
         raise DomainError("q0 must be real: it returned complex values")
     if not np.all(np.isfinite(q)):
         raise DomainError("q0 must be finite: it returned NaN or inf")
-    return q.real / np.sqrt(sigma)
+    return q.real
 
 
 def _series_and_integral(panels, k, N, weight):
@@ -272,7 +271,7 @@ def _phi_batch(c, tt, q0, ks, xs, spec, q0_knots=()):
     points = np.concatenate([xs, q0_knots])
     for panels, at_x, group in _grid_groups(c, tt, _panel_count(ks, tt.total), points):
         at_x = at_x[:xs.size]
-        weight = _q0_weights(q0, panels.pts, panels.sigma)[..., None]
+        weight = (_q0_values(q0, panels.pts) / np.sqrt(panels.sigma))[..., None]
         (R, L), (R_, L_) = (_series_and_integral(side, ks[group], N, w) for side, w in (
             (panels, weight), (panels.reflected(), weight[::-1, ::-1])))
         phi[..., group] = ((R_[:, -1 - at_x] * L[:, at_x] + R[:, at_x] * L_[:, -1 - at_x])

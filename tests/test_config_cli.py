@@ -8,7 +8,8 @@ import pytest
 
 from varheat.cli import main
 from varheat.config import parse_config_text, named_profile
-from varheat.errors import ConfigError
+from varheat.errors import ConfigError, DomainError
+from varheat.svg import LineSeries, write_line_plot
 
 # a q0 table on [0.2, 0.8] only
 PARTIAL_Q0_TABLE = Path(__file__).parent / "data" / "q0_partial.csv"
@@ -194,6 +195,29 @@ def test_cli_solve_svg(tmp_path):
     assert root.attrib.get("version") == "1.1"
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
     assert len(polylines) >= 4  # three truncations + exact overlay
+
+
+@pytest.mark.parametrize("x, y", [([0.5], [2.0]), ([0.3, 0.3], [1.0, 2.0]),
+                                  ([0.0, 1.0], [1.0, 1.0])],
+                         ids=["one-point", "constant-x", "constant-y"])
+def test_svg_widens_a_zero_width_range(tmp_path, x, y):
+    # a single point or a constant x used to divide by zero in the x map
+    write_line_plot(tmp_path / "p.svg", [LineSeries(x, y, "s")])
+    points = next(el for el in ET.parse(tmp_path / "p.svg").getroot().iter()
+                  if el.tag.endswith("polyline")).attrib["points"]
+    assert all(math.isfinite(float(v)) for xy in points.split() for v in xy.split(","))
+
+
+@pytest.mark.parametrize("series", [[], [LineSeries([], [], "empty")],
+                                    [LineSeries([0.0, 1.0], [1.0, math.nan], "nan")],
+                                    [LineSeries([0.0, math.inf], [1.0, 2.0], "inf")]],
+                         ids=["no-series", "no-points", "nan", "inf"])
+def test_svg_rejects_empty_and_non_finite_input(tmp_path, series):
+    # NaN used to escape from math.floor in the tick rule, and no series as
+    # an untyped ValueError
+    with pytest.raises(DomainError):
+        write_line_plot(tmp_path / "p.svg", series)
+    assert not (tmp_path / "p.svg").exists()
 
 
 def test_cli_eigs_json_roundtrip(tmp_path):

@@ -30,10 +30,10 @@ from varheat.oracles import (
     psi_entry,
     uniform_partition,
 )
-from varheat.transform import delta_values
+from varheat.transform import Contour, delta_values
 from varheat.verify import CHEBFUN_VALUES as CHEBFUN
 
-from conftest import partitions, quadratic, sine, wavenumbers
+from conftest import exp_sine_profile, partitions, quadratic, sine, wavenumbers
 from tuples import phi_fn
 
 
@@ -353,9 +353,21 @@ def test_sampled_en_converges_at_second_order(parabolic):
     (lambda c: en_sampled(uniform_partition(c, 8), 1.0, 2.5, quadratic), DomainError),
     (lambda c: dn_switchform(uniform_partition(c, 8), 1.0, 2.5), DomainError),
     (lambda c: uniform_partition(c, 4.5), DomainError),
+    # q0 is checked as the continuum solver checks it: a wrong shape used to
+    # escape as an untyped reshape error, a complex q0 to return a wrong
+    # number and a NaN q0 to return NaN
+    (lambda c: interface_solution(uniform_partition(c, 8), lambda y: y[:3], 2, 1.0),
+     DomainError),
+    (lambda c: interface_solution(uniform_partition(c, 8), lambda y: (1 + 1j) * y, 2, 1.0),
+     DomainError),
+    (lambda c: interface_solution(uniform_partition(c, 8), lambda y: np.nan * y, 2, 1.0),
+     DomainError),
+    (lambda c: en_det(uniform_partition(c, 8), 1.0, 2, lambda y: (1 + 1j) * y), DomainError),
+    (lambda c: en_det(uniform_partition(c, 8), 1.0, 2, lambda y: np.inf), DomainError),
 ], ids=["lengths", "no-cells", "dn_det-k0", "interface-j0", "interface-t0", "fd-nx32",
         "en_sampled-j0", "interface-j2.5", "en_det-j2.5", "psi-m2.5", "en_sampled-j2.5",
-        "switchform-2.5", "cells-4.5"])
+        "switchform-2.5", "cells-4.5", "interface-q0-shape", "interface-q0-complex",
+        "interface-q0-nan", "en_det-q0-complex", "en_det-q0-inf"])
 def test_typed_argument_errors(parabolic, call, error):
     with pytest.raises(error):
         call(parabolic[0])
@@ -367,6 +379,28 @@ def test_interface_solution_constant_exact():
     val = interface_solution(part, sine, 1, 0.1)
     exact = math.exp(-math.pi**2 * 0.1) * math.sin(math.pi * 0.5)
     assert val == pytest.approx(exact, abs=1e-5)
+
+
+def test_interface_model_takes_a_scalar_q0(parabolic):
+    # a scalar broadcasts over the cells, as in the continuum solver; it
+    # used to raise AttributeError
+    part = uniform_partition(parabolic[0], 8)
+    assert interface_solution(part, lambda y: 1.0, 2, 1.0) == interface_solution(
+        part, np.ones_like, 2, 1.0)
+    assert en_det(part, 1.3, 2, lambda y: 1.0) == en_det(part, 1.3, 2, np.ones_like)
+
+
+@pytest.mark.parametrize("n_cells, j, t", [(64, 32, 1.0), (10, 4, 0.3)],
+                         ids=["parabolic64", "random10"])
+def test_interface_solution_half_contour_equals_full_sum(parabolic, n_cells, j, t):
+    # the conjugate symmetry of the terms at mirrored contour nodes: the
+    # half sweep gives the sum over every node of the contour
+    part = (uniform_partition(parabolic[0], n_cells) if n_cells == 64
+            else _random_partition(np.random.default_rng(31), n_cells))
+    ks, ws = Contour.for_times([t], oracles._CONTOUR_TOL).nodes()
+    unknowns = np.array([x for *_, x in oracles._band_solve(part, ks, j, quadratic)])
+    full = float((-np.sum(ws * unknowns * np.exp(-(ks**2) * t)) / math.pi).real)
+    assert interface_solution(part, quadratic, j, t) == pytest.approx(full, rel=1e-15)
 
 
 def test_interface_solution_parabolic_benchmark(parabolic):
@@ -579,6 +613,13 @@ def test_fd_eigenvector_by_mode_matches_dense_eigh(name):
         assert np.array_equal(v, fd_eigenvector(c, m, nx)[1])
 
 
+def _fd_profile(name):
+    """A named profile, or "table33": a 33-knot exp-sine table."""
+    if name == "table33":
+        return exp_sine_profile(33, (0.2, -0.1, 0.05), (0.3, 1.9, 4.0))
+    return make_conductivity(name)
+
+
 def _count_below(diag, off, shifts):
     """Eigenvalues of the symmetric tridiagonal (diag, off) below each shift:
     the negative pivots of T - s = L D L^T (Sylvester), in long double."""
@@ -594,19 +635,39 @@ def _count_below(diag, off, shifts):
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                     reason="the certificate needs extended-precision Sturm counts")
 @pytest.mark.parametrize("nx", [1024, 2048])
-@pytest.mark.parametrize("name", ["parabolic24", "rational9000"])
+@pytest.mark.parametrize("name", ["parabolic24", "rational9000", "table33"])
 def test_fd_top_eigenvalues_certified_to_1e11(name, nx):
     # Each of the 30 Lanczos eigenvalues is within 1e-11 relative of the
     # matrix's own: the m-th largest lies between lam(1 +- 1e-11) by Sturm
     # counts.  Default stebz bisection is off by up to 7.9e-10 here, and
     # bisection run to tol=1e-300 by up to 1.5e-11.
-    c = make_conductivity(name)
+    c = _fd_profile(name)
     vals = _tridiag_eigs_top(c, 30, nx)
     diag, off = _fd_operator(c, nx)
     m = np.arange(30)
     below = _count_below(diag, off, np.concatenate([vals * (1 + 1e-11), vals * (1 - 1e-11)]))
     assert np.all(below[:30] <= diag.size - 1 - m)
     assert np.all(below[30:] >= diag.size - m)
+
+
+@pytest.mark.parametrize("count", [4, 30])
+@pytest.mark.parametrize("name", ["parabolic24", "rational9000", "table33"])
+def test_fd_lanczos_tolerance_keeps_the_eigenvalues(name, count):
+    # Lanczos stopped at residual _LANCZOS_TOL against the same Lanczos run
+    # to machine precision (measured within 2.8e-15)
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    c, nx = _fd_profile(name), 1024
+    diag, off = _fd_operator(c, nx)
+    M = diag.size
+    d, e, _ = dpttrf(-diag, -off)
+    inverse = LinearOperator((M, M), matvec=lambda v: dpttrs(d, e, v)[0], dtype=float)
+    mu = eigsh(inverse, k=count, tol=0, v0=np.random.default_rng(0).standard_normal(M),
+               ncv=max(2 * count + 1, 20), return_eigenvectors=False)
+    ref = -1.0 / np.sort(mu)[::-1]
+    got = _tridiag_eigs_top(c, count, nx)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
 
 def test_fd_lanczos_is_deterministic(parabolic):

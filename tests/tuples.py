@@ -16,7 +16,7 @@ from varheat import SeriesSpec
 from varheat.coefficients import _panel_gauss
 from varheat.errors import DomainError
 from varheat.simplex import build_term_tables
-from varheat.transform import _q0_weights
+from varheat.transform import _q0_values
 
 
 def tuple_terms(c, tt, a, b, k, N, quad_order=32, shift=None):
@@ -67,4 +67,4 @@ def _segment_weights(c, q0, lo, hi, per_unit):
     n_panels = max(2, math.ceil((hi - lo) * per_unit / 12.0))
     pts, wts = _panel_gauss(np.linspace(lo, hi, n_panels + 1), 12)
     pts, wts = pts.ravel(), wts.ravel()
-    return pts, wts * _q0_weights(q0, pts, c.sigma(pts))
+    return pts, wts * (_q0_values(q0, pts) / np.sqrt(c.sigma(pts)))
