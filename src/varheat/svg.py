@@ -28,9 +28,10 @@ class LineSeries:
 
 
 def _range(values):
-    """(lo, hi) of ``values``, a zero-width range widened to (lo, lo + 1)."""
+    """(lo, hi) of ``values``; a zero-width range is widened to (lo, lo + 1),
+    or by 1e-9 |lo| where a unit step would be lost to rounding."""
     lo, hi = min(values), max(values)
-    return lo, (hi if hi > lo else lo + 1.0)
+    return lo, (hi if hi > lo else lo + max(1.0, 1e-9 * abs(lo)))
 
 
 def _ticks(lo, hi, n=5):

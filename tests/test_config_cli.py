@@ -198,10 +198,11 @@ def test_cli_solve_svg(tmp_path):
 
 
 @pytest.mark.parametrize("x, y", [([0.5], [2.0]), ([0.3, 0.3], [1.0, 2.0]),
-                                  ([0.0, 1.0], [1.0, 1.0])],
-                         ids=["one-point", "constant-x", "constant-y"])
+                                  ([0.0, 1.0], [1.0, 1.0]), ([1e20], [-1e17])],
+                         ids=["one-point", "constant-x", "constant-y", "large-point"])
 def test_svg_widens_a_zero_width_range(tmp_path, x, y):
-    # a single point or a constant x used to divide by zero in the x map
+    # a single point or a constant x used to divide by zero in the x map,
+    # and a constant beyond 2**53 to lose its unit widening to rounding
     write_line_plot(tmp_path / "p.svg", [LineSeries(x, y, "s")])
     points = next(el for el in ET.parse(tmp_path / "p.svg").getroot().iter()
                   if el.tag.endswith("polyline")).attrib["points"]
