@@ -30,6 +30,10 @@ Four families, none of which share code with the production path:
   iteration;
 * the classical Fourier sine series for constant conductivity.
 
+Every model checks q0 as the continuum solver does
+(``transform._q0_values``): a scalar broadcasts, and complex, non-finite
+or wrongly shaped values raise :class:`DomainError`.
+
 Interface quantities: cells j = 1..N carry sigma_j (sampled at midpoints),
 nu_j = k / sigma_j, and the jump factors Lambda_p^{+-} = sigma_{p+1} +-
 sigma_p at interior interfaces p = 1..N-1.
@@ -234,8 +238,7 @@ def _band(part: InterfacePartition, ks: np.ndarray) -> np.ndarray:
 
 
 def _weighted_profile(part: InterfacePartition, q0):
-    """16-node Gauss points per cell and the weights times q0 there; q0 is
-    checked by :func:`transform._q0_values`."""
+    """16-node Gauss points per cell and the weights times q0 there."""
     pts, wts = _panel_gauss(part.nodes, 16)
     return pts, wts * _q0_values(q0, pts)
 
@@ -432,7 +435,7 @@ def en_sampled(part: InterfacePartition, k, j: int, q0) -> complex:
     """
     _check_interfaces(part, j)
     s = part.sigmas
-    q = q0(part.nodes[1:-1])
+    q = _q0_values(q0, part.nodes[1:-1])
     return complex(np.sum(q * _psi_row(part, k, j) / np.sqrt(s[j - 1] * s[:-1])
                           * part.widths[:-1]))
 
@@ -493,7 +496,7 @@ def crank_nicolson(c: Conductivity, q0, t_final: float, nx: int, nt: int):
 
     dt = t_final / nt
     x = np.linspace(0.0, 1.0, nx + 1)
-    q = np.asarray(q0(x), dtype=float).copy()
+    q = np.broadcast_to(_q0_values(q0, x), x.shape).astype(float)
     q[0] = q[-1] = 0.0
     diag, off = _fd_operator(c, nx)
     d, e, info = dpttrf(1.0 - 0.5 * dt * diag, -0.5 * dt * off)
@@ -601,10 +604,9 @@ def fourier_solution(sigma_const: float, q0, x, t: float, modes: int):
         raise DomainError(f"t must be finite and positive, got {t!r}")
     pts, wts = _panel_gauss(np.linspace(0.0, 1.0, max(16, modes) + 1), 12)
     pts, wts = pts.ravel(), wts.ravel()
-    q_vals = q0(pts)
     ms = np.arange(1, modes + 1)
     coeffs = 2.0 * np.sum(
-        wts[None, :] * q_vals[None, :] * np.sin(math.pi * ms[:, None] * pts[None, :]),
+        (wts * _q0_values(q0, pts))[None, :] * np.sin(math.pi * ms[:, None] * pts[None, :]),
         axis=1,
     )
     decay = np.exp(-((ms * math.pi * sigma_const) ** 2) * t)

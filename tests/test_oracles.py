@@ -354,8 +354,8 @@ def test_sampled_en_converges_at_second_order(parabolic):
     (lambda c: dn_switchform(uniform_partition(c, 8), 1.0, 2.5), DomainError),
     (lambda c: uniform_partition(c, 4.5), DomainError),
     # q0 is checked as the continuum solver checks it: a wrong shape used to
-    # escape as an untyped reshape error, a complex q0 to return a wrong
-    # number and a NaN q0 to return NaN
+    # escape as an untyped reshape or broadcast error, a complex q0 to return
+    # a wrong number and a NaN q0 to return NaN
     (lambda c: interface_solution(uniform_partition(c, 8), lambda y: y[:3], 2, 1.0),
      DomainError),
     (lambda c: interface_solution(uniform_partition(c, 8), lambda y: (1 + 1j) * y, 2, 1.0),
@@ -364,10 +364,18 @@ def test_sampled_en_converges_at_second_order(parabolic):
      DomainError),
     (lambda c: en_det(uniform_partition(c, 8), 1.0, 2, lambda y: (1 + 1j) * y), DomainError),
     (lambda c: en_det(uniform_partition(c, 8), 1.0, 2, lambda y: np.inf), DomainError),
+    (lambda c: en_sampled(uniform_partition(c, 8), 1.0, 2, lambda y: y[:3]), DomainError),
+    (lambda c: en_sampled(uniform_partition(c, 8), 1.0, 2, lambda y: np.nan * y), DomainError),
+    (lambda c: crank_nicolson(c, lambda y: (1 + 1j) * y, 1.0, 16, 16), DomainError),
+    (lambda c: crank_nicolson(c, lambda y: np.nan * y, 1.0, 16, 16), DomainError),
+    (lambda c: fourier_solution(1.0, lambda y: (1 + 1j) * y, 0.5, 0.1, 5), DomainError),
+    (lambda c: fourier_solution(1.0, lambda y: np.nan * y, 0.5, 0.1, 5), DomainError),
 ], ids=["lengths", "no-cells", "dn_det-k0", "interface-j0", "interface-t0", "fd-nx32",
         "en_sampled-j0", "interface-j2.5", "en_det-j2.5", "psi-m2.5", "en_sampled-j2.5",
         "switchform-2.5", "cells-4.5", "interface-q0-shape", "interface-q0-complex",
-        "interface-q0-nan", "en_det-q0-complex", "en_det-q0-inf"])
+        "interface-q0-nan", "en_det-q0-complex", "en_det-q0-inf", "en_sampled-q0-shape",
+        "en_sampled-q0-nan", "cn-q0-complex", "cn-q0-nan", "fourier-q0-complex",
+        "fourier-q0-nan"])
 def test_typed_argument_errors(parabolic, call, error):
     with pytest.raises(error):
         call(parabolic[0])
@@ -381,13 +389,20 @@ def test_interface_solution_constant_exact():
     assert val == pytest.approx(exact, abs=1e-5)
 
 
-def test_interface_model_takes_a_scalar_q0(parabolic):
-    # a scalar broadcasts over the cells, as in the continuum solver; it
-    # used to raise AttributeError
-    part = uniform_partition(parabolic[0], 8)
+def test_reference_models_take_a_scalar_q0(parabolic):
+    # a scalar broadcasts over the points, as in the continuum solver; it
+    # used to raise AttributeError (interface model), IndexError
+    # (Crank-Nicolson) or TypeError (Fourier series)
+    c = parabolic[0]
+    part = uniform_partition(c, 8)
     assert interface_solution(part, lambda y: 1.0, 2, 1.0) == interface_solution(
         part, np.ones_like, 2, 1.0)
     assert en_det(part, 1.3, 2, lambda y: 1.0) == en_det(part, 1.3, 2, np.ones_like)
+    assert en_sampled(part, 1.3, 2, lambda y: 1.0) == en_sampled(part, 1.3, 2, np.ones_like)
+    assert np.array_equal(crank_nicolson(c, lambda y: 1.0, 0.1, 16, 16)[1],
+                          crank_nicolson(c, np.ones_like, 0.1, 16, 16)[1])
+    assert fourier_solution(1.0, lambda y: 1.0, 0.5, 0.1, 5) == fourier_solution(
+        1.0, np.ones_like, 0.5, 0.1, 5)
 
 
 @pytest.mark.parametrize("n_cells, j, t", [(64, 32, 1.0), (10, 4, 0.3)],
