@@ -451,9 +451,9 @@ def interface_solution(part: InterfacePartition, q0, j: int, t: float,
     :func:`_band_solve` gives it at each contour node in O(N).  For real
     sigma and q0, A(-conj k) = conj A(k) and Y(-conj k) = conj Y(k), and
     the contour's nodes and weights are mirror symmetric (k -> -conj k,
-    w -> conj w), so the terms at mirrored nodes are conjugate: only the
-    vertex and the Re k > 0 nodes are solved, as ``transform.solve_grid`` does,
-    and the sum is Re t_0 + 2 sum_{j>0} Re t_j.
+    w -> conj w), so the terms at mirrored nodes are conjugate.  As in
+    ``transform.solve_grid``, only the vertex and the Re k > 0 nodes are
+    solved, and the sum is Re t_0 + 2 sum_{j>0} Re t_j.
     """
     _check_interfaces(part, j)
     if t <= 0.0:
@@ -521,9 +521,8 @@ def _tridiag_eigs_top(c: Conductivity, count: int, nx: int) -> np.ndarray:
     residual _LANCZOS_TOL relative to each Ritz value, which bounds the
     eigenvalue error by the residual squared over the spectral gap, about
     1e-13 relative for 30 modes.  The fixed start vector makes the result
-    deterministic.  ARPACK cannot return all M
-    eigenvalues, so count = M takes one ``stebz`` bisection over the whole
-    spectrum.
+    deterministic.  ARPACK cannot return all M eigenvalues, so count = M
+    takes one ``stebz`` bisection over the whole spectrum.
     """
     from scipy.linalg import eigh_tridiagonal
     from scipy.linalg.lapack import dpttrf, dpttrs
