@@ -317,7 +317,10 @@ def _dn_sum(cell_times, rhos, k):
     kc = complex(k)
     total = 0.0 + 0.0j
     n_vectors = 1 << (N - 1)
-    block = 1 << 20
+    # blocks of 2**16 vectors: the traced peak, one block and what is left
+    # of the one before, reads 20 MiB at 17 cells, 31 MiB at 18 and 40 MiB
+    # at the cap of 24
+    block = 1 << 16
     for start in range(0, n_vectors, block):
         idx = np.arange(start, min(start + block, n_vectors), dtype=np.uint64)
         # bits for entries 2..N; entry 1 is fixed at 0

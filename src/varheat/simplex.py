@@ -13,10 +13,12 @@ where mu = sigma'/sigma and the phase A(y) alternates travel-time gaps:
 One engine computes it, the prefix recursion (``_prefix_series``).  It
 gives every term S_n(0, y; k) for all upper limits y at once, for any k with
 Im k >= 0, in n cumulative integrations on composite 12-node Gauss panels,
-at a cost linear in n.  It returns e^{ik tau(y)} S_n, which stays bounded in
-the upper half plane, because e^{ik tau(y)} sin(kA) splits into two
-exponentials of twice the even and twice the odd gaps, each of modulus
-<= 1.  The suffix terms S_n(y, 1; k) are the same recursion on the
+at a cost linear in n.  It is a generator: it yields e^{ik tau(y)} S_n one
+order at a time, at the nodes and the edges, and holds no stack of the
+orders, so each caller sums or stacks only what it needs.  That product
+stays bounded in the upper half plane, because e^{ik tau(y)} sin(kA)
+splits into two exponentials of twice the even and twice the odd gaps,
+each of modulus <= 1.  The suffix terms S_n(y, 1; k) are the same recursion on the
 reflected profile sigma(1 - x), and S_n(a, b; k) the same recursion on the
 panels from a on, with tau measured from a, read at every upper limit b.
 The solver and Delta_N (``transform``), the roots (``spectrum``) and the
@@ -350,20 +352,21 @@ class _Cumulative:
         return twice
 
     def __call__(self, f, phased=..., nodes=True):
-        """C for complex f of shape (..., P, q, K) at the nodes (..., P, q, K)
-        and at the edges (..., P + 1, K); with ``nodes`` false, the edges only.
+        """C for complex f of shape (..., P, q, K): the pair of its values at
+        the nodes, (..., P, q, K), and at the edges, (..., P + 1, K); with
+        ``nodes`` false the node entry is None.
 
         Only the entries ``f[phased]`` take the kernel; the others are plain
         cumulative integrals (omega = 0).  f, a C-contiguous complex array, is
-        overwritten.
+        spent: the node values come back in its buffer (the returned node
+        array is f), and with ``nodes`` false it holds nothing of use.
         """
         f[phased] *= self.in_nodes
         rows = _unit_cumulative(_PREFIX_ORDER)[None if nodes else -1:]
-        part = self.width * (rows @ f.view(float)).view(complex)  # real products
+        part = (rows @ f.view(float)).view(complex)  # real products
+        part *= self.width
         whole = part[..., -1, :]
-        at_edges = np.empty(whole.shape[:-2] + (whole.shape[-2] + 1, whole.shape[-1]),
-                            dtype=complex)
-        at_edges[..., 0, :] = 0.0
+        at_edges = np.zeros(f.shape[:-3] + (f.shape[-3] + 1, f.shape[-1]), dtype=complex)
         run = at_edges[..., 1:, :]  # the panel ends, in each block's frame until phased
         for lo, hi in zip(self.starts, self.stops):
             whole[..., lo:hi, :].cumsum(axis=-2, out=run[..., lo:hi, :])
@@ -373,14 +376,15 @@ class _Cumulative:
                 carry = run[..., hi - 1 : hi, :].copy()
                 carry[phased] *= self.out_edges[hi - 1 : hi]
         if nodes:
-            at_nodes = (run - whole)[..., None, :] + part[..., :-1, :]
-            at_nodes[phased] *= self.out_nodes
+            np.add((run - whole)[..., None, :], part[..., :-1, :], out=f)
+            f[phased] *= self.out_nodes
         run[phased] *= self.out_edges
-        return (at_nodes, at_edges) if nodes else at_edges
+        return (f if nodes else None), at_edges
 
 
 def _prefix_series(panels, k, N, cumulative=None, nodes=True):
-    """R_n(0, y; k) = e^{ik tau(y)} S_n(0, y; k), n <= N, by prefix recursion.
+    """R_n(0, y; k) = e^{ik tau(y)} S_n(0, y; k), n <= N, by prefix recursion,
+    yielded one order at a time.
 
     With A the alternating sum of travel-time gaps (module docstring),
     tau(y) + A and tau(y) - A are twice the sums of the even and of the odd
@@ -397,16 +401,21 @@ def _prefix_series(panels, k, N, cumulative=None, nodes=True):
     For Im k >= 0 no factor exceeds modulus 1, so each order costs one
     :class:`_Cumulative` integral of both branches, stacked on a leading
     axis (for real k the second branch is e^{2ik tau} times the conjugate of
-    the first, so only the first runs).  S_n(y, 1; k) is the same recursion
-    on ``panels.reflected()``.
+    the first, so only the first runs).  The branches live in one node
+    buffer: it starts as mu G_0 / 2, each integral leaves G_n in it, and
+    mu G_n / 2 goes back into it for the next order.  S_n(y, 1; k) is the
+    same recursion on ``panels.reflected()``.
 
-    ``k`` holds K wavenumbers with Im k >= 0 (else :class:`DomainError`);
-    ``cumulative``, if given, is the :class:`_Cumulative` for omega = 2k on
-    these panels.  Returns complex arrays of shapes (N + 1, P, q, K) at the
-    panel nodes and (N + 1, P + 1, K) at the edges; real k gives
-    S_n = Re(e^{-ik tau} R_n).  With ``nodes`` false it returns the edge
-    array alone and never forms the node values of order N, which no edge
-    needs.
+    ``k`` holds K wavenumbers with Im k >= 0 (else :class:`DomainError`,
+    raised when the first order is drawn); ``cumulative``, if given, is the
+    :class:`_Cumulative` for omega = 2k on these panels.  Yields, for
+    n = 0, ..., N in turn, the pair (nodes, edges) of R_n: new complex
+    arrays of shapes (P, q, K) at the panel nodes and (P + 1, K) at the
+    edges, which the caller may keep or overwrite; real k gives
+    S_n = Re(e^{-ik tau} R_n).  No stack of the orders is formed: a caller
+    sums or stacks what it needs.  With ``nodes`` false every nodes entry is
+    None, and the node values of order N, which no edge needs, are never
+    formed.
     """
     k = np.array(k, dtype=complex, ndmin=1)
     if k.imag.min() < -1e-12:
@@ -418,20 +427,23 @@ def _prefix_series(panels, k, N, cumulative=None, nodes=True):
              if cumulative.ref.any() else cumulative.out_nodes,
              np.exp(2j * np.multiply.outer(panels.tau_edges, k)))
     real = not k.imag.any()
-    G = [g[None] if real else np.array([g, np.ones_like(g)]) for g in first]
     half_mu = 0.5 * panels.mu[..., None]  # one factor of the 2**-n per order
+    # mu G_0 / 2 on both branches; the second, 1 at n = 0, only for complex k
+    f = np.empty((1 if real else 2,) + first[0].shape, dtype=complex)
+    np.multiply(half_mu, first[0], out=f[0])
+    f[1:] = half_mu
     kept = slice(None) if nodes else slice(1, None)  # nodes and edges, or edges
-    out = tuple(np.empty((N + 1,) + g.shape, dtype=complex) for g in first[kept])
     for n in range(N + 1):
         if n:
-            at_nodes = nodes or n < N
-            G = cumulative(half_mu * G[0], phased=slice(n % 2, n % 2 + 1), nodes=at_nodes)
-            G = G if at_nodes else (None, G)
-        for o, g, e in zip(out, G[kept], first[kept]):
-            np.subtract(g[0], e * g[0].conj() if real else g[1], out=o[n])
-    for o in out:
-        o *= -0.5j  # 1 / 2i
-    return out if nodes else out[0]
+            if n > 1:
+                f *= half_mu
+            G = cumulative(f, phased=slice(n % 2, n % 2 + 1), nodes=nodes or n < N)
+            R = [g[0] - (e * g[0].conj() if real else g[1]) for g, e in zip(G[kept], first[kept])]
+        else:
+            R = [e - (e * e.conj() if real else 1.0) for e in first[kept]]
+        for r in R:
+            r *= -0.5j  # 1 / 2i
+        yield (R[0] if nodes else None), R[-1]
 
 
 def _phase_const(tt, a, b, n):
@@ -532,8 +544,8 @@ def simplex_terms(c: Conductivity, tt: TravelTimeMap, a: float, b, k, spec: Seri
     span = grid.tau_edges[ends] - grid.tau_edges[i]
     if shift is not None:
         _check_regularized(k, shift, span)
-    edges = _prefix_series(grid.between(i, ends.max(initial=i)), k, spec.truncation_N,
-                           nodes=False)[:, ends - i, 0]
+    edges = np.array([e[ends - i, 0] for _, e in _prefix_series(
+        grid.between(i, ends.max(initial=i)), k, spec.truncation_N, nodes=False)])
     terms = sign * np.exp(1j * k * ((0.0 if shift is None else shift) - span)) * edges
     terms = terms.real if shift is None and k.imag == 0.0 else terms
     return terms.reshape(terms.shape[:1] + b.shape)

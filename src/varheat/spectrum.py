@@ -199,7 +199,7 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
     kappa = pair.kappa
     panels = _grid(c, tt, _panel_count(kappa, tt.total))[0]
     # R = e^{i kappa tau} sum_{n<=N} S_n(0, .; kappa) at the nodes; |R| = |S| for real kappa
-    nodes = _prefix_series(panels, kappa, spec.truncation_N)[0].sum(axis=0)[..., 0]
+    nodes = sum(r[..., 0] for r, _ in _prefix_series(panels, kappa, spec.truncation_N))
     norm_sq = float(np.sum(panels.wts * np.abs(nodes) ** 2 / panels.sigma))
     if norm_sq <= 0.0:
         raise NoConvergence("eigenfunction has zero norm")

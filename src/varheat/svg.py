@@ -20,9 +20,13 @@ _ML, _MR, _MT, _MB = 64, 16, 36, 48
 
 
 class LineSeries:
+    """One polyline: x and y of equal length (else :class:`DomainError`)."""
+
     def __init__(self, x, y, label, dashed=False):
         self.x = [float(v) for v in x]
         self.y = [float(v) for v in y]
+        if len(self.x) != len(self.y):
+            raise DomainError(f"series {label!r} has {len(self.x)} x but {len(self.y)} y")
         self.label = label
         self.dashed = dashed
 

@@ -203,7 +203,8 @@ def delta_values(c: Conductivity, tt: TravelTimeMap, ks, spec: SeriesSpec) -> np
     k[lower] *= -1.0
     vals = np.empty(k.shape, dtype=complex)
     for panels, _, group in _grid_groups(c, tt, _panel_count(k, tt.total)):
-        edge = _prefix_series(panels, k[group], spec.truncation_N, nodes=False)[:, -1].sum(axis=0)
+        edge = sum(e[-1] for _, e in _prefix_series(panels, k[group], spec.truncation_N,
+                                                     nodes=False))
         vals[group] = np.exp(-1j * k[group] * tt.total) * edge
     vals[lower] *= -1.0
     return (vals if np.iscomplexobj(ks) else vals.real).reshape(ks.shape)
@@ -230,11 +231,20 @@ def _q0_values(q0, pts):
 
 def _series_and_integral(panels, k, N, weight):
     """R(y) = e^{ik tau(y)} S(0, y), cumulative in n, and its y-integral
-    int_0^x e^{ik (tau(x) - tau(y))} R(y) weight(y) dy, both at the edges."""
+    int_0^x e^{ik (tau(x) - tau(y))} R(y) weight(y) dy, both at the edges,
+    shape (N + 1, P + 1, K).
+
+    The orders come one at a time: each is added to the running sum of R at
+    the nodes, and that sum is integrated at once, so only edge values are
+    kept.
+    """
     integral = _Cumulative(panels, k)  # its blocks also serve the recursion at 2k
-    nodes, at_edges = (r.cumsum(axis=0, out=r)
-                       for r in _prefix_series(panels, k, N, integral.squared()))
-    return at_edges, integral(nodes * weight, nodes=False)
+    at_edges, integrals, total = [], [], 0.0
+    for nodes, edges in _prefix_series(panels, k, N, integral.squared()):
+        total = np.add(nodes, total, out=nodes)  # the node sum of R up to order n
+        at_edges.append(edges)
+        integrals.append(integral(total * weight, nodes=False)[1])
+    return np.cumsum(at_edges, axis=0), np.array(integrals)
 
 
 def _phi_batch(c, tt, q0, ks, xs, spec, q0_knots=()):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from varheat import SeriesSpec, build_travel_time, make_conductivity
+from varheat import SeriesSpec, build_travel_time, make_conductivity, simplex
 from varheat.oracles import InterfacePartition
 
 # Closed form 2*sqrt(6)*asin(1/sqrt(3)), confirmed by adaptive quadrature.
@@ -81,6 +81,15 @@ def quadratic(x):
 
 def sine(x):
     return np.sin(np.pi * x)
+
+
+def stacked_series(panels, k, N, *args, nodes=True):
+    """The orders that ``simplex._prefix_series`` yields, stacked on a leading
+    axis: (nodes, edges) of shapes (N + 1, P, q, K) and (N + 1, P + 1, K), or
+    the edges alone with ``nodes`` false."""
+    pairs = list(simplex._prefix_series(panels, k, N, *args, nodes=nodes))
+    edges = np.array([e for _, e in pairs])
+    return (np.array([n for n, _ in pairs]), edges) if nodes else edges
 
 
 def exp_sine_profile(knots, amp, phase):

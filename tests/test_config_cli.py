@@ -209,15 +209,16 @@ def test_svg_widens_a_zero_width_range(tmp_path, x, y):
     assert all(math.isfinite(float(v)) for xy in points.split() for v in xy.split(","))
 
 
-@pytest.mark.parametrize("series", [[], [LineSeries([], [], "empty")],
-                                    [LineSeries([0.0, 1.0], [1.0, math.nan], "nan")],
-                                    [LineSeries([0.0, math.inf], [1.0, 2.0], "inf")]],
-                         ids=["no-series", "no-points", "nan", "inf"])
+@pytest.mark.parametrize("series", [lambda: [], lambda: [LineSeries([], [], "empty")],
+                                    lambda: [LineSeries([0.0, 1.0], [1.0, math.nan], "nan")],
+                                    lambda: [LineSeries([0.0, math.inf], [1.0, 2.0], "inf")],
+                                    lambda: [LineSeries([0.0, 1.0, 2.0], [1.0, 2.0], "short")]],
+                         ids=["no-series", "no-points", "nan", "inf", "length-mismatch"])
 def test_svg_rejects_empty_and_non_finite_input(tmp_path, series):
-    # NaN used to escape from math.floor in the tick rule, and no series as
-    # an untyped ValueError
+    # NaN used to escape from math.floor in the tick rule, no series as an
+    # untyped ValueError, and a y shorter than x was cut off by zip
     with pytest.raises(DomainError):
-        write_line_plot(tmp_path / "p.svg", series)
+        write_line_plot(tmp_path / "p.svg", series())
     assert not (tmp_path / "p.svg").exists()
 
 

@@ -136,6 +136,21 @@ def test_bruteforce_cap():
         dn_bruteforce(part, 1.0)
 
 
+def test_bruteforce_memory_is_bounded_by_its_block():
+    # 18 cells: 2**17 entry vectors in two blocks of 2**16, at about 320 B
+    # a vector; one block of 2**20 vectors peaked at 42 MiB here
+    part = _random_partition(np.random.default_rng(18), 18)
+    k = 2.3 + 0.4j
+    tracemalloc.start()
+    try:
+        brute = dn_bruteforce(part, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert abs(brute - dn_det(part, k)) <= 1e-10
+
+
 def test_switchform_equals_bruteforce():
     rng = np.random.default_rng(3)
     for n_cells in (1, 2, 5, 10):

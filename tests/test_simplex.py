@@ -11,7 +11,6 @@ from varheat import SeriesSpec, make_conductivity, build_travel_time, simplex
 from varheat.errors import DomainError, OrderTooHigh, ShiftTooSmall
 from varheat.simplex import (
     _grid,
-    _prefix_series,
     abs_log_derivative_integral,
     build_term_tables,
     simplex_terms,
@@ -20,7 +19,7 @@ from varheat.simplex import (
 from varheat.spectrum import find_eigenvalues
 from varheat.transform import Contour, delta_values, solve_grid
 
-from conftest import PARABOLIC_TAU_TOTAL, exp_sine_profile
+from conftest import PARABOLIC_TAU_TOTAL, exp_sine_profile, stacked_series
 from tuples import tuple_terms
 
 # Frozen from an adaptive-quadrature oracle with the closed-form travel
@@ -199,7 +198,7 @@ def _finer_recursion(c, tt, a, b, k, N, factor, shift=None):
     sign = -1.0 if shift is None and k.imag < 0.0 else 1.0
     k *= sign
     grid, (i, j) = _grid(c, tt, factor * simplex._panel_count(k, tt.total), (a, b))
-    edge = _prefix_series(grid.between(i, j), k, N, nodes=False)[:, -1, 0]
+    edge = stacked_series(grid.between(i, j), k, N, nodes=False)[:, -1, 0]
     span = grid.tau_edges[j] - grid.tau_edges[i]
     return sign * np.exp(1j * k * ((0.0 if shift is None else shift) - span)) * edge
 
@@ -454,7 +453,7 @@ PREFIX_XS = np.array([0.1, 0.37, 0.5, 0.93, 1.0])
 def _prefix_terms_at(c, tt, panels, k, N, xs=PREFIX_XS):
     # S_n = Re(e^{-ik tau} R_n) at real k
     grid, at_x = _grid(c, tt, panels, xs)
-    at_edges = _prefix_series(grid, k, N)[1][:, at_x, 0]
+    at_edges = stacked_series(grid, k, N)[1][:, at_x, 0]
     return (np.exp(-1j * k * grid.tau_edges[at_x]) * at_edges).real
 
 
@@ -511,8 +510,8 @@ def test_prefix_recursion_complex_k_and_reflection(profile, request):
     xs = np.array([0.1, 0.4, 0.77])
     ks = np.array([1.3, 5.0 + 3.0j, -4.0 + 6.0j])
     panels, at_x = _grid(c, tt, 64, xs)
-    left = _prefix_series(panels, ks, 3)[1][:, at_x]
-    right = _prefix_series(panels.reflected(), ks, 3)[1][:, -1 - at_x]
+    left = stacked_series(panels, ks, 3)[1][:, at_x]
+    right = stacked_series(panels.reflected(), ks, 3)[1][:, -1 - at_x]
     for i, x in enumerate(xs):
         for j, k in enumerate(ks):
             tau_x = float(tt.tau(x))
@@ -529,9 +528,9 @@ def test_prefix_recursion_blocks_match_one_block(parabolic, monkeypatch):
     c, tt = parabolic
     panels = _grid(c, tt, 256)[0]
     ks = np.array([5.0 + 40.0j, 40.0j, 1.0 + 1.0j])
-    blocked = _prefix_series(panels, ks, 3)
+    blocked = stacked_series(panels, ks, 3)
     monkeypatch.setattr(simplex, "_GROWTH", 1e9)
-    single = _prefix_series(panels, ks, 3)
+    single = stacked_series(panels, ks, 3)
     for got, want in zip(blocked, single):
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= 1e-14
@@ -541,7 +540,7 @@ def test_prefix_recursion_requires_upper_half_plane(parabolic):
     c, tt = parabolic
     panels = _grid(c, tt, 32)[0]
     with pytest.raises(DomainError, match="Im k"):
-        _prefix_series(panels, [1.0 - 0.5j], 2)
+        stacked_series(panels, [1.0 - 0.5j], 2)
 
 
 def test_panel_count_rule(parabolic):

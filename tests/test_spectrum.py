@@ -10,12 +10,12 @@ from scipy.optimize import brentq
 from varheat import SeriesSpec, build_travel_time, make_conductivity, simplex, spectrum, transform
 from varheat.errors import DomainError, NoConvergence
 from varheat.oracles import fd_eigenvalues
-from varheat.simplex import _grid, _prefix_series, simplex_terms
+from varheat.simplex import _grid, simplex_terms
 from varheat.spectrum import eigenfunction, find_eigenvalues
 from varheat.transform import delta_values
 from varheat.verify import TABLE1_VALUES as TABLE
 
-from conftest import exp_sine_profile, parabolic_exact_kappas, profiles
+from conftest import exp_sine_profile, parabolic_exact_kappas, profiles, stacked_series
 
 
 def test_constant_sigma_eigenvalues(const1):
@@ -226,7 +226,7 @@ def test_eigenfunction_panels_include_table_knots():
     panels, at_x = _grid(c, tt, 2048, xs)
     for pair in find_eigenvalues(c, tt, spec, 8):
         at_nodes, at_edges = (r.sum(axis=0)[..., 0]
-                              for r in _prefix_series(panels, pair.kappa, 2))
+                              for r in stacked_series(panels, pair.kappa, 2))
         real = [(np.exp(-1j * pair.kappa * tau) * r).real
                 for tau, r in ((panels.tau, at_nodes), (panels.tau_edges, at_edges))]
         raw = real[0] / np.sqrt(c.sigma(panels.pts))
@@ -414,7 +414,8 @@ def test_disordered_roots_raise(parabolic, spec2, monkeypatch):
 def test_zero_norm_eigenfunction_raises(parabolic, spec2, monkeypatch):
     pair = find_eigenvalues(*parabolic, spec2, 1)[0]
     monkeypatch.setattr(spectrum, "_prefix_series",
-                        lambda panels, k, N: (np.zeros((N + 1, *panels.wts.shape, 1)),))
+                        lambda panels, k, N: ((np.zeros((*panels.wts.shape, 1)), None)
+                                              for _ in range(N + 1)))
     with pytest.raises(NoConvergence, match="zero norm"):
         eigenfunction(*parabolic, pair, spec2)
 
