@@ -35,11 +35,12 @@ class ShiftTooSmall(VarheatError, ValueError):
 
 
 class RootMissed(VarheatError):
-    """The bracketing scan found fewer sign changes than modes requested."""
+    """The root finder found fewer roots than modes requested, or could not
+    certify them by sign changes."""
 
 
 class NoConvergence(VarheatError):
-    """An iterative solver failed to converge."""
+    """A solver or an approximation failed to converge or to resolve."""
 
 
 class DenominatorNearZero(VarheatError):

@@ -317,9 +317,8 @@ def _dn_sum(cell_times, rhos, k):
     kc = complex(k)
     total = 0.0 + 0.0j
     n_vectors = 1 << (N - 1)
-    # blocks of 2**16 vectors: the traced peak, one block and what is left
-    # of the one before, reads 20 MiB at 17 cells, 31 MiB at 18 and 40 MiB
-    # at the cap of 24
+    # blocks of 2**16 vectors, each released before the next: the traced
+    # peak reads 20 MiB at 17 cells, 21 MiB at 18 and 28 MiB at the cap of 24
     block = 1 << 16
     for start in range(0, n_vectors, block):
         idx = np.arange(start, min(start + block, n_vectors), dtype=np.uint64)
@@ -331,6 +330,7 @@ def _dn_sum(cell_times, rhos, k):
         switch = ell[:, :-1] != ell[:, 1:]  # empty for one cell: every factor is 1
         factors = np.where(switch, rhos[None, :], 1.0).prod(axis=1)
         total += np.sum(factors * np.sin(kc * phases))
+        del idx, ell, signs, phases, switch, factors  # before the next block is built
     return complex(total)
 
 

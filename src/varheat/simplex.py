@@ -96,15 +96,12 @@ class SeriesSpec:
     """Truncation configuration for the series evaluators.
 
     truncation_N: series cut at n <= N (N >= 0).
-    tol:          target absolute accuracy per term; validated, but no
-                  evaluator reads it yet.
 
     Every evaluator runs on the prefix recursion, whose panels follow |k|,
     so no quadrature order is configured.
     """
 
     truncation_N: int = 2
-    tol: float = 1e-10
 
     def __post_init__(self):
         try:
@@ -114,8 +111,6 @@ class SeriesSpec:
                 f"truncation_N must be an integer, got {self.truncation_N!r}") from None
         if self.truncation_N < 0:
             raise DomainError("truncation_N must be >= 0")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise DomainError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 # Gauss nodes per panel of the prefix recursion.

@@ -3,16 +3,17 @@
 The eigenvalue problem (sigma^2 y')' = lambda y, y(0) = y(1) = 0 has
 eigenvalues lambda_m = -kappa_m^2 where the kappa_m are the positive real
 zeros of the characteristic function Delta (restricted to its truncation
-Delta_N here).  Delta_N is odd and oscillates with quasi-period
-pi / tau(1), so a bracketing scan with step <= pi/(4 tau(1)) cannot skip a
-zero.  All brackets are then solved together to machine precision by
-Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971)), one batched
-Delta_N evaluation per iteration, stopping on the tolerances scipy's Brent
-solver was run with (1e-15 absolute, 4 eps relative).  Delta_N comes from
-the solver's prefix recursion (``transform.delta_values``), so the
-roots are those of the function whose series gives the solution, at any N.
-The scan runs one panel grid at a time and stops at the last sign change
-it needs.
+Delta_N here).  Delta_N is odd and entire of exponential type tau(1): it
+oscillates with quasi-period pi / tau(1), so on a piece of up to 16
+quasi-periods a Chebyshev interpolant of fixed degree resolves it to
+roundoff, and the roots of the interpolants, from their colleague matrices
+(``numpy.polynomial.chebyshev.chebroots``), are all the roots at once:
+Boyd's Chebyshev-proxy rootfinder (J. P. Boyd, SIAM J. Numer. Anal. 40
+(2002) 1666-1682; Battles & Trefethen, SIAM J. Sci. Comput. 25 (2004)).
+One Newton step polishes them, and the sign of Delta_N between them
+certifies a root in each gap.  Delta_N comes from the solver's prefix
+recursion (``transform.delta_values``), so the roots are those of the
+function whose series gives the solution, at any N.
 
 Eigenfunctions are evaluated from the explicit series
 
@@ -41,16 +42,16 @@ share it, and sharing changes no bit of any result.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebinterpolate, chebroots, chebval
 
 from .coefficients import Conductivity, TravelTimeMap
 from .errors import DomainError, NoConvergence, RootMissed
-from .simplex import SeriesSpec, _grid, _grid_groups, _panel_count, _prefix_series, simplex_terms
+from .simplex import SeriesSpec, _grid, _panel_count, _prefix_series, simplex_terms
 # build_term_tables is not called here; it stays bound as
 # spectrum.build_term_tables for benchmarks/test_benchmark.py, which checks
 # that the tracer rebinds it.
@@ -82,88 +83,78 @@ class Eigenfunction:
         return self.evaluator(x)
 
 
-# scipy's default iteration cap for Brent's method, per bracket
-_MAX_ITER = 100
+# A piece of the proxy spans at most _ROOTS_PER_PIECE quasi-periods pi / tau(1),
+# so on [-1, 1] Delta_N has exponential type 16 pi / 2, and its Chebyshev
+# coefficients fall like Bessel J_n(16 pi / 2): below roundoff 40 orders past
+# n = 16 pi / 2, hence the degree floor(16 pi / 2) + 40 = 65.
+_ROOTS_PER_PIECE = 16
+_DEGREE = 65
+_TAIL = 8  # trailing coefficients, which must lie below the noise floor
+# Samples of Delta_N carry rounding of about 1e-14 of the largest value, and
+# more as the phase k tau(1) grows (2e-13 at k tau(1) = 3000), so the floor
+# is _RESOLVED (1 + k tau(1) / 100) of the largest coefficient, k at the
+# right end of the piece.
+_RESOLVED = 1e-13
+_SAME = 1e-8  # in half-widths of a piece: imaginary parts, edge slack, repeated roots
 
 
-def _bracket_roots(delta, a, b, fa, fb):
-    """Roots of ``delta`` in the brackets [a_i, b_i], fa_i and fb_i of opposite sign.
-
-    Illinois regula falsi on every bracket at once: each iteration makes one
-    ``delta`` call over the brackets still open.  ``b`` is the newest iterate;
-    the retained end ``a`` has its weight halved each time it is kept.  A step
-    shorter than half the tolerance is lengthened to it, as Brent's method
-    does, so the bracket collapses once the iterate sits on the root.  A
-    bracket closes on Brent's test |b - a| <= 1e-15 + 4 eps |b|, or on
-    delta exactly 0; its root is the end with the smaller |delta|, returned
-    with that |delta|.
-    Bracket i is mode i + 1 in a :class:`NoConvergence` message.
-    """
-    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
-    wa = fa.copy()
-    live = np.arange(a.size)
-    for it in range(_MAX_ITER + 1):
-        tol = 1e-15 + 4.0 * np.finfo(float).eps * np.abs(b[live])
-        open_ = (np.abs(b[live] - a[live]) > tol) & (fb[live] != 0.0)
-        live, tol = live[open_], tol[open_]
-        if not live.size:
-            break
-        if it == _MAX_ITER:
-            raise NoConvergence(
-                f"root of mode {live[0] + 1} did not converge in {_MAX_ITER} iterations")
-        la, lb, lfb, lwa = a[live], b[live], fb[live], wa[live]
-        c = lb - lfb * (lb - la) / (lfb - lwa)
-        c = np.where(np.abs(c - lb) < 0.5 * tol, lb + np.copysign(0.5 * tol, la - lb), c)
-        fc = delta(c)
-        bad = ~np.isfinite(fc)
-        if bad.any():
-            raise NoConvergence(
-                f"root of mode {live[bad][0] + 1} did not converge: Delta_N is not finite")
-        flip = np.signbit(fc) != np.signbit(lfb)
-        a[live] = np.where(flip, lb, la)
-        fa[live] = np.where(flip, lfb, fa[live])
-        wa[live] = np.where(flip, lfb, 0.5 * lwa)
-        b[live], fb[live] = c, fc
-    first = np.abs(fa) < np.abs(fb)
-    return np.where(first, a, b), np.where(first, np.abs(fa), np.abs(fb))
+def _proxy_roots(coef, floor):
+    """Roots of a Chebyshev series without its trailing coefficients below
+    ``floor``: they move no root beyond what the Newton step removes, and
+    the colleague matrix's eigenvalues cost the cube of its size."""
+    return chebroots(coef[:np.flatnonzero(np.abs(coef) >= floor)[-1] + 1])
 
 
 def find_eigenvalues(c: Conductivity, tt: TravelTimeMap, spec: SeriesSpec,
                      count: int) -> list[EigenPair]:
-    """First ``count`` positive roots of Delta_N: sign-change scan, then one
-    batched Illinois iteration over all brackets (:func:`_bracket_roots`).
+    """First ``count`` positive roots of Delta_N, from its Chebyshev proxy,
+    in three ``delta_values`` calls.
 
-    The scan step cannot skip roots: consecutive zeros of Delta_N are about
-    pi/tau(1) apart while the scan step is a quarter of that.  Raises
-    :class:`RootMissed` if the ceiling is reached with too few sign changes,
-    and :class:`NoConvergence` if a bracket does not close.
+    [0, (count + 1.5) pi / tau(1)] is cut into ceil((count + 1.5) / 16)
+    equal pieces, and the first call samples Delta_N at the 66 first-kind
+    Chebyshev points of every piece.  The real roots of each piece's
+    interpolant (``chebroots``), without k = 0 and without a root repeated
+    at a piece edge, are the proxy roots.  The second call gives Delta_N at
+    them, for one Newton step with the interpolant's slope, and at the
+    midpoints between 0, the roots and the next root (or the end of the
+    range), where Delta_N must alternate in sign: that proves a root between
+    each two midpoints, though not that it is the only one.  The third call
+    gives the residual |Delta_N| at the polished roots.
+
+    Raises :class:`NoConvergence` unless the last 8 coefficients of every
+    piece lie below its noise floor, 1e-13 (1 + k tau(1) / 100) of its
+    largest coefficient (NaN or infinite samples fail too), and
+    :class:`RootMissed` if fewer than ``count`` roots are found or the signs
+    at the midpoints do not alternate.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise DomainError("count must be an integer >= 1")
-    total = tt.total
-    step = math.pi / (4.0 * total)
-    # Generous ceiling: roots sit near m*pi/tau(1).
-    ceiling = (count + 3) * math.pi / total
-    grid = np.arange(step * 0.25, ceiling, step)
-    delta = functools.partial(delta_values, c, tt, spec=spec)
-    # One panel grid at a time, in ascending k, until count sign changes are in.
-    vals = np.empty(0)
-    for _, _, group in _grid_groups(c, tt, _panel_count(grid, total)):
-        vals = np.concatenate([vals, delta(grid[group])])
-        signs = np.sign(vals)
-        flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-        if flips.size >= count:
-            break
-    else:
-        raise RootMissed(
-            f"found {flips.size} sign changes below k={ceiling:.3f}, need {count}"
-        )
-
-    flips = flips[:count]
-    kappas, residuals = _bracket_roots(delta, grid[flips], grid[flips + 1],
-                                       vals[flips], vals[flips + 1])
-    if np.any(np.diff(kappas) <= 0.0):
-        raise NoConvergence("roots are not strictly increasing")
+    top = (count + 1.5) * math.pi / tt.total
+    pieces = math.ceil((count + 1.5) / _ROOTS_PER_PIECE)
+    half = 0.5 * top / pieces
+    centres = half * np.arange(1, 2 * pieces, 2)
+    coefs = chebinterpolate(lambda t: delta_values(c, tt, centres + half * t[:, None], spec),
+                            _DEGREE)
+    floors = _RESOLVED * (1.0 + (centres + half) * tt.total / 100.0) * np.abs(coefs).max(axis=0)
+    if not np.all(np.abs(coefs[-_TAIL:]) < floors):
+        raise NoConvergence("the Chebyshev proxy of Delta_N is not resolved: its trailing "
+                            "coefficients are not below the noise floor")
+    real = [r.real[(np.abs(r.imag) <= _SAME) & (np.abs(r.real) <= 1.0 + _SAME)]
+            for r in map(_proxy_roots, coefs.T, floors)]
+    piece = np.repeat(np.arange(pieces), [r.size for r in real])
+    t = np.concatenate(real)
+    roots = centres[piece] + half * t
+    keep = np.diff(roots, prepend=0.0) > _SAME * half  # drops k = 0 and a root seen twice
+    if np.count_nonzero(keep) < count:
+        raise RootMissed(f"found {np.count_nonzero(keep)} roots below k={top:.3f}, need {count}")
+    piece, t, roots = piece[keep][:count], t[keep][:count], roots[keep]
+    ends = np.concatenate([[0.0], roots, [top]])[:count + 2]
+    vals = delta_values(c, tt, np.concatenate([roots[:count], 0.5 * (ends[:-1] + ends[1:])]), spec)
+    if not np.all(vals[count:-1] * vals[count + 1:] < 0.0):
+        raise RootMissed("Delta_N does not alternate in sign between its roots")
+    slope = chebval(t, chebder(coefs)[:, piece], tensor=False) / half
+    kappas = roots[:count] - vals[:count] / slope
+    residuals = np.abs(delta_values(c, tt, kappas, spec))
     return [EigenPair(m=m, kappa=kappa, lam=-kappa * kappa,
                       truncation_N=spec.truncation_N, residual=res)
             for m, (kappa, res) in enumerate(zip(kappas.tolist(), residuals.tolist()), start=1)]

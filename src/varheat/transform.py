@@ -190,10 +190,10 @@ def delta_values(c: Conductivity, tt: TravelTimeMap, ks, spec: SeriesSpec) -> np
     ``simplex._prefix_series``; real k takes the real part.  Wavenumbers are
     grouped by the panel grid their ``simplex._panel_count`` makes
     (``simplex._grid_groups``), one recursion call per grid, and the grids
-    come from the profile's table ``tt.grids``, so a root scan, every
-    iteration after it and the eigenfunctions share them.  k with Im k < 0
-    goes through Delta(k) = -Delta(-k).  Any finite complex k is accepted; a
-    NaN or infinite k raises :class:`DomainError`.
+    come from the profile's table ``tt.grids``, so the roots and the
+    eigenfunctions share them.  k with Im k < 0 goes through
+    Delta(k) = -Delta(-k).  Any finite complex k is accepted; a NaN or
+    infinite k raises :class:`DomainError`.
     """
     ks = np.asarray(ks)
     k = ks.astype(complex).ravel()
@@ -391,8 +391,8 @@ def solve_grid(c: Conductivity, tt: TravelTimeMap, q0, xs, ts, spec: SeriesSpec,
     _check_quadrature(cont, integrand[N], weighted, t_arr, tail_tol)
     vals = integrand @ weighted / (1j * math.pi)  # (N+1, X, T)
 
-    out = {t: {n: [SolutionSample(x, t, float(v.real), n, float(abs(v.imag)))
-                   for x, v in zip(xs, vals[n, :, j])]
+    real, imag = (part.transpose(2, 0, 1).tolist() for part in (vals.real, np.abs(vals.imag)))
+    out = {t: {n: [SolutionSample(x, t, v, n, e) for x, v, e in zip(xs, real[j][n], imag[j][n])]
                for n in (range(N + 1) if all_orders else (N,))}
            for j, t in enumerate(ts)}
     return out if all_orders else {t: per_order[N] for t, per_order in out.items()}

@@ -221,9 +221,11 @@ def test_modes_build_one_plain_and_one_merged_grid_per_count(profile, monkeypatc
     assert all(XS.size <= edges.size for edges in built)
 
 
-def test_table_knots_make_one_grid_and_one_recursion_call_per_iteration(monkeypatch):
+def test_table_knots_make_one_recursion_call_per_grid_in_each_delta_call(monkeypatch):
     # On a 33-knot table the knots hold the edges of 16 and 32 uniform
-    # panels, so every Delta_N call below 64 panels is one recursion call
+    # panels, so the wavenumbers below 64 panels share one grid; the samples
+    # of the proxy reach 64 panels, and each Delta_N call makes one
+    # recursion call per grid its wavenumbers need
     c = _profiles()[2]
     tt = build_travel_time(c)
     recursions, evaluations = [], []
@@ -240,32 +242,24 @@ def test_table_knots_make_one_grid_and_one_recursion_call_per_iteration(monkeypa
     monkeypatch.setattr(transform, "_prefix_series", counting_series)
     monkeypatch.setattr(spectrum, "delta_values", counting_delta)
     assert len(find_eigenvalues(c, tt, SPEC, 30)) == 30
-    assert len(recursions) == len(evaluations)
-    assert {panels for panels, _ in recursions} == {32}
-    # the scan stops at the 30th sign change: one call on the shared grid,
-    # none on the 64-panel grid; then all 30 brackets in each iteration
-    scan, first_iteration = evaluations[:2]
-    assert recursions[0] == (32, scan.size) and first_iteration.size == 30
-    assert all(simplex._panel_count(ks, tt.total).max() <= 32 for ks in evaluations)
+    expected = []
+    for ks in evaluations:
+        counts = simplex._panel_count(ks, tt.total)
+        for panels, _, group in simplex._grid_groups(c, tt, counts):
+            expected.append((panels.pts.shape[0], np.count_nonzero(group)))
+    assert recursions == expected
+    assert [panels for panels, _ in recursions] == [32, 64, 32, 32]
 
 
-def test_scan_evaluates_all_grids_before_root_missed(monkeypatch):
-    # with too few sign changes the scan reaches the ceiling on every grid
+def test_positive_delta_raises_root_missed(monkeypatch):
+    # |Delta_N| < 1 on parabolic24, so Delta_N + 2 has no root for the proxy to find
     c = make_conductivity("parabolic24")
     tt = build_travel_time(c)
-    scanned = []
     plain = spectrum.delta_values
-
-    def positive(c, tt, ks, spec):
-        scanned.append(np.asarray(ks))
-        return np.abs(plain(c, tt, ks, spec)) + 1.0
-
-    monkeypatch.setattr(spectrum, "delta_values", positive)
-    with pytest.raises(RootMissed, match="found 0 sign changes"):
+    monkeypatch.setattr(spectrum, "delta_values",
+                        lambda c, tt, ks, spec: plain(c, tt, ks, spec) + 2.0)
+    with pytest.raises(RootMissed, match="found 0 roots"):
         find_eigenvalues(c, tt, SPEC, 30)
-    ceiling = 33 * np.pi / tt.total
-    assert len(scanned) == 3  # 16, 32 and 64 panels
-    assert np.concatenate(scanned).max() > ceiling - np.pi / (4.0 * tt.total)
 
 
 def test_solves_at_many_x_sets_keep_the_table_bounded():

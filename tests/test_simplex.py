@@ -31,21 +31,18 @@ S2_PARABOLIC_K2 = -0.004953134620424728
 
 
 def test_spec_validation(parabolic):
-    # the spec holds the truncation and the tolerance only; the quadrature
-    # order is an argument of the reference tuples, which check it
-    assert [f.name for f in dataclasses.fields(SeriesSpec)] == ["truncation_N", "tol"]
+    # the spec holds the truncation only; the quadrature order is an
+    # argument of the reference tuples, which check it
+    assert [f.name for f in dataclasses.fields(SeriesSpec)] == ["truncation_N"]
     with pytest.raises(DomainError):
         SeriesSpec(truncation_N=-1)
     with pytest.raises(DomainError):
         build_term_tables(*parabolic, 0.0, 1.0, SeriesSpec(), quad_order=1)
+
+
+def test_spec_orders_are_integers(parabolic):
     with pytest.raises(DomainError):
-        SeriesSpec(tol=0.0)
-
-
-def test_spec_orders_are_integers_and_tol_finite(parabolic):
-    for bad in ({"truncation_N": 2.5}, {"tol": math.nan}, {"tol": math.inf}, {"tol": -1e-10}):
-        with pytest.raises(DomainError):
-            SeriesSpec(**bad)
+        SeriesSpec(truncation_N=2.5)
     for bad in (8.5, "8"):
         with pytest.raises(DomainError, match="quad_order"):
             build_term_tables(*parabolic, 0.0, 1.0, SeriesSpec(), quad_order=bad)
@@ -165,11 +162,10 @@ def test_term_bound_matrix(parabolic, rational, const1):
 
 def test_quadrature_convergence_on_doubling(parabolic):
     c, tt = parabolic
-    tol = SeriesSpec().tol
     for k in (1.0, 3.0 + 1.0j):
         lo = tuple_terms(c, tt, 0.0, 1.0, k, 2, quad_order=32)
         hi = tuple_terms(c, tt, 0.0, 1.0, k, 2, quad_order=64)
-        assert np.max(np.abs(lo - hi)[1:]) < tol
+        assert np.max(np.abs(lo - hi)[1:]) < 1e-10
 
 
 def test_regularized_closed_form_constant(const1, spec3):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from varheat import SeriesSpec, build_travel_time, make_conductivity, simplex, spectrum, transform
-from varheat.errors import DomainError, NoConvergence
+from varheat.errors import DomainError, NoConvergence, RootMissed
 from varheat.oracles import fd_eigenvalues
 from varheat.simplex import _grid, simplex_terms
 from varheat.spectrum import eigenfunction, find_eigenvalues
@@ -43,7 +43,7 @@ def test_residuals_are_tiny(parabolic, spec2):
 
 def test_find_eigenvalues_builds_no_term_tables(spec2, monkeypatch):
     # the roots come from the prefix recursion, and the profile's grid table
-    # builds each panel grid once for the scan and every iteration
+    # builds each panel grid once for all three Delta_N calls
     def refuse(*args, **kwargs):
         raise AssertionError("find_eigenvalues built term tables")
 
@@ -79,23 +79,44 @@ def _count_delta_calls(monkeypatch, replace=None):
 
 
 def test_find_eigenvalues_delta_budget(parabolic, spec2, monkeypatch):
-    # one scan plus a few Brent steps per root
+    # 66 Chebyshev points on each of the two pieces, then the 30 proxy roots
+    # with the 31 midpoints around them, then the 30 polished roots
     calls = _count_delta_calls(monkeypatch)
     assert len(find_eigenvalues(*parabolic, spec2, 30)) == 30
-    assert len(calls) <= 1 + 12 * 30
+    assert [np.size(ks) for ks in calls] == [2 * 66, 30 + 31, 30]
 
 
 def test_find_eigenvalues_call_count(parabolic, spec2, monkeypatch):
-    # the scan and every iteration, each one batched call over all brackets
+    # the samples, the Newton step with its certificate, the residuals:
+    # three calls at any count, on one piece of the proxy or on seven
     calls = _count_delta_calls(monkeypatch)
-    assert len(find_eigenvalues(*parabolic, spec2, 30)) == 30
-    assert len(calls) <= 30
+    for count in (1, 14, 15, 30, 100):
+        calls.clear()
+        assert len(find_eigenvalues(*parabolic, spec2, count)) == count
+        assert len(calls) <= 3
 
 
 def test_root_solver_failure_is_typed(parabolic, spec2, monkeypatch):
-    # every Delta after the scan is NaN, so no bracket can close
-    _count_delta_calls(monkeypatch, lambda n, vals: vals if n == 1 else np.full_like(vals, np.nan))
-    with pytest.raises(NoConvergence, match="mode 1"):
+    # NaN samples, and noise of 1e-10 that lifts the trailing coefficients
+    # above the floor, leave the proxy unresolved
+    noise = np.random.default_rng(0).standard_normal
+    for spoil in (lambda vals: np.full_like(vals, np.nan),
+                  lambda vals: vals + 1e-10 * noise(vals.shape)):
+        with monkeypatch.context() as patch:
+            _count_delta_calls(patch, lambda n, vals: spoil(vals))
+            with pytest.raises(NoConvergence, match="not resolved"):
+                find_eigenvalues(*parabolic, spec2, 3)
+
+
+def test_one_signed_midpoints_raise_root_missed(parabolic, spec2, monkeypatch):
+    # the second call holds the 3 proxy roots, then the 4 midpoints around them
+    def one_signed(n, vals):
+        if n == 2:
+            vals[3:] = np.abs(vals[3:])
+        return vals
+
+    _count_delta_calls(monkeypatch, one_signed)
+    with pytest.raises(RootMissed, match="alternate"):
         find_eigenvalues(*parabolic, spec2, 3)
 
 
@@ -138,6 +159,14 @@ def test_parabolic_roots_at_N10_match_legendre_reference(parabolic):
     pairs = find_eigenvalues(*parabolic, SeriesSpec(truncation_N=10), 30)
     lams = np.array([p.lam for p in pairs])
     assert np.max(np.abs(lams + exact**2) / exact**2) <= 1e-13
+
+
+def test_parabolic_100_roots_at_N10_match_legendre_reference(parabolic):
+    # 100 roots need seven pieces of the proxy
+    exact = parabolic_exact_kappas(100)
+    pairs = find_eigenvalues(*parabolic, SeriesSpec(truncation_N=10), 100)
+    kappas = np.array([p.kappa for p in pairs])
+    assert np.max(np.abs(kappas - exact) / exact) <= 1e-13
 
 
 @pytest.mark.parametrize("profile", ["parabolic", "rational", "table33"])
@@ -396,19 +425,6 @@ def test_eigenfunction_overlays_grid_reference(parabolic, rational):
     gap1 = max_gap(cr, ttr, 1)
     assert gap1 < gap0
     assert gap1 < 0.05
-
-
-def test_bracket_iteration_cap_names_the_mode(parabolic, spec2, monkeypatch):
-    monkeypatch.setattr(spectrum, "_MAX_ITER", 1)
-    with pytest.raises(NoConvergence, match=r"mode \d+ did not converge in 1 iterations"):
-        find_eigenvalues(*parabolic, spec2, 2)
-
-
-def test_disordered_roots_raise(parabolic, spec2, monkeypatch):
-    monkeypatch.setattr(spectrum, "_bracket_roots",
-                        lambda *args: (np.array([2.0, 1.0]), np.zeros(2)))
-    with pytest.raises(NoConvergence, match="not strictly increasing"):
-        find_eigenvalues(*parabolic, spec2, 2)
 
 
 def test_zero_norm_eigenfunction_raises(parabolic, spec2, monkeypatch):
