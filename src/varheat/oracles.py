@@ -32,7 +32,8 @@ Four families, none of which share code with the production path:
 
 Every model checks q0 as the continuum solver does
 (``transform._q0_values``): a scalar broadcasts, and complex, non-finite
-or wrongly shaped values raise :class:`DomainError`.
+or wrongly shaped values raise :class:`DomainError`, and so does a NaN or
+infinite wavenumber, as in the simplex integrals.
 
 Interface quantities: cells j = 1..N carry sigma_j (sampled at midpoints),
 nu_j = k / sigma_j, and the jump factors Lambda_p^{+-} = sigma_{p+1} +-
@@ -215,8 +216,8 @@ def _entries(part: InterfacePartition, ks: np.ndarray) -> np.ndarray:
     the same two.  The value unknowns at the outer boundaries are zero
     (Dirichlet), so their two entries are structural zeros.
     """
-    if (ks == 0).any():
-        raise DomainError("the interface system requires k != 0")
+    if not np.all(np.isfinite(ks) & (ks != 0)):
+        raise DomainError("the interface system requires finite k != 0")
     s = part.sigmas
     x = part.nodes[np.arange(s.size)[:, None] + _ENDS]
     # the mirrored relation flips the sign of ik g0
@@ -276,10 +277,11 @@ def _band_solve(part: InterfacePartition, ks: np.ndarray, j: int, q0):
     profile = _weighted_profile(part, q0)
     for lo in range(0, ks.size, _NODE_BLOCK):
         block = ks[lo:lo + _NODE_BLOCK]
+        bands = _band(part, block)  # first: it checks the wavenumbers
         # Y in the band row order, cell by cell with +k before -k
         rhs = _system_rhs(part, block, *profile).transpose(0, 2, 1)
         rhs = rhs.reshape(block.size, 2 * N, 1)
-        for k, ab, y in zip(block, _band(part, block), rhs):
+        for k, ab, y in zip(block, bands, rhs):
             lu, piv, info = zgbtrf(ab, _KL, _KU)
             if info > 0:
                 raise DenominatorNearZero(f"det A vanished at k = {k:.6g}")
@@ -315,6 +317,8 @@ def _dn_sum(cell_times, rhos, k):
     if N > _BRUTE_CAP:
         raise TooManyTerms(f"2**{N - 1} terms exceeds the brute-force cap")
     kc = complex(k)
+    if not np.isfinite(kc):
+        raise DomainError(f"the entry-vector sum needs a finite k, got {kc}")
     total = 0.0 + 0.0j
     n_vectors = 1 << (N - 1)
     # blocks of 2**16 vectors, each released before the next: the traced
@@ -349,6 +353,8 @@ def _switch_sums(cell_times, rho, k, max_switches: int) -> np.ndarray:
     max_switches >= m - 1.
     """
     kc = complex(k)
+    if not np.isfinite(kc):
+        raise DomainError(f"the switch recursion needs a finite k, got {kc}")
     times = np.cumsum(cell_times)  # the travel time of each prefix
     # The sine is two exponentials, the rows of every array here: e^{+-i k t}
     # at the prefix ends, and e^{+-2i k t} at the interior interfaces, the
@@ -597,7 +603,11 @@ def fd_eigenvector(c: Conductivity, m: int, nx: int):
 
 
 def fourier_solution(sigma_const: float, q0, x, t: float, modes: int):
-    """Constant-sigma solution by the classical sine series."""
+    """Constant-sigma solution by the classical sine series at x in [0, 1]
+    (else :class:`DomainError`)."""
+    xarr = np.asarray(x, dtype=float)
+    if not np.all((xarr >= 0.0) & (xarr <= 1.0)):  # NaN fails too
+        raise DomainError("the sine series needs every x in [0, 1]")
     if not _integers(modes) or modes < 1:
         raise DomainError("need integer modes >= 1")
     if not (math.isfinite(sigma_const) and sigma_const > 0.0):
@@ -612,7 +622,6 @@ def fourier_solution(sigma_const: float, q0, x, t: float, modes: int):
         axis=1,
     )
     decay = np.exp(-((ms * math.pi * sigma_const) ** 2) * t)
-    xarr = np.asarray(x, dtype=float)
     scalar = xarr.ndim == 0
     xarr = np.atleast_1d(xarr)
     vals = np.sum(

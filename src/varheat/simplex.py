@@ -21,9 +21,9 @@ splits into two exponentials of twice the even and twice the odd gaps,
 each of modulus <= 1.  The suffix terms S_n(y, 1; k) are the same recursion on the
 reflected profile sigma(1 - x), and S_n(a, b; k) the same recursion on the
 panels from a on, with tau measured from a, read at every upper limit b.
-The solver and Delta_N (``transform``), the roots (``spectrum``) and the
-one public evaluator here, ``simplex_terms``, which the eigenfunctions
-call at a = 0, all use it, on the panels of ``_grid``, whose count follows
+The solver and Delta_N (``transform``), the roots and the eigenfunctions
+(``spectrum``) and the one public evaluator here, ``simplex_terms``, all
+use it, on the panels of ``_grid``, whose count follows
 the rule of ``_panel_count``: max(16, ceil(2 |k| tau(1) / 6)) panels,
 rounded up to a power of two, so that each panel carries at most 6 rad of
 the kernel phase 2|k| tau, and no more than 2^16.  One rule cuts every grid: its

@@ -22,36 +22,34 @@ Eigenfunctions are evaluated from the explicit series
 normalized to unit L^2 norm.  The sign needs no choice: the n = 0 term
 S_0(0, x; kappa) = sin(kappa tau(x)) has slope kappa / sigma(0) > 0 at
 x = 0, and every S_n with n >= 1 is O(x^(n+1)) there, so X_m'(0) > 0 at
-every N.  The evaluator is ``simplex.simplex_terms`` at a = 0 and the
-mode's own root kappa_m, summed over n, with sigma(x) taken from the
-profile: every term for all x at once, by the prefix recursion
-``simplex._prefix_series`` that the solver also uses, on the panels of
-``simplex._grid`` with the solver's rule ``simplex._panel_count``:
-max(16, ceil(2 kappa_m tau(1) / 6)) composite 12-node Gauss panels rounded
-up to a power of two.  The knots of a tabulated profile and the requested x
-are breakpoints of the grid, and each gap g between them is cut into
-ceil(g count) equal panels, so the values are read at edges and no panel
-is wider than the rule's.  Eigenfunction accuracy is set by that panel
-grid alone.
+every N.  One evaluation is one call of the prefix recursion
+``simplex._prefix_series`` that the solver also uses, at the mode's own
+root kappa_m, on the panels of ``simplex._grid`` with the solver's rule
+``simplex._panel_count``: max(16, ceil(2 kappa_m tau(1) / 6)) composite
+12-node Gauss panels rounded up to a power of two.  The knots of a
+tabulated profile and the requested x are breakpoints of the grid, and
+each gap g between them is cut into ceil(g count) equal panels, so no
+panel is wider than the rule's.  The recursion's node values give the
+norm on that grid and its edge values the series at the x, so
+eigenfunction accuracy is set by that panel grid alone.
 
 Every panel grid is built once per profile and kept in the table of its
-travel-time map (``TravelTimeMap.grids``): the roots, the norm of every
-mode with the same panel count and the values of every mode at the same x
-share it, and sharing changes no bit of any result.
+travel-time map (``TravelTimeMap.grids``): the roots share it, and so do
+the modes evaluated at the same x with the same panel count, and sharing
+changes no bit of any result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebinterpolate, chebroots, chebval
 
 from .coefficients import Conductivity, TravelTimeMap
 from .errors import DomainError, NoConvergence, RootMissed
-from .simplex import SeriesSpec, _grid, _panel_count, _prefix_series, simplex_terms
+from .simplex import SeriesSpec, _grid, _panel_count, _prefix_series
 # build_term_tables is not called here; it stays bound as
 # spectrum.build_term_tables for benchmarks/test_benchmark.py, which checks
 # that the tracer rebinds it.
@@ -73,14 +71,35 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class Eigenfunction:
-    """Normalized eigenfunction evaluator (unit L^2 norm, X'(0) > 0)."""
+    """Normalized eigenfunction X of ``pair`` (unit L^2 norm, X'(0) > 0) on
+    the profile ``c`` and its travel-time map ``tt``; see :func:`eigenfunction`."""
 
     pair: EigenPair
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    normalization: float
+    c: Conductivity
+    tt: TravelTimeMap
 
     def __call__(self, x):
-        return self.evaluator(x)
+        """X at ``x`` (a float for a scalar), from one prefix recursion on
+        the panel grid that the x cut.
+
+        The recursion gives R = e^{i kappa tau} sum_{n<=N} S_n(0, .; kappa)
+        at the nodes, where |R| = |S| for real kappa gives the norm, and at
+        the edges, where the x lie.  Raises :class:`DomainError` for x
+        outside [0, 1] or a map built for another profile, and
+        :class:`NoConvergence` if the norm is zero.
+        """
+        x = np.asarray(x, dtype=float)
+        kappa = self.pair.kappa
+        panels, at = _grid(self.c, self.tt, _panel_count(kappa, self.tt.total), x)
+        nodes = edges = 0.0
+        for r, e in _prefix_series(panels, kappa, self.pair.truncation_N):
+            nodes, edges = nodes + r[..., 0], edges + e[at, 0]
+        norm_sq = float(np.sum(panels.wts * np.abs(nodes) ** 2 / panels.sigma))
+        if norm_sq <= 0.0:
+            raise NoConvergence("eigenfunction has zero norm")
+        vals = ((np.exp(-1j * kappa * panels.tau_edges[at]) * edges).real
+                / np.sqrt(norm_sq * panels.sigma_edges[at]))
+        return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
 
 
 # A piece of the proxy spans at most _ROOTS_PER_PIECE quasi-periods pi / tau(1),
@@ -168,37 +187,26 @@ def eigenfunction(c: Conductivity, tt: TravelTimeMap, pair: EigenPair,
     sqrt(sigma(1)), and ``find_eigenvalues`` takes kappa_m from the same
     recursion, so X(1) vanishes to the precision of the root: below 5e-15
     for modes 1-8 of ``parabolic24``, ``rational9000`` and a 33-knot
-    tabulated profile.  Unit L^2 norm, taken on the panel grid
-    without the evaluated x, which the roots and every mode with the same
-    panel count share through ``tt.grids``.  The evaluator is
-    scale * sum_n ``simplex_terms(c, tt, 0, x, kappa, spec)`` /
-    sqrt(sigma(x)); its grid, which the x cut, is shared by every mode
-    evaluated at the same x.  The scale is positive and fixes the sign:
-    S_0(0, x; kappa) = sin(kappa tau(x)) has slope kappa / sigma(0) > 0 at
-    x = 0 and each S_n with n >= 1 is O(x^(n+1)) there, so X'(0) > 0 at
-    every N.  The series
-    comes from the prefix recursion on the solver's panel rule,
-    max(16, ceil(2 kappa tau(1) / 6)) panels rounded up to a power of two
-    (16 for the first 15 modes of ``parabolic24`` and ``rational9000``),
-    with the table knots and every evaluated x as breakpoints; at 101 x,
-    which cut the 16 panels into 100, its values for modes 1-8 agree with
-    2048 panels to 6.7e-16 on ``parabolic24`` and on ``rational9000``.
-    The evaluator raises :class:`DomainError` for x outside [0, 1].
+    tabulated profile.  Nothing is computed here: each call of the
+    returned :class:`Eigenfunction` runs one prefix recursion on the grid
+    that its x cut, and takes from it both the unit L^2 norm (on the
+    nodes) and the values scale * sum_n S_n(0, x; kappa) / sqrt(sigma(x))
+    (at the edges), so every mode evaluated at the same x with the same
+    panel count shares one grid through ``tt.grids``.  The scale is
+    positive and fixes the sign: S_0(0, x; kappa) = sin(kappa tau(x)) has
+    slope kappa / sigma(0) > 0 at x = 0 and each S_n with n >= 1 is
+    O(x^(n+1)) there, so X'(0) > 0 at every N.  The panel rule is the
+    solver's, max(16, ceil(2 kappa tau(1) / 6)) panels rounded up to a
+    power of two (16 for the first 15 modes of ``parabolic24`` and
+    ``rational9000``), with the table knots and every evaluated x as
+    breakpoints; at 101 x, which cut the 16 panels into 100, the values of
+    modes 1-8 agree with 2048 panels to 4.4e-16 on ``parabolic24`` and
+    8.9e-16 on ``rational9000``.
+
+    Raises :class:`DomainError` here if ``pair`` was found at another
+    truncation; the evaluation raises the errors of
+    :meth:`Eigenfunction.__call__`.
     """
     if pair.truncation_N != spec.truncation_N:
         raise DomainError("pair was produced with a different truncation")
-    kappa = pair.kappa
-    panels = _grid(c, tt, _panel_count(kappa, tt.total))[0]
-    # R = e^{i kappa tau} sum_{n<=N} S_n(0, .; kappa) at the nodes; |R| = |S| for real kappa
-    nodes = sum(r[..., 0] for r, _ in _prefix_series(panels, kappa, spec.truncation_N))
-    norm_sq = float(np.sum(panels.wts * np.abs(nodes) ** 2 / panels.sigma))
-    if norm_sq <= 0.0:
-        raise NoConvergence("eigenfunction has zero norm")
-    scale = 1.0 / math.sqrt(norm_sq)
-
-    def evaluator(x):
-        x = np.asarray(x, dtype=float)
-        vals = scale * simplex_terms(c, tt, 0.0, x, kappa, spec).sum(axis=0) / np.sqrt(c.sigma(x))
-        return float(vals) if x.ndim == 0 else vals
-
-    return Eigenfunction(pair=pair, evaluator=evaluator, normalization=scale)
+    return Eigenfunction(pair, c, tt)

@@ -39,6 +39,8 @@ def _range(values):
 
 
 def _ticks(lo, hi, n=5):
+    """At most n + 1 round ticks, all in [lo, hi]: the multiples of 1, 2, 5
+    or 10 times a power of ten, rounded to 12 decimals."""
     span = hi - lo
     step = 10 ** math.floor(math.log10(span / n))
     for mult in (1, 2, 5, 10):
@@ -51,7 +53,7 @@ def _ticks(lo, hi, n=5):
     while v <= hi + 1e-12 * span:
         out.append(round(v, 12))
         v += step
-    return out
+    return [t for t in out if lo <= t <= hi]
 
 
 def write_line_plot(path, series, title="", xlabel="", ylabel=""):
@@ -94,8 +96,6 @@ def write_line_plot(path, series, title="", xlabel="", ylabel=""):
         f'height="{_H - _MT - _MB}" fill="none" stroke="black" stroke-width="1"/>'
     )
     for tx in _ticks(xlo, xhi):
-        if tx < xlo or tx > xhi:
-            continue
         parts.append(
             f'<line x1="{px(tx):.1f}" y1="{_H - _MB}" x2="{px(tx):.1f}" '
             f'y2="{_H - _MB + 5}" stroke="black"/>'
@@ -105,8 +105,6 @@ def write_line_plot(path, series, title="", xlabel="", ylabel=""):
             f'font-family="sans-serif" font-size="11">{tx:g}</text>'
         )
     for ty in _ticks(ylo, yhi):
-        if ty < ylo or ty > yhi:
-            continue
         parts.append(
             f'<line x1="{_ML - 5}" y1="{py(ty):.1f}" x2="{_ML}" '
             f'y2="{py(ty):.1f}" stroke="black"/>'

@@ -190,8 +190,8 @@ def delta_values(c: Conductivity, tt: TravelTimeMap, ks, spec: SeriesSpec) -> np
     ``simplex._prefix_series``; real k takes the real part.  Wavenumbers are
     grouped by the panel grid their ``simplex._panel_count`` makes
     (``simplex._grid_groups``), one recursion call per grid, and the grids
-    come from the profile's table ``tt.grids``, so the roots and the
-    eigenfunctions share them.  k with Im k < 0 goes through
+    come from the profile's table ``tt.grids``, so the three calls of
+    ``find_eigenvalues`` share them.  k with Im k < 0 goes through
     Delta(k) = -Delta(-k).  Any finite complex k is accepted; a NaN or
     infinite k raises :class:`DomainError`.
     """

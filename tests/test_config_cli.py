@@ -9,7 +9,7 @@ import pytest
 from varheat.cli import main
 from varheat.config import parse_config_text, named_profile
 from varheat.errors import ConfigError, DomainError
-from varheat.svg import LineSeries, write_line_plot
+from varheat.svg import LineSeries, _ticks, write_line_plot
 
 # a q0 table on [0.2, 0.8] only
 PARTIAL_Q0_TABLE = Path(__file__).parent / "data" / "q0_partial.csv"
@@ -206,6 +206,16 @@ def test_svg_widens_a_zero_width_range(tmp_path, x, y):
     points = next(el for el in ET.parse(tmp_path / "p.svg").getroot().iter()
                   if el.tag.endswith("polyline")).attrib["points"]
     assert all(math.isfinite(float(v)) for xy in points.split() for v in xy.split(","))
+
+
+def test_svg_ticks_stay_in_range():
+    # the tick at 1.0 lies one rounding step past the range; the plot used
+    # to drop it itself, so the tick rule returned it
+    assert _ticks(0.0, 1.0 - 1e-13) == [0.0, 0.2, 0.4, 0.6, 0.8]
+    for lo, hi in ((0.0, 1.0), (-0.3, 0.7), (1e-13, 1.0), (-2.5e-7, 3.1e-6)):
+        ticks = _ticks(lo, hi)
+        assert ticks and all(lo <= t <= hi for t in ticks)
+    assert _ticks(0.0, 1.0)[-1] == 1.0
 
 
 @pytest.mark.parametrize("series", [lambda: [], lambda: [LineSeries([], [], "empty")],

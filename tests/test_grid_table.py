@@ -41,12 +41,8 @@ def _figure2(c, tt):
 
 
 def _modes(c, tt, pairs):
-    """Normalizations and values at XS, indexed by mode, in the order of ``pairs``."""
-    out = {}
-    for pair in pairs:
-        ef = eigenfunction(c, tt, pair, SPEC)
-        out[pair.m] = (ef.normalization, ef(XS))
-    return out
+    """Values at XS, indexed by mode, in the order of ``pairs``."""
+    return {pair.m: eigenfunction(c, tt, pair, SPEC)(XS) for pair in pairs}
 
 
 def _counting_builds(monkeypatch):
@@ -198,12 +194,14 @@ def test_warm_table_is_bitwise_fresh(profile):
     again = find_eigenvalues(c, warm, SPEC, 30)
     assert [p.kappa for p in again] == [p.kappa for p in pairs]
     for got in (_modes(c, warm, again[7::-1]), _modes(c, build_travel_time(c), pairs[7::-1])):
-        for m, (scale, vals) in modes.items():
-            assert got[m][0] == scale and np.array_equal(got[m][1], vals), m
+        for m, vals in modes.items():
+            assert np.array_equal(got[m], vals), m
 
 
 @pytest.mark.parametrize("profile", range(3))
-def test_modes_build_one_plain_and_one_merged_grid_per_count(profile, monkeypatch):
+def test_modes_build_at_most_one_grid_per_count(profile, monkeypatch):
+    # the norm and the values come from the grid that the x cut, so a fresh
+    # table builds no plain grid for the modes
     c = _profiles()[profile]
     tt = build_travel_time(c)
     pairs = find_eigenvalues(c, tt, SPEC, 8)
@@ -212,8 +210,9 @@ def test_modes_build_one_plain_and_one_merged_grid_per_count(profile, monkeypatc
     fresh = build_travel_time(c)
     for pair in pairs:
         eigenfunction(c, fresh, pair, SPEC)(XS)
-    assert 0 < len(built) <= 2 * len(counts)
-    # the roots left the plain grids in their table: only merged ones are new
+    assert 0 < len(built) <= len(counts)
+    assert all(XS.size <= edges.size for edges in built)
+    # the roots' plain grids in the table are not used: only merged ones are new
     built.clear()
     for pair in pairs:
         eigenfunction(c, tt, pair, SPEC)(XS)
@@ -281,15 +280,18 @@ def test_solves_at_many_x_sets_keep_the_table_bounded():
 def test_another_profile_on_the_same_map_raises():
     # tau of one profile with sigma of another gave silently wrong numbers (a
     # figure-2 value of 0.08678 for 0.09191, kappa_1 = 0.9425 for 1.0003);
-    # the map records its profile, so every series call checks the pair
+    # the map records its profile, so every series call checks the pair (an
+    # eigenfunction when it is evaluated)
     first = make_conductivity("parabolic24")
     tt = build_travel_time(first)
     ks = np.linspace(0.5, 30.0, 40)
     warm = transform.delta_values(first, tt, ks, SPEC)
+    pair = find_eigenvalues(first, tt, SPEC, 1)[0]
     for other in (make_conductivity("rational9000"), make_conductivity("parabolic24")):
         for call in (lambda: transform.delta_values(other, tt, ks, SPEC),
                      lambda: solve_grid(other, tt, quadratic, FIGURE2_XS, FIGURE2_TS, SPEC),
-                     lambda: find_eigenvalues(other, tt, SPEC, 1)):
+                     lambda: find_eigenvalues(other, tt, SPEC, 1),
+                     lambda: eigenfunction(other, tt, pair, SPEC)(FIGURE2_XS)):
             with pytest.raises(DomainError, match="another profile"):
                 call()
     assert np.array_equal(transform.delta_values(first, tt, ks, SPEC), warm)

@@ -386,15 +386,33 @@ def test_sampled_en_converges_at_second_order(parabolic):
     (lambda c: crank_nicolson(c, lambda y: np.nan * y, 1.0, 16, 16), DomainError),
     (lambda c: fourier_solution(1.0, lambda y: (1 + 1j) * y, 0.5, 0.1, 5), DomainError),
     (lambda c: fourier_solution(1.0, lambda y: np.nan * y, 0.5, 0.1, 5), DomainError),
+    # x outside [0, 1] used to return the odd periodic extension, and NaN NaN
+    (lambda c: fourier_solution(1.0, quadratic, -0.5, 0.1, 5), DomainError),
+    (lambda c: fourier_solution(1.0, quadratic, [0.5, np.nan], 0.1, 5), DomainError),
 ], ids=["lengths", "no-cells", "dn_det-k0", "interface-j0", "interface-t0", "fd-nx32",
         "en_sampled-j0", "interface-j2.5", "en_det-j2.5", "psi-m2.5", "en_sampled-j2.5",
         "switchform-2.5", "cells-4.5", "interface-q0-shape", "interface-q0-complex",
         "interface-q0-nan", "en_det-q0-complex", "en_det-q0-inf", "en_sampled-q0-shape",
         "en_sampled-q0-nan", "cn-q0-complex", "cn-q0-nan", "fourier-q0-complex",
-        "fourier-q0-nan"])
+        "fourier-q0-nan", "fourier-x-negative", "fourier-x-nan"])
 def test_typed_argument_errors(parabolic, call, error):
     with pytest.raises(error):
         call(parabolic[0])
+
+
+@pytest.mark.parametrize("k", [np.nan, np.inf, complex(1.0, np.nan)], ids=["nan", "inf", "nan-imag"])
+@pytest.mark.parametrize("call", [
+    lambda part, k: dn_det(part, k),
+    lambda part, k: dn_bruteforce(part, k),
+    lambda part, k: dn_switchform(part, k, 3),
+    lambda part, k: en_det(part, k, 2, quadratic),
+    lambda part, k: psi_entry(part, k, 2, 3),
+    lambda part, k: en_sampled(part, k, 2, quadratic),
+], ids=["dn_det", "dn_bruteforce", "dn_switchform", "en_det", "psi_entry", "en_sampled"])
+def test_non_finite_wavenumbers_raise(parabolic, call, k):
+    # these returned nan+nanj, where the simplex integrals and Delta_N raise
+    with pytest.raises(DomainError, match="finite k"):
+        call(uniform_partition(parabolic[0], 6), k)
 
 
 def test_interface_solution_constant_exact():

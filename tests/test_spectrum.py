@@ -133,12 +133,13 @@ def test_roots_increase_with_tiny_residuals(c):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(c=profiles)
 def test_roots_match_brent_per_bracket(c):
-    # the batched iteration stops on Brent's tolerances, so each root agrees
-    # with a scalar Brent solve of the same scan bracket to a few eps
+    # each root of the Chebyshev proxy, after its Newton step, agrees to a
+    # few eps with a scalar Brent solve of Delta_N on a bracket from an
+    # independent sign scan
     tt = build_travel_time(c)
     spec = SeriesSpec(truncation_N=2)
     pairs = find_eigenvalues(c, tt, spec, 10)
-    # the scan grid of find_eigenvalues for 10 roots
+    # a sign scan of Delta_N, four samples per quasi-period pi / tau(1)
     step = math.pi / (4.0 * tt.total)
     grid = np.arange(step * 0.25, 13 * math.pi / tt.total, step)
     signs = np.sign(delta_values(c, tt, grid, spec))
@@ -428,12 +429,55 @@ def test_eigenfunction_overlays_grid_reference(parabolic, rational):
 
 
 def test_zero_norm_eigenfunction_raises(parabolic, spec2, monkeypatch):
+    # the norm is taken when the eigenfunction is evaluated, not built
     pair = find_eigenvalues(*parabolic, spec2, 1)[0]
+    ef = eigenfunction(*parabolic, pair, spec2)
     monkeypatch.setattr(spectrum, "_prefix_series",
-                        lambda panels, k, N: ((np.zeros((*panels.wts.shape, 1)), None)
+                        lambda panels, k, N: ((np.zeros((*panels.wts.shape, 1)),
+                                               np.zeros((panels.tau_edges.size, 1)))
                                               for _ in range(N + 1)))
     with pytest.raises(NoConvergence, match="zero norm"):
-        eigenfunction(*parabolic, pair, spec2)
+        ef(0.5)
+
+
+def test_each_evaluation_is_one_recursion_call(parabolic, spec2, monkeypatch):
+    # eigenfunction() computes nothing; each evaluation takes its norm and
+    # its values from one prefix recursion on the grid that its x cut
+    c, tt = parabolic
+    pairs = find_eigenvalues(c, tt, spec2, 4)
+    calls = []
+    plain = spectrum._prefix_series
+
+    def counting(panels, k, N, *args, **kwargs):
+        calls.append(panels.pts.shape[0])
+        return plain(panels, k, N, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_prefix_series", counting)
+    efs = [eigenfunction(c, tt, p, spec2) for p in pairs]
+    assert calls == []
+    assert [f.name for f in dataclasses.fields(efs[0])] == ["pair", "c", "tt"]
+    for ef, xs in zip(efs, (0.3, np.linspace(0.0, 1.0, 101), [[0.2, 0.7]], [])):
+        calls.clear()
+        assert np.shape(ef(xs)) == np.shape(xs)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("profile", ["parabolic", "rational", "table33"])
+def test_eigenfunction_is_the_public_series(profile, request, spec2):
+    # X(x) = s * sum_n simplex_terms(c, tt, 0, x, kappa) / sqrt(sigma(x))
+    # with one positive scale s for every x
+    if profile == "table33":
+        c = exp_sine_profile(33, (0.25, -0.12, 0.08), (0.3, 1.9, 4.0))
+        tt = build_travel_time(c)
+    else:
+        c, tt = request.getfixturevalue(profile)
+    xs = np.linspace(0.0, 1.0, 101)
+    for pair in find_eigenvalues(c, tt, spec2, 8):
+        vals = eigenfunction(c, tt, pair, spec2)(xs)
+        series = simplex_terms(c, tt, 0.0, xs, pair.kappa, spec2).sum(axis=0) / np.sqrt(c.sigma(xs))
+        scale = (vals @ series) / (series @ series)
+        assert scale > 0.0
+        assert np.max(np.abs(vals - scale * series)) <= 2e-15, pair.m
 
 
 def test_no_complex_roots_missed(parabolic, spec2):
