@@ -209,8 +209,8 @@ def test_svg_widens_a_zero_width_range(tmp_path, x, y):
 
 
 def test_svg_ticks_stay_in_range():
-    # the tick at 1.0 lies one rounding step past the range; the plot used
-    # to drop it itself, so the tick rule returned it
+    # 1.0 lies within the rule's rounding slack past hi, yet outside the
+    # range, so it is not a tick
     assert _ticks(0.0, 1.0 - 1e-13) == [0.0, 0.2, 0.4, 0.6, 0.8]
     for lo, hi in ((0.0, 1.0), (-0.3, 0.7), (1e-13, 1.0), (-2.5e-7, 3.1e-6)):
         ticks = _ticks(lo, hi)

@@ -386,7 +386,7 @@ def test_sampled_en_converges_at_second_order(parabolic):
     (lambda c: crank_nicolson(c, lambda y: np.nan * y, 1.0, 16, 16), DomainError),
     (lambda c: fourier_solution(1.0, lambda y: (1 + 1j) * y, 0.5, 0.1, 5), DomainError),
     (lambda c: fourier_solution(1.0, lambda y: np.nan * y, 0.5, 0.1, 5), DomainError),
-    # x outside [0, 1] used to return the odd periodic extension, and NaN NaN
+    # x outside [0, 1] used to return the odd periodic extension, and x = NaN NaN
     (lambda c: fourier_solution(1.0, quadratic, -0.5, 0.1, 5), DomainError),
     (lambda c: fourier_solution(1.0, quadratic, [0.5, np.nan], 0.1, 5), DomainError),
 ], ids=["lengths", "no-cells", "dn_det-k0", "interface-j0", "interface-t0", "fd-nx32",
