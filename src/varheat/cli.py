@@ -32,6 +32,9 @@ from .verify import SUITES, run_suite
 
 __all__ = ["main", "cmd_solve", "cmd_eigs", "cmd_eigfuns", "cmd_verify"]
 
+# Grid size of the FD oracle column of ``eigs``, which has _ORACLE_NX - 1 modes.
+_ORACLE_NX = 512
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -105,6 +108,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_eigs(cfg: RunConfig) -> int:
+    if cfg.eigs_oracle and cfg.eigs_count >= _ORACLE_NX:
+        raise ConfigError(f"eigs.count must be <= {_ORACLE_NX - 1} while eigs.oracle is on "
+                          f"(the FD oracle grid has {_ORACLE_NX - 1} modes), got {cfg.eigs_count}")
     c = cfg.conductivity()
     tt = build_travel_time(c)
     spec = cfg.series_spec()
@@ -112,7 +118,7 @@ def cmd_eigs(cfg: RunConfig) -> int:
     records = [{"m": p.m, "kappa": p.kappa, "lambda": p.lam,
                 "residual": p.residual, "N": p.truncation_N} for p in pairs]
     if cfg.eigs_oracle:
-        refs = fd_eigenvalues(c, cfg.eigs_count, 512)
+        refs = fd_eigenvalues(c, cfg.eigs_count, _ORACLE_NX)
         for rec, ref in zip(records, refs):
             rec["fd_lambda"] = ref
             rec["abs_diff"] = abs(rec["lambda"] - ref)

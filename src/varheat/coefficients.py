@@ -18,7 +18,10 @@ interpolant of 1/sigma.
 
 The catalog holds two closed-form benchmark coefficients (``parabolic24``
 with sigma^2 = (3 - (2x-1)^2)/24, and the rational ``rational9000`` profile),
-plus constant and CSV-tabulated variants.
+plus constant and CSV-tabulated variants.  As the PDE takes sigma only
+through sigma^2 and its derivative, each kind is given by exactly that pair
+and its knots; :func:`make_conductivity` builds sigma and sigma' from the
+pair, one way for every kind.
 """
 
 from __future__ import annotations
@@ -118,14 +121,16 @@ class Conductivity:
 
     ``sigma`` and ``dsigma`` are vectorized evaluators (accept floats or
     ndarrays); ``sigma_min`` is a positive lower bound observed on a fine
-    sample of [0, 1].  Instances are immutable and safe to share.
+    sample of [0, 1].  ``knots`` are the abscissae of a tabulated profile,
+    where sigma is smooth only piecewise; a smooth kind has none.
+    Instances are immutable and safe to share.
     """
 
     kind: str
     sigma: Callable[[np.ndarray], np.ndarray]
     dsigma: Callable[[np.ndarray], np.ndarray]
     sigma_min: float
-    params: dict = field(default_factory=dict)
+    knots: np.ndarray | tuple = ()
 
     def sigma_sq(self, x):
         s = self.sigma(x)
@@ -163,17 +168,26 @@ def _check_domain(x, name="x"):
     return np.clip(x, 0.0, 1.0)
 
 
-def _validate_positive(sigma_fn, kind):
+def _validate_positive(sq, kind):
+    """sigma_min: sqrt of the least sigma^2 ``sq`` takes on a fine sample of
+    [0, 1], once every sample is checked finite and positive (the least
+    sigma itself, since sqrt is monotone)."""
     xs = np.linspace(0.0, 1.0, _VALIDATION_SAMPLES)
-    vals = np.asarray(sigma_fn(xs), dtype=float)
+    vals = np.asarray(sq(xs), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NonPositiveConductivity(f"{kind}: sigma is not finite on [0, 1]")
-    smin = float(vals.min())
-    if smin <= 0.0:
-        raise NonPositiveConductivity(
-            f"{kind}: sigma <= 0 at x = {xs[int(vals.argmin())]:.6f}"
-        )
-    return smin
+    if vals.min() <= 0.0:
+        raise NonPositiveConductivity(f"{kind}: sigma^2 <= 0 at x = {xs[int(vals.argmin())]:.6f}")
+    return float(np.sqrt(vals.min()))
+
+
+def _as_floats(value, where):
+    """``value`` as a float array; a :class:`DomainError` naming ``where``
+    if it does not convert."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{where} must be numeric: {exc}") from exc
 
 
 def _check_xy(x, y, where, y_name):
@@ -224,10 +238,14 @@ def load_sigma_table(path):
 def make_conductivity(kind, **params) -> Conductivity:
     """Construct a validated :class:`Conductivity` of the given kind.
 
+    Each kind gives only sigma^2, its derivative and its knots; one
+    ``sigma`` = sqrt(sigma^2) and ``dsigma`` = (sigma^2)' / (2 sigma), one
+    check of the params and one positivity audit serve them all.
+
     Kinds
     -----
     constant
-        ``c`` (default 1.0): sigma(x) = c.
+        ``c`` (default 1.0): sigma^2(x) = c^2, so sigma(x) = c exactly.
     parabolic24
         sigma^2(x) = (3 - (2x-1)^2) / 24; the benchmark whose exact
         solution for q0 = x(1-x) is x(1-x) e^{-t}.
@@ -236,72 +254,57 @@ def make_conductivity(kind, **params) -> Conductivity:
         its numerator and denominator share a root inside [0, 1].
     tabulated
         ``table`` = path to a CSV of (x, sigma^2), or ``x``/``sigma_sq``
-        arrays directly.  Interpolated with a shape-preserving (PCHIP)
-        cubic; sigma' is the analytic derivative of the interpolant.
-        ``params["knots"]`` holds the abscissae, where sigma'' jumps.
+        arrays directly.  sigma^2 is their shape-preserving (PCHIP) cubic
+        interpolant; its derivative is the interpolant's.  ``knots`` holds
+        the abscissae, where sigma'' jumps.
     """
+    knots = ()
     if kind == "constant":
-        c = float(params.pop("c", 1.0))
-        if params:
-            raise DomainError(f"constant: unknown params {sorted(params)}")
+        c = float(_as_floats(params.pop("c", 1.0), "constant: c"))
+        # sqrt(c^2) = |c|, so the audit of sigma^2 would pass a negative c
         if not (np.isfinite(c) and c > 0.0):
             raise NonPositiveConductivity(f"constant: c must be finite and positive, got {c!r}")
 
-        def sigma(x, c=c):
-            return np.full_like(np.asarray(x, dtype=float), c)
+        def sq(x, c_sq=c * c):
+            return np.full_like(x, c_sq)
 
-        def dsigma(x):
-            return np.zeros_like(np.asarray(x, dtype=float))
-
-        return Conductivity("constant", sigma, dsigma, c, {"c": c})
-
-    if kind in _CLOSED_FORMS:
-        if params:
-            raise DomainError(f"{kind}: unknown params {sorted(params)}")
+        dsq = np.zeros_like
+    elif kind in _CLOSED_FORMS:
         sq, dsq = _CLOSED_FORMS[kind]
-
-        def sigma(x):
-            return np.sqrt(sq(np.asarray(x, dtype=float)))
-
-        def dsigma(x):
-            x = np.asarray(x, dtype=float)
-            # sigma' = (sigma^2)' / (2 sigma)
-            return dsq(x) / (2.0 * sigma(x))
-
-        return Conductivity(kind, sigma, dsigma, _validate_positive(sigma, kind), {})
-
-    if kind == "tabulated":
+    elif kind == "tabulated":
         if "table" in params:
             x, s2 = load_sigma_table(params.pop("table"))
         else:
             missing = [p for p in ("x", "sigma_sq") if p not in params]
             if missing:
-                raise DomainError(
-                    f"tabulated: needs `table` or both `x` and `sigma_sq` "
-                    f"(missing {', '.join(missing)})"
-                )
-            x = np.asarray(params.pop("x"), dtype=float)
-            s2 = np.asarray(params.pop("sigma_sq"), dtype=float)
+                raise DomainError(f"tabulated: needs `table` or both `x` and `sigma_sq` "
+                                  f"(missing {', '.join(missing)})")
+            x, s2 = (_as_floats(params.pop(p), f"tabulated: {p}") for p in ("x", "sigma_sq"))
             _check_table(x, s2, "tabulated")
-        if params:
-            raise DomainError(f"tabulated: unknown params {sorted(params)}")
         interp = PchipInterpolator(x, s2, extrapolate=False)
         dinterp = interp.derivative()
 
-        def sigma(xq, interp=interp):
-            xq = _check_domain(xq)
-            return np.sqrt(interp(xq))
+        def sq(xq):
+            return interp(_check_domain(xq))
 
-        def dsigma(xq, interp=interp, dinterp=dinterp):
-            xq = _check_domain(xq)
-            return dinterp(xq) / (2.0 * np.sqrt(interp(xq)))
+        def dsq(xq):
+            return dinterp(_check_domain(xq))
 
-        smin = _validate_positive(sigma, kind)
         knots = np.clip(x, 0.0, 1.0)  # the ends may miss 0 and 1 by 1e-12
         knots.flags.writeable = False
-        return Conductivity("tabulated", sigma, dsigma, smin, {"knots": knots})
+    else:
+        raise DomainError(f"unknown conductivity kind {kind!r}; expected one of {KINDS}")
+    if params:
+        raise DomainError(f"{kind}: unknown params {sorted(params)}")
 
-    raise DomainError(f"unknown conductivity kind {kind!r}; expected one of {KINDS}")
+    def sigma(x):
+        return np.sqrt(sq(np.asarray(x, dtype=float)))
+
+    def dsigma(x):
+        x = np.asarray(x, dtype=float)
+        return dsq(x) / (2.0 * sigma(x))
+
+    return Conductivity(kind, sigma, dsigma, _validate_positive(sq, kind), knots)
 
 
 def log_derivative(c: Conductivity, x):
@@ -339,7 +342,7 @@ def build_travel_time(c: Conductivity) -> TravelTimeMap:
     by _TAU_CHECK_ORDER nodes differs from it by more than
     _TAU_RTOL * tau(1), i.e. when 1/sigma is not resolved.
     """
-    edges = np.union1d(np.linspace(0.0, 1.0, _TAU_PANELS + 1), c.params.get("knots", ()))
+    edges = np.union1d(np.linspace(0.0, 1.0, _TAU_PANELS + 1), c.knots)
     pts, wts = _panel_gauss(edges, _TAU_ORDER)
     inv = 1.0 / c.sigma(pts)
     check_pts, check_wts = _panel_gauss(edges, _TAU_CHECK_ORDER)

@@ -7,6 +7,10 @@ The format is deliberately plain text, diffable, and schema-light::
     series.N = 2
     solve.times = 0.25, 1, 4
 
+The keys are the fields of :class:`RunConfig`, each read off its field:
+the key is the field name with its first underscore made a dot
+(``solve_times`` is ``solve.times``), and the field's annotation picks the
+parser (a ``list[float]`` takes comma- or space-separated floats).
 Unknown keys are rejected with the offending line number; every value is
 validated against the owning module's ranges when the objects are built.
 """
@@ -14,7 +18,8 @@ validated against the owning module's ranges when the objects are built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -34,12 +39,8 @@ def _parse_bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_float_list(s):
-    return [float(v) for v in s.replace(",", " ").split()]
-
-
-def _parse_int_list(s):
-    return [int(v) for v in s.replace(",", " ").split()]
+def _parse_list(item, s):
+    return [item(v) for v in s.replace(",", " ").split()]
 
 
 @dataclass
@@ -53,11 +54,11 @@ class RunConfig:
     profile_table: str = ""
     series_N: int = 2
     solve_x_points: int = 101
-    solve_times: list = field(default_factory=lambda: [0.25, 1.0, 4.0])
+    solve_times: list[float] = field(default_factory=lambda: [0.25, 1.0, 4.0])
     eigs_count: int = 4
     eigs_oracle: bool = True
-    eigfuns_modes: list = field(default_factory=lambda: [1, 2, 3, 4])
-    eigfuns_truncations: list = field(default_factory=list)  # empty = [series_N]
+    eigfuns_modes: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
+    eigfuns_truncations: list[int] = field(default_factory=list)  # empty = [series_N]
     eigfuns_x_points: int = 201
     output_format: str = "csv"
     output_path: str = ""
@@ -105,25 +106,14 @@ class RunConfig:
         return self.sigma_kind == "parabolic24" and self.profile_kind == "quadratic"
 
 
-_SCHEMA = {
-    "sigma.kind": ("sigma_kind", lambda s: s, KINDS),
-    "sigma.value": ("sigma_value", float, None),
-    "sigma.table": ("sigma_table", lambda s: s, None),
-    "profile.kind": ("profile_kind", lambda s: s, ("quadratic", "sine", "table")),
-    "profile.table": ("profile_table", lambda s: s, None),
-    "series.N": ("series_N", int, None),
-    "solve.x_points": ("solve_x_points", int, None),
-    "solve.times": ("solve_times", _parse_float_list, None),
-    "eigs.count": ("eigs_count", int, None),
-    "eigs.oracle": ("eigs_oracle", _parse_bool, None),
-    "eigfuns.modes": ("eigfuns_modes", _parse_int_list, None),
-    "eigfuns.truncations": ("eigfuns_truncations", _parse_int_list, None),
-    "eigfuns.x_points": ("eigfuns_x_points", int, None),
-    "output.format": ("output_format", lambda s: s, ("csv", "json")),
-    "output.path": ("output_path", lambda s: s, None),
-    "output.svg": ("output_svg", lambda s: s, None),
-    "verify.seed": ("verify_seed", int, None),
-}
+# A field's key is its name with the first underscore made a dot; its
+# annotation picks the parser.  Only these keys take a fixed set of values.
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
+            "list[int]": partial(_parse_list, int), "list[float]": partial(_parse_list, float)}
+_ALLOWED = {"sigma.kind": KINDS, "profile.kind": ("quadratic", "sine", "table"),
+            "output.format": ("csv", "json")}
+_SCHEMA = {f.name.replace("_", ".", 1): (f.name, _PARSERS[f.type])
+           for f in fields(RunConfig) if f.init}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -139,11 +129,12 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         value = value.split("#", 1)[0].strip()
         if key not in _SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        attr, conv, allowed = _SCHEMA[key]
+        attr, conv = _SCHEMA[key]
         try:
             parsed = conv(value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
+        allowed = _ALLOWED.get(key)
         if allowed is not None and parsed not in allowed:
             raise ConfigError(
                 f"{source}:{lineno}: {key!r} must be one of {allowed}, got {parsed!r}"
@@ -176,7 +167,7 @@ def _validate(cfg: RunConfig):
         cfg.profile()
     if cfg.solve_x_points < 2:
         raise ConfigError("solve.x_points must be >= 2")
-    if not all(math.isfinite(t) and t > 0 for t in cfg.solve_times):
+    if not cfg.solve_times or not all(math.isfinite(t) and t > 0 for t in cfg.solve_times):
         raise ConfigError("solve.times must be finite and positive")
     if cfg.eigs_count < 1:
         raise ConfigError("eigs.count must be >= 1")

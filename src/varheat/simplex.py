@@ -282,7 +282,7 @@ def _held(c, tt, count, points):
     if not np.all((points >= 0.0) & (points <= 1.0)):  # NaN fails too
         raise DomainError(
             f"series points must lie in [0, 1], got {points.min():g}..{points.max():g}")
-    breaks = np.unique(np.concatenate([(0.0, 1.0), c.params.get("knots", ()), points]))
+    breaks = np.unique(np.concatenate([(0.0, 1.0), c.knots, points]))
     gaps = np.diff(breaks)
     cuts = np.ceil(gaps * count).astype(int)
     for other in tt.grids.values():

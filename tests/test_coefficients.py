@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from varheat import SeriesSpec, build_travel_time, log_derivative, make_conductivity
-from varheat.coefficients import _rational9000_raw_sq
+from varheat.coefficients import _CLOSED_FORMS, _rational9000_raw_sq
 from varheat.transform import solve_grid
 from varheat.errors import (
     DomainError,
@@ -22,6 +23,18 @@ def test_constant_catalog():
     xs = np.linspace(0, 1, 17)
     assert np.all(c.sigma(xs) == 1.0)
     assert np.all(c.dsigma(xs) == 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(1e-3, 1e3))
+def test_constant_sigma_is_exactly_c(c):
+    # the constant kind goes through sqrt(c^2) like every other kind;
+    # in binary floating point that is c to the bit
+    prof = make_conductivity("constant", c=c)
+    xs = np.linspace(0.0, 1.0, 9)
+    assert np.all(prof.sigma(xs) == c) and prof.sigma(0.5) == c
+    assert np.all(prof.dsigma(xs) == 0.0)
+    assert prof.sigma_min == c and prof.knots == ()
 
 
 def test_parabolic_closed_form_samples(parabolic):
@@ -65,6 +78,30 @@ def test_nonpositive_rejected():
     with pytest.raises(NonPositiveConductivity):
         make_conductivity("tabulated", x=np.linspace(0, 1, 5),
                           sigma_sq=np.array([1.0, 0.5, -0.1, 0.5, 1.0]))
+
+
+def test_positivity_audit_names_the_fault(monkeypatch):
+    # every kind is audited on its sigma^2; a closed form swapped for one
+    # that dips below zero past x = 0.6, then for one that is NaN
+    zero = np.zeros_like
+    monkeypatch.setitem(_CLOSED_FORMS, "parabolic24", (lambda x: 0.6 - x, zero))
+    with pytest.raises(NonPositiveConductivity, match=r"parabolic24: sigma\^2 <= 0 at x = 1\.000000"):
+        make_conductivity("parabolic24")
+    monkeypatch.setitem(_CLOSED_FORMS, "parabolic24",
+                        (lambda x: np.full_like(x, np.nan), zero))
+    with pytest.raises(NonPositiveConductivity, match="parabolic24: sigma is not finite"):
+        make_conductivity("parabolic24")
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("constant", {"c": "x"}, "constant: c"),
+    ("tabulated", {"x": ["0", "a", "0.5", "1"], "sigma_sq": np.ones(4)}, "tabulated: x"),
+    ("tabulated", {"x": np.linspace(0.0, 1.0, 4), "sigma_sq": ["1", "b", "1", "1"]},
+     "tabulated: sigma_sq"),
+])
+def test_non_numeric_params_are_typed(kind, params, name):
+    with pytest.raises(DomainError, match=f"{name} must be numeric"):
+        make_conductivity(kind, **params)
 
 
 def test_unknown_kind_and_params():
@@ -119,7 +156,7 @@ def test_malformed_arrays():
         with pytest.raises(MalformedTable):
             make_conductivity("tabulated", x=bad_x, sigma_sq=s2)
     c = make_conductivity("tabulated", x=x, sigma_sq=np.ones(5))
-    assert np.array_equal(c.params["knots"], x)
+    assert np.array_equal(c.knots, x)
     c = make_conductivity("tabulated", x=[0.0, 1e-12, 0.5, 1.0], sigma_sq=[1.0, 1.0, 1.2, 1.0])
     assert np.all(np.isfinite(build_travel_time(c).tau([0.0, 1e-12, 0.5, 1.0])))
 
@@ -214,7 +251,7 @@ def test_table_ends_within_tolerance_of_unit_interval():
     # become panel edges clipped to [0, 1], so tau(0) = 0 and a solve runs.
     x = np.linspace(0.0, 1.0, 9) + np.r_[-5e-13, np.zeros(7), 5e-13]
     c = make_conductivity("tabulated", x=x, sigma_sq=1.0 + 0.2 * np.sin(3.0 * x))
-    assert c.params["knots"][0] == 0.0 and c.params["knots"][-1] == 1.0
+    assert c.knots[0] == 0.0 and c.knots[-1] == 1.0
     tt = build_travel_time(c)
     assert tt.tau(0.0) == 0.0
     res = solve_grid(c, tt, lambda s: s * (1.0 - s), [0.5], [1.0], SeriesSpec(truncation_N=2))

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from varheat import cli
 from varheat.cli import main
-from varheat.config import parse_config_text, named_profile
+from varheat.config import _SCHEMA, parse_config_text, named_profile
 from varheat.errors import ConfigError, DomainError
 from varheat.svg import LineSeries, _ticks, write_line_plot
 
@@ -41,6 +42,19 @@ def test_parse_comments_and_lists():
     assert cfg.solve_times == [0.25, 1.0, 4.0]
 
 
+def test_keys_are_the_run_config_fields():
+    # the keys are derived from RunConfig's field names: pin them, so that
+    # renaming a field cannot silently rename a key
+    assert set(_SCHEMA) == {
+        "sigma.kind", "sigma.value", "sigma.table", "profile.kind", "profile.table",
+        "series.N", "solve.x_points", "solve.times", "eigs.count", "eigs.oracle",
+        "eigfuns.modes", "eigfuns.truncations", "eigfuns.x_points", "output.format",
+        "output.path", "output.svg", "verify.seed",
+    }
+    cfg = parse_config_text("eigfuns.truncations = 0 2\nverify.seed = 7\noutput.svg = a.svg\n")
+    assert (cfg.eigfuns_truncations, cfg.verify_seed, cfg.output_svg) == ([0, 2], 7, "a.svg")
+
+
 def test_unknown_key_named_in_error():
     with pytest.raises(ConfigError) as err:
         parse_config_text("sigma.kindd = constant\n", source="bad.cfg")
@@ -62,6 +76,7 @@ def test_bad_values_rejected():
     ("series.tol = 1e-10", "unknown key 'series.tol'"),
     ("solve.times = 1, nan", "solve.times"),
     ("solve.times = inf", "solve.times"),
+    ("solve.times =", "solve.times"),
     ("sigma.kind = constant\nsigma.value = nan", "sigma.value"),
     ("sigma.kind = constant\nsigma.value = 0", "sigma.value"),
     ("sigma.kind = constant\nsigma.value = -1", "sigma.value"),
@@ -300,6 +315,17 @@ def test_cli_exit_code_2_on_bad_contour(tmp_path, capsys):
 def test_cli_overrides_take_the_range_checks(capsys, args, where):
     assert main(["eigs"] + args) == 2
     assert where in capsys.readouterr().err
+
+
+def test_cli_eigs_count_beyond_the_oracle_grid_exits_2(tmp_path, monkeypatch, capsys):
+    # the FD oracle column has 511 modes: 512 is a configuration error that
+    # names both keys, raised before any root is searched or file written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "find_eigenvalues", lambda *a: pytest.fail("roots searched"))
+    assert main(["eigs", "--count", "512"]) == 2
+    err = capsys.readouterr().err
+    assert "eigs.count" in err and "eigs.oracle" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_exit_code_1_on_numerical_failure(tmp_path, capsys):

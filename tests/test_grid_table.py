@@ -80,7 +80,7 @@ def test_grid_rule_cuts_every_gap_into_the_fewest_panels(knots, points, count):
     # carries the drawn ones; its sigma, and so its tau, is unchanged, so
     # the parabolic map is recorded for it (building one fails on panels
     # of subnormal width)
-    c = dataclasses.replace(PARABOLIC, params={"knots": np.array(knots)})
+    c = dataclasses.replace(PARABOLIC, knots=np.array(knots))
     tt = dataclasses.replace(PARABOLIC_TT)
     object.__setattr__(tt, "c", c)
     edges, at = _built_edges(c, tt, count, points)
@@ -104,7 +104,7 @@ def test_plain_grids_keep_their_edges():
     # without points: the uniform panels of the closed forms, and on the
     # benchmark's 33-knot table the union with its knots, to the bit
     table = _profiles()[2]
-    table_tt, knots = build_travel_time(table), table.params["knots"]
+    table_tt, knots = build_travel_time(table), table.knots
     for count in [2**p for p in range(4, 13)]:
         uniform = np.linspace(0.0, 1.0, count + 1)
         edges, _ = _built_edges(PARABOLIC, PARABOLIC_TT, count)
